@@ -8,8 +8,8 @@ registry (Dense / CSR / CSC / COO / ELL) against both stationary layouts
   one Python ``PE`` object per column, sequentially per job;
 * **vectorized** — the registry's array-resident ``BeatPlan`` path,
   sequentially per job;
-* **batch** — ``WeightStationarySimulator.simulate_many`` fanning the
-  vectorized engine across the shared fork pool.
+* **batch** — ``WeightStationarySimulator.simulate_many``, the batch API
+  over the vectorized engine.
 
 Both engines are asserted report-identical per job (the differential
 check that keeps the vectorized path honest), the acceptance bar is a
@@ -23,13 +23,9 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.protocols import streamable_formats
 from repro.accelerator.simulator import WeightStationarySimulator
 from repro.formats.csc import CscMatrix
-from repro.formats.csr import CsrMatrix
 from repro.formats.dense import DenseMatrix
 from repro.formats.registry import Format, matrix_class
 from repro.workloads.synthetic import random_sparse_matrix
@@ -38,17 +34,6 @@ OUT_PATH = Path(__file__).parent / "out" / "simulate_many.json"
 
 M, K, N = 160, 160, 96
 DENSITIES = (0.05, 0.25)
-
-# Large-operand scenario: one dense stationary operand shared by the whole
-# batch (the weight-stationary sweep shape), thin streamed operands.  Here
-# serialization dominates per-job cost: the classic pickle wire re-copies
-# the stationary matrix into every submit, while the zero-copy plane ships
-# it once and the identity-stable view lets the scheduler's stationary
-# memo amortize layout preparation + K-tiling across the batch.
-LARGE_M, LARGE_K, LARGE_N = 2, 16384, 96
-LARGE_NNZ_A = 64
-LARGE_JOBS = 32
-LARGE_PROCESSES = 2
 
 
 def _jobs():
@@ -67,61 +52,6 @@ def _jobs():
             ):
                 jobs.append((a, acf_a, b, acf_b))
     return jobs
-
-
-def _large_operand_jobs():
-    """One shared multi-megabyte stationary B, thin streamed A per job."""
-    b = DenseMatrix.from_dense(
-        random_sparse_matrix(LARGE_K, LARGE_N, LARGE_K * LARGE_N, 7)
-    )
-    jobs = []
-    for seed in range(LARGE_JOBS):
-        a = CsrMatrix.from_dense(
-            random_sparse_matrix(LARGE_M, LARGE_K, LARGE_NNZ_A, seed)
-        )
-        jobs.append((a, Format.CSR, b, Format.DENSE))
-    return jobs, b.values.nbytes
-
-
-def measure_large_operand() -> dict:
-    """Wall-clock the same batch over both wires; assert bit-identical.
-
-    The PE scratchpad is sized so one stationary column fits untiled —
-    the scenario benchmarks the transport, not the tiling sweep.
-    ``processes`` is explicit because a 1-CPU host would otherwise
-    degrade every path to sequential and measure nothing.
-    """
-    sim = WeightStationarySimulator(
-        AcceleratorConfig(pe_buffer_bytes=1 << 17)
-    )
-    jobs, operand_bytes = _large_operand_jobs()
-
-    def timed(**kwargs):
-        start = time.perf_counter()
-        out = sim.simulate_many(jobs, **kwargs)
-        return out, time.perf_counter() - start
-
-    timed(processes=1)  # warm numpy / allocator before timing
-    sequential, sequential_s = timed(processes=1)
-    pickled, pickle_s = timed(processes=LARGE_PROCESSES, transport="pickle")
-    shared, shm_s = timed(processes=LARGE_PROCESSES, transport="shm")
-    for (out_s, rep_s), (out_p, rep_p), (out_z, rep_z) in zip(
-        sequential, pickled, shared
-    ):
-        assert np.array_equal(out_s, out_p) and np.array_equal(out_s, out_z)
-        assert rep_s == rep_p == rep_z
-
-    return {
-        "jobs": len(jobs),
-        "shape": [LARGE_M, LARGE_K, LARGE_N],
-        "stationary_mbytes": round(operand_bytes / 1e6, 1),
-        "processes": LARGE_PROCESSES,
-        "sequential_s": sequential_s,
-        "pickle_s": pickle_s,
-        "shm_s": shm_s,
-        "speedup_shm_vs_pickle": pickle_s / shm_s,
-        "speedup_shm_vs_sequential": sequential_s / shm_s,
-    }
 
 
 def measure() -> dict:
@@ -154,7 +84,6 @@ def measure() -> dict:
         "batch_s": batch_s,
         "speedup_vectorized_vs_reference": reference_s / vectorized_s,
         "speedup_batch_vs_reference": reference_s / batch_s,
-        "large_operand": measure_large_operand(),
     }
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
@@ -178,22 +107,11 @@ def bench_simulate_many(once, benchmark):
         f"{out['speedup_vectorized_vs_reference']:.1f}x, "
         f"batched: {out['speedup_batch_vs_reference']:.1f}x"
     )
-    large = out["large_operand"]
-    print(
-        f"large-operand ({large['stationary_mbytes']}MB stationary x "
-        f"{large['jobs']} jobs): sequential {large['sequential_s']:.2f}s, "
-        f"pickle {large['pickle_s']:.2f}s, shm {large['shm_s']:.2f}s "
-        f"-> zero-copy {large['speedup_shm_vs_pickle']:.1f}x vs pickle"
-    )
     print(f"wrote {OUT_PATH}")
     assert out["speedup_vectorized_vs_reference"] >= 5.0
-    assert large["speedup_shm_vs_pickle"] >= 3.0
     benchmark.extra_info["speedup_vectorized_vs_reference"] = round(
         out["speedup_vectorized_vs_reference"], 1
     )
     benchmark.extra_info["speedup_batch_vs_reference"] = round(
         out["speedup_batch_vs_reference"], 1
-    )
-    benchmark.extra_info["speedup_shm_vs_pickle"] = round(
-        large["speedup_shm_vs_pickle"], 1
     )

@@ -50,9 +50,6 @@ FLOORS: dict[str, dict[str, float]] = {
     "simulate_many.json": {
         "speedup_vectorized_vs_reference": 5.0,
         "speedup_batch_vs_reference": 5.0,
-        # Zero-copy operand plane vs per-job pickling on the shared
-        # large-stationary scenario, measured ~5x on a single core.
-        "large_operand.speedup_shm_vs_pickle": 3.0,
     },
     # The obs plane must stay within ~5% of REPRO_OBS=off on the predict
     # hot path (median of paired per-round ratios, measured ~0.98-1.05).

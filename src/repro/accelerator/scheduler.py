@@ -20,8 +20,6 @@ row-id metadata, the flexible buffer partition of Sec. IV).
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,84 +111,6 @@ def compute_k_tiles(
         f"PE buffer of {capacity_entries} entries cannot hold even a "
         f"single-k {acf_b} column slice"
     )
-
-
-#: Identity-keyed memo of (prepared stationary operand, K-tiling).
-#:
-#: Preparing a stationary operand and searching for its minimal K-tiling
-#: are the dominant per-job cost for large operands (three O(K*N) cumsum /
-#: reduction passes over the stored-position mask), yet both are pure
-#: functions of the operand's buffers and the PE capacity.  Under the
-#: zero-copy operand plane every job of a batch receives the *same*
-#: read-only segment view of a shared stationary operand, so the work can
-#: run once per process instead of once per job.  Pickled transports
-#: materialize fresh buffers per job and always miss.
-#:
-#: Eligibility is deliberately narrow: every ndarray attribute of the
-#: operand must be non-writeable.  A writeable buffer can be mutated
-#: between calls, which would make a cached preparation stale — such
-#: operands are re-prepared every time, exactly as before the memo.
-#: Entries hold weak references to the keyed buffers and evict themselves
-#: when the buffers are garbage collected, so ``id()`` reuse can never
-#: resurrect a dead key; a small FIFO cap bounds resident copies.
-_STATIONARY_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
-_STATIONARY_MEMO_MAX = 4
-
-
-def _memo_key(
-    b: MatrixFormat, acf_b: Format, capacity_entries: int
-) -> tuple[tuple | None, tuple[np.ndarray, ...]]:
-    """(key, backing arrays) for *b*, or (None, ()) when ineligible."""
-    arrays = tuple(
-        v for v in vars(b).values() if isinstance(v, np.ndarray)
-    )
-    if not arrays or any(arr.flags.writeable for arr in arrays):
-        return None, ()
-    layout = stationary_layout_for(acf_b)
-    key = (
-        acf_b,
-        id(layout),
-        capacity_entries,
-        tuple(id(arr) for arr in arrays),
-    )
-    return key, arrays
-
-
-def prepare_stationary(
-    b: MatrixFormat | StationaryOperand,
-    acf_b: Format,
-    capacity_entries: int,
-) -> tuple[StationaryOperand, tuple[tuple[int, int], ...]]:
-    """Layout-prepare *b* and compute its K-tiling, memoized by identity.
-
-    Returns ``(stationary, k_tiles)``.  Results are bit-identical to the
-    uncached path — a hit merely returns the previously computed objects
-    (frozen read-only before caching, so no engine can mutate shared
-    state).  See :data:`_STATIONARY_MEMO` for the eligibility rules.
-    """
-    if isinstance(b, StationaryOperand):
-        return b, compute_k_tiles(b, acf_b, capacity_entries)
-    key, arrays = _memo_key(b, acf_b, capacity_entries)
-    if key is not None:
-        hit = _STATIONARY_MEMO.get(key)
-        if hit is not None:
-            _STATIONARY_MEMO.move_to_end(key)
-            return hit[0], hit[1]
-    stationary = stationary_layout_for(acf_b).prepare(b)
-    tiles = compute_k_tiles(stationary, acf_b, capacity_entries)
-    if key is not None:
-        stationary.values.flags.writeable = False
-        stationary.stored.flags.writeable = False
-        refs = tuple(
-            weakref.ref(
-                arr, lambda _r, key=key: _STATIONARY_MEMO.pop(key, None)
-            )
-            for arr in arrays
-        )
-        _STATIONARY_MEMO[key] = (stationary, tiles, refs)
-        while len(_STATIONARY_MEMO) > _STATIONARY_MEMO_MAX:
-            _STATIONARY_MEMO.popitem(last=False)
-    return stationary, tiles
 
 
 def compute_rounds(n_cols: int, num_pes: int) -> tuple[tuple[int, int], ...]:

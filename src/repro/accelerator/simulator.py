@@ -45,8 +45,8 @@ from repro.accelerator.protocols import (
 from repro.accelerator.report import CycleReport, EnergyReport, RunReport
 from repro.accelerator.scheduler import (
     Schedule,
+    compute_k_tiles,
     compute_rounds,
-    prepare_stationary,
 )
 from repro.accelerator.stream import build_beat_plan
 from repro.errors import SimulationError
@@ -54,7 +54,6 @@ from repro.formats.base import MatrixFormat
 from repro.formats.registry import Format
 from repro.obs import registry, span
 from repro.util.bits import ceil_div
-from repro.util.pool import fork_map
 
 _GEMMS = registry().counter(
     "repro_accel_gemms_total", "Simulated GEMMs, by engine"
@@ -113,16 +112,12 @@ class WeightStationarySimulator:
             streamed=str(acf_a),
             stationary=str(acf_b),
         ):
-            # Layout preparation + K-tiling memoize on operand identity:
-            # under the zero-copy plane a stationary operand shared by the
-            # batch is prepared once per process, not once per job (see
-            # scheduler).
             with span("accel.prepare"):
-                stationary, k_tiles = prepare_stationary(
-                    b, acf_b, self.config.pe_buffer_entries
-                )
+                stationary = layout.prepare(b)
                 schedule = Schedule(
-                    k_tiles=k_tiles,
+                    k_tiles=compute_k_tiles(
+                        stationary, acf_b, self.config.pe_buffer_entries
+                    ),
                     rounds=compute_rounds(b.ncols, self.config.num_pes),
                 )
             if engine == "vectorized":
@@ -315,34 +310,20 @@ class WeightStationarySimulator:
 
     # ------------------------------------------------------------- batch --
     def simulate_many(
-        self,
-        jobs: Sequence[SimJob],
-        *,
-        processes: int | None = None,
-        engine: str = "vectorized",
-        transport: str = "auto",
+        self, jobs: Sequence[SimJob], *, engine: str = "vectorized"
     ) -> list[tuple[np.ndarray, RunReport]]:
-        """Run a batch of GEMMs, fanned across a process pool.
+        """Run a batch of GEMMs in this process, in input order.
 
-        Results are returned in input order.  Mirrors
-        :meth:`~repro.sage.predictor.Sage.predict_many`: the batch rides the
-        shared :func:`~repro.util.pool.fork_map` machinery, so platforms
-        (or callers, e.g. daemonic serve shards) that cannot spawn workers
-        degrade to sequential simulation rather than failing.
-
-        ``transport`` selects the worker wire format (``"auto"`` /
-        ``"shm"`` / ``"pickle"``).  Under the default zero-copy operand
-        plane, large operand buffers cross the process boundary once per
-        distinct array — a stationary operand shared by every job in the
-        batch (the weight-stationary sweep shape) is transported once,
-        not once per job.
+        The batches SAGE's cycle tier and the calibration build submit are
+        a handful of GEMMs on small proxies, which a process pool would
+        spend more on forking and result shipping than on simulation.
+        Callers that need fan-out parallelize whole predictions or grid
+        cells instead (:func:`~repro.util.pool.fork_map`).
         """
-        return fork_map(
-            _simulate_one,
-            [(self, job, engine) for job in jobs],
-            processes=processes,
-            transport=transport,
-        )
+        return [
+            self.run_gemm(a, acf_a, b, acf_b, engine=engine)
+            for a, acf_a, b, acf_b in jobs
+        ]
 
     # ----------------------------------------------------------- accounting
     def _energy(
@@ -398,14 +379,6 @@ def _interleaved_runs(
         same = mask & (prev >= 0) & (i_e[prev] == i_e[:, None])
         total += int(mask.sum()) - int(same.sum())
     return total
-
-
-def _simulate_one(
-    job: tuple["WeightStationarySimulator", SimJob, str]
-) -> tuple[np.ndarray, RunReport]:
-    """Pool task: one GEMM through the (pickled) simulator."""
-    sim, (a, acf_a, b, acf_b), engine = job
-    return sim.run_gemm(a, acf_a, b, acf_b, engine=engine)
 
 
 def __getattr__(name: str):

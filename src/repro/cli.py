@@ -391,7 +391,6 @@ def _cmd_xp(args: argparse.Namespace) -> int:
         store_root=args.store,
         out_dir=args.out,
         report=not args.no_report,
-        transport=args.transport,
     )
     if args.trace:
         from repro.obs import export_chrome_trace, start_trace, stop_trace
@@ -446,7 +445,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         seed=args.seed,
         backend=args.backend,
         processes=1 if args.serial else args.processes,
-        transport=args.transport,
         resume=args.resume,
         force=args.force,
         include_seeds=not args.no_seeds,
@@ -931,10 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(the seed-script baseline)")
     q.add_argument("--processes", type=int, default=None,
                    help="fork-pool width (default: one per CPU)")
-    q.add_argument("--transport", default="auto",
-                   choices=("auto", "shm", "pickle"),
-                   help="worker wire format: zero-copy shared-memory "
-                   "operands (shm) or classic per-submit pickling")
     q.add_argument("--store", default=None,
                    help="artifact store root "
                    "(default: benchmarks/out/xp/store)")
@@ -994,9 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single-process execution (no fork pool)")
     p.add_argument("--processes", type=int, default=None,
                    help="fork-pool width (default: one per CPU)")
-    p.add_argument("--transport", default="auto",
-                   choices=("auto", "shm", "pickle"),
-                   help="worker wire format (see 'repro xp run')")
     p.add_argument("--store", default=None,
                    help="artifact store root "
                    "(default: benchmarks/out/xp/store)")

@@ -1,7 +1,7 @@
 """Process-local metric registry whose snapshots merge exactly.
 
 Every layer of the stack (``Session``, SAGE, MINT, the simulator, the
-fork pool, the shm operand plane, the serve tier) records onto one
+fork pool, the serve tier) records onto one
 process-global :class:`MetricRegistry` of labeled :class:`Counter`,
 :class:`Gauge` and fixed-log-bucket :class:`Histogram` metrics.  The
 design constraint — in the spirit of the paper's own per-phase cycle

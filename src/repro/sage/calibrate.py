@@ -505,9 +505,7 @@ def _measure_workload(
                 "analytical_energy_j": run.energy.total_j,
             }
         )
-    results = WeightStationarySimulator(config).simulate_many(
-        jobs, processes=1
-    )
+    results = WeightStationarySimulator(config).simulate_many(jobs)
     samples = []
     for meta, (_out, run) in zip(metas, results):
         samples.append(

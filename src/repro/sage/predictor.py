@@ -82,10 +82,6 @@ SIM_CAP_ELEMENTS = 1 << 18
 #: Analytical candidates the cycle tier re-simulates.
 CYCLE_TOP_K = 4
 
-#: Optional warm operand cache for the cycle tier (see
-#: :func:`set_proxy_operand_cache`).  ``None`` means "materialize fresh".
-_PROXY_OPERAND_CACHE = None
-
 _CANDIDATES = registry().counter(
     "repro_sage_candidates_total",
     "MCF/ACF candidates priced by the cost model, by kind and feasibility",
@@ -93,31 +89,6 @@ _CANDIDATES = registry().counter(
 _PREDICTIONS = registry().counter(
     "repro_sage_predictions_total", "SAGE decisions produced, by fidelity"
 )
-
-
-def set_proxy_operand_cache(cache) -> None:
-    """Install (or clear, with ``None``) a proxy-operand cache.
-
-    The cycle fidelity tier materializes deterministic proxy operands
-    per ``(m, k, nnz, seed)``.  Long-lived multi-process hosts — the
-    serve shards — install a
-    :class:`repro.util.shm.OperandCacheNamespace` here so every shard
-    attaches to the one warm shared-memory copy instead of
-    re-materializing the tensor per request.  Anything with
-    ``get_or_build(key, builder) -> ndarray`` qualifies.
-    """
-    global _PROXY_OPERAND_CACHE
-    _PROXY_OPERAND_CACHE = cache
-
-
-def _proxy_dense(m: int, k: int, nnz: int, seed: int):
-    """A (possibly cached) deterministic proxy operand."""
-    if _PROXY_OPERAND_CACHE is None:
-        return random_sparse_matrix(m, k, nnz, seed)
-    return _PROXY_OPERAND_CACHE.get_or_build(
-        ("proxy", m, k, nnz, seed),
-        lambda: random_sparse_matrix(m, k, nnz, seed),
-    )
 
 
 @dataclass(frozen=True)
@@ -466,7 +437,6 @@ class Sage:
         options: PredictOptions | None = None,
         processes: int | None = None,
         fidelity: str | None = None,
-        transport: str = "auto",
     ) -> list[SageDecision]:
         """Predict a whole workload suite, fanned across a process pool.
 
@@ -478,9 +448,7 @@ class Sage:
         route planning already amortized in this process is not redone per
         worker.  The full option set (search restrictions, ``top_k``)
         applies to every workload in the batch; ``processes`` bounds the
-        pool width, and ``transport`` picks the worker wire format
-        (``"auto"`` / ``"shm"`` / ``"pickle"`` — see
-        :func:`~repro.util.pool.fork_map`).
+        pool width.
         """
         opts = resolve_options(options, processes=processes, fidelity=fidelity)
         return fork_map(
@@ -489,7 +457,6 @@ class Sage:
             processes=opts.processes,
             initializer=_seed_worker_planner,
             initargs=(shared_planner().export_routes(),),
-            transport=transport,
         )
 
     # ------------------------------------------------------ cycle fidelity --
@@ -524,8 +491,10 @@ class Sage:
             if extra not in combos:
                 combos.append(extra)
 
-        a_dense = _proxy_dense(sim_wl.m, sim_wl.k, sim_wl.nnz_a, seed)
-        b_dense = _proxy_dense(sim_wl.k, sim_wl.n, sim_wl.nnz_b, seed + 1)
+        a_dense = random_sparse_matrix(sim_wl.m, sim_wl.k, sim_wl.nnz_a, seed)
+        b_dense = random_sparse_matrix(
+            sim_wl.k, sim_wl.n, sim_wl.nnz_b, seed + 1
+        )
         encoded_a: dict[Format, object] = {}
         encoded_b: dict[Format, object] = {}
         jobs, plans = [], []

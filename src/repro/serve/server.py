@@ -91,12 +91,11 @@ from repro.api.options import (
 from repro.mint.cost import shared_planner
 from repro.obs import get_logger, registry, set_trace_id, span
 from repro.obs import metrics as obs_metrics
-from repro.sage.predictor import Sage, SageDecision, set_proxy_operand_cache
+from repro.sage.predictor import Sage, SageDecision
 from repro.serve import wire
 from repro.serve.cache import DecisionCache
 from repro.serve.fingerprint import WorkloadFingerprint, fingerprint_of
 from repro.serve.warmer import BandWarmer
-from repro.util.shm import SEGMENT_PREFIX, OperandCacheNamespace
 from repro.workloads.spec import workload_from_dict
 
 __all__ = ["OUTCOMES", "SageServer", "ServeConfig"]
@@ -272,26 +271,19 @@ def _shard_main(
     snapshot: dict,
     near_hit: bool,
     fidelity: str,
-    operand_prefix: str | None = None,
 ) -> None:
     """Shard worker loop: predict forever until the ``None`` sentinel.
 
     Seeds this process's shared planner from the parent's snapshot and
     keeps a shard-local :class:`DecisionCache`, so a shard that has seen
     a fingerprint (or its density band) never re-runs the search even if
-    the front cache has evicted it.  Under cycle fidelity the parent also
-    hands every shard the name prefix of a shared operand-cache namespace:
-    proxy operands for the simulator are attached from (or published to)
-    warm shared-memory segments instead of being re-materialized per
-    request per shard.
+    the front cache has evicted it.
     """
     shared_planner().seed_snapshot(snapshot)
     # The forked child inherits the parent's metric values; zero them so
     # the in-band snapshots this shard ships cover only its own work and
     # merging them into the parent never double-counts.
     obs_metrics.reset_registry()
-    if operand_prefix is not None:
-        set_proxy_operand_cache(OperandCacheNamespace(operand_prefix))
     local = DecisionCache(maxsize=1024, near_hit=near_hit, scope="shard")
     while True:
         msg = in_q.get()
@@ -333,16 +325,12 @@ class _Shard:
         snapshot: dict,
         near_hit: bool,
         fidelity: str,
-        operand_prefix: str | None = None,
     ) -> None:
         self.in_q = ctx.Queue()
         self.out_q = ctx.Queue()
         self.proc = ctx.Process(
             target=_shard_main,
-            args=(
-                self.in_q, self.out_q, sage, snapshot, near_hit, fidelity,
-                operand_prefix,
-            ),
+            args=(self.in_q, self.out_q, sage, snapshot, near_hit, fidelity),
             daemon=True,
         )
         self.proc.start()
@@ -553,14 +541,6 @@ class SageServer:
             self.serve.cache_size, near_hit=self.serve.near_hit, scope="front"
         )
         self._reply_cache = _ReplyCache(self.serve.reply_cache_size)
-        # Cycle-fidelity servers share proxy simulator operands between
-        # the parent and every shard through one named shared-memory
-        # namespace: first user builds, everyone else attaches warm.
-        self._operands: OperandCacheNamespace | None = None
-        if self.serve.fidelity == "cycle":
-            self._operands = OperandCacheNamespace(
-                f"{SEGMENT_PREFIX}-serve{os.getpid()}"
-            )
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
         self._inflight: dict[tuple, list[_PendingRequest]] = {}
@@ -600,10 +580,6 @@ class SageServer:
             raise RuntimeError("server already started")
         self._started = True
         self._t_start = time.monotonic()
-        if self._operands is not None:
-            # In-process (and inline-fallback) cycle predictions share the
-            # same warm operand segments the shards use.
-            set_proxy_operand_cache(self._operands)
         if self.serve.shards > 0:
             snapshot = shared_planner().export_snapshot()
             try:
@@ -619,9 +595,6 @@ class SageServer:
                             snapshot,
                             self.serve.near_hit,
                             self.serve.fidelity,
-                            self._operands.prefix
-                            if self._operands is not None
-                            else None,
                         )
                     )
             except (OSError, PermissionError) as exc:  # pragma: no cover
@@ -726,11 +699,6 @@ class SageServer:
             if shard.proc.is_alive():  # pragma: no cover - hung worker
                 shard.proc.terminate()
                 shard.proc.join(timeout=5)
-        if self._operands is not None:
-            # Shards are gone; unlink the warm operand segments so the
-            # namespace never outlives the server (leak-check contract).
-            set_proxy_operand_cache(None)
-            self._operands.unlink_all()
 
     def __enter__(self) -> "SageServer":
         self.start()

@@ -3,9 +3,9 @@
 A run sweeps a :class:`~repro.tune.space.ParamSpace` (anchored at
 ``paper_default``, optionally widened with the ablation seed points)
 through the :mod:`~repro.tune.objective` evaluation, fanned across the
-:func:`~repro.util.pool.fork_map` pool with the shm operand plane, and
-keyed into the :class:`~repro.xp.artifacts.ArtifactStore` so interrupted
-or repeated sweeps resume instead of recomputing.
+:func:`~repro.util.pool.fork_map` pool, and keyed into the
+:class:`~repro.xp.artifacts.ArtifactStore` so interrupted or repeated
+sweeps resume instead of recomputing.
 
 Strategies
 ----------
@@ -71,7 +71,6 @@ class TuneConfig:
     eta: int = 4
     backend: str = "local"
     processes: int | None = None
-    transport: str = "auto"
     resume: bool = False
     force: bool = False
     #: Fold the registered ablation seed points into the swept set.
@@ -335,7 +334,6 @@ def _evaluate(
         jobs,
         processes=config.processes,
         consume=persist,
-        transport=config.transport,
     )
     for outcome in outcomes:
         entry = pending[outcome.key]

@@ -1,41 +1,23 @@
 """Shared fork-pool fan-out with graceful sequential degradation.
 
 Every batch frontend — :meth:`repro.sage.predictor.Sage.predict_many`,
-:meth:`repro.accelerator.simulator.WeightStationarySimulator.simulate_many`
-and the xp grid runner — needs the same shape of machinery: fan a list of
-picklable jobs across a fork-context process pool, preserve input order,
-optionally seed each worker (snapshot initializers), and degrade to
-in-process execution on any platform that cannot run a pool at all
-instead of failing.  This module is that machinery, factored once.
+the xp grid runner and the tuner — needs the same shape of machinery:
+fan a list of picklable jobs across a fork-context process pool,
+preserve input order, optionally seed each worker (snapshot
+initializers), and degrade to in-process execution on any platform that
+cannot run a pool at all instead of failing.  This module is that machinery, factored once.
 
-Transports
-----------
-Two wire formats move jobs into workers:
-
-* ``"shm"`` — the zero-copy operand plane (:mod:`repro.util.shm`): each
-  job is pickled once in the parent with large ndarrays lifted into
-  shared-memory segments, so workers attach to operand buffers instead
-  of receiving copies.  A stationary operand shared across the whole
-  batch crosses the process boundary exactly once.  Segments are
-  guaranteed to be unlinked on success, worker error, and interrupt.
-* ``"pickle"`` — the classic path: the pool pickles ``(fn, item)``
-  through its pipe per submit.
-
-``transport="auto"`` (the default) picks ``"shm"`` whenever shared
-memory works on the platform, else ``"pickle"``; ``REPRO_TRANSPORT``
-(``shm`` / ``pickle``) overrides from the environment.  Results are
-bit-identical across transports and the sequential path (pinned by
-``tests/util/test_pool.py``).
+Each job crosses into a worker as one pickle: ``(fn, item)`` is
+serialized once in the parent, and the worker unpickles and calls it.
+That serialization is also the pre-flight — an unpicklable item anywhere
+in the batch is caught before any worker starts, so exceptions escaping
+the pool are genuine worker bugs and propagate.  Results are identical to
+the sequential path (pinned by ``tests/util/test_pool.py``).
 
 Degradation triggers (all run the jobs sequentially in this process):
 
 * a single job or ``processes <= 1`` — no pool worth spawning;
-* unpicklable inputs (lambda providers, open handles) — caught by a
-  cheap pre-flight so exceptions escaping the pool are genuine worker
-  bugs and propagate.  The pre-flight probes ``fn``, one sample item and
-  ``initargs`` — it does **not** round-trip the full batch payload (the
-  shm transport additionally validates every item while exporting and
-  degrades, with cleanup, on the first unpicklable one);
+* unpicklable inputs (lambda providers, open handles);
 * a daemonic caller (e.g. a serve shard worker) — daemons may not have
   children;
 * platforms that cannot spawn (or keep) a pool: ``OSError`` /
@@ -67,14 +49,11 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.util import shm
 
 __all__ = ["fork_map"]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-_TRANSPORTS = ("auto", "shm", "pickle")
 
 _MAPS = obs_metrics.registry().counter(
     "repro_pool_maps_total", "fork_map invocations by execution path"
@@ -113,37 +92,22 @@ def _obs_worker_init(
         initializer(*initargs)
 
 
-class _InstrumentedTask:
-    """Worker-side wrapper: time the task, envelope its telemetry."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def __call__(self, item):
-        global _TASK_SEQ
-        t0 = time.perf_counter()
-        result = self.fn(item)
-        _TASK_SECONDS.observe(time.perf_counter() - t0)
-        _TASK_SEQ += 1
-        return (
-            result,
-            os.getpid(),
-            _TASK_SEQ,
-            obs_metrics.registry().snapshot(),
-            obs_trace.drain_events(),
-        )
-
-
-def _resolve_transport(transport: str) -> str:
-    """Collapse ``transport`` (+ env override) to ``"shm"`` or ``"pickle"``."""
-    if transport == "auto":
-        env = os.environ.get("REPRO_TRANSPORT", "")
-        transport = env if env in ("shm", "pickle") else "shm"
-    if transport == "shm" and not shm.shm_available():
-        return "pickle"
-    return transport
+def _run_job(payload: bytes):
+    """Pool task: unpickle one ``(fn, item)`` job, time the call and
+    envelope the result with this worker's telemetry."""
+    global _TASK_SEQ
+    fn, item = pickle.loads(payload)
+    t0 = time.perf_counter()
+    result = fn(item)
+    _TASK_SECONDS.observe(time.perf_counter() - t0)
+    _TASK_SEQ += 1
+    return (
+        result,
+        os.getpid(),
+        _TASK_SEQ,
+        obs_metrics.registry().snapshot(),
+        obs_trace.drain_events(),
+    )
 
 
 def fork_map(
@@ -154,7 +118,6 @@ def fork_map(
     initializer: Callable | None = None,
     initargs: tuple = (),
     consume: Callable[[R], None] | None = None,
-    transport: str = "auto",
 ) -> list[R]:
     """``[fn(item) for item in items]``, fanned across a fork pool.
 
@@ -167,16 +130,7 @@ def fork_map(
     persist results incrementally survive interruption mid-batch instead
     of losing the whole barrier (the xp runner's artifact store relies on
     this).
-
-    ``transport`` selects the worker wire format (see the module
-    docstring): ``"auto"``, ``"shm"``, or ``"pickle"``.
     """
-
-    if transport not in _TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {_TRANSPORTS}, got {transport!r}"
-        )
-
     items = list(items)
 
     def sequential() -> list[R]:
@@ -198,66 +152,14 @@ def fork_map(
         # Daemonic processes (serve shards) may not have children.
         return sequential()
 
-    # Cheap pre-flight: fn, one sample item, initargs.  Anything that
-    # escapes the pool after this passes is a genuine worker bug and must
-    # propagate, not be misread as "degrade sequentially".
+    # One pickle per job, made here: the payload the worker unpickles
+    # and the pre-flight at once.  An unpicklable item anywhere in the
+    # batch degrades before any worker starts, so whatever escapes the
+    # pool afterwards is a genuine worker bug and propagates.
     try:
-        pickle.dumps((fn, items[0], initargs))
+        payloads = [pickle.dumps((fn, item)) for item in items]
     except (pickle.PicklingError, AttributeError, TypeError):
         return sequential()
-
-    wire = _resolve_transport(transport)
-    if wire == "shm":
-        plane = shm.OperandPlane()
-        try:
-            payloads = [plane.export((fn, item)) for item in items]
-        except (pickle.PicklingError, AttributeError, TypeError):
-            # Some item beyond the sample was unpicklable: degrade, but
-            # never leak the segments exported so far.
-            plane.close()
-            return sequential()
-        except BaseException:
-            plane.close()
-            raise
-        try:
-            return _pool_map(
-                shm.invoke_exported,
-                payloads,
-                processes=processes,
-                initializer=initializer,
-                initargs=initargs,
-                consume=consume,
-                sequential=sequential,
-                n_items=len(items),
-            )
-        finally:
-            # Reached only after the pool context has exited (workers
-            # joined), so unlinking here is safe on success, worker
-            # error, and interrupt alike.
-            plane.close()
-    return _pool_map(
-        fn,
-        items,
-        processes=processes,
-        initializer=initializer,
-        initargs=initargs,
-        consume=consume,
-        sequential=sequential,
-        n_items=len(items),
-    )
-
-
-def _pool_map(
-    fn: Callable,
-    items: list,
-    *,
-    processes: int,
-    initializer: Callable | None,
-    initargs: tuple,
-    consume: Callable | None,
-    sequential: Callable[[], list],
-    n_items: int | None = None,
-) -> list:
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -277,11 +179,9 @@ def _pool_map(
             ),
         ) as pool:
             # Chunked submission: one pipe round-trip per chunk, not per
-            # item.  With compact payloads (the shm transport ships
-            # OperandRef descriptors, not tensors) per-task latency is
-            # what dominates, so ~4 chunks per worker amortizes it while
+            # item.  ~4 chunks per worker amortizes per-task latency while
             # keeping the pool load-balanced.  Order is preserved.
-            chunksize = max(1, len(items) // (processes * 4))
+            chunksize = max(1, len(payloads) // (processes * 4))
             results = []
             # Worker snapshots are cumulative: keep only the
             # highest-sequence one per worker pid, merge at the end.
@@ -289,12 +189,13 @@ def _pool_map(
             span_events: list[dict] = []
             with obs_trace.span(
                 "pool.fork_map",
-                items=n_items if n_items is not None else len(items),
+                items=len(payloads),
                 processes=processes,
                 path="pool",
             ):
-                task = _InstrumentedTask(fn)
-                for envelope in pool.map(task, items, chunksize=chunksize):
+                for envelope in pool.map(
+                    _run_job, payloads, chunksize=chunksize
+                ):
                     result, pid, seq, snapshot, events = envelope
                     prev = latest.get(pid)
                     if prev is None or seq > prev[0]:

@@ -103,10 +103,6 @@ class RunConfig:
         that are not cached (``repro xp report``'s pure re-render mode).
         Skipped cells are excluded from the grid and counted on the
         summary; grid checks only run on complete grids.
-    transport:
-        Worker wire format for the flat cell batch: ``"auto"`` (the
-        zero-copy operand plane where available), ``"shm"``, or
-        ``"pickle"`` — see :func:`repro.util.pool.fork_map`.
     """
 
     backend: str = "local"
@@ -120,7 +116,6 @@ class RunConfig:
     report: bool = True
     record: bool = True
     cached_only: bool = False
-    transport: str = "auto"
 
 
 @dataclass
@@ -244,7 +239,6 @@ class RunSummary:
             "force": self.config.force,
             "isolate": self.config.isolate,
             "processes": self.config.processes,
-            "transport": self.config.transport,
             "cells": self.total_cells,
             "executed_cells": self.executed_cells,
             "cached_cells": self.cached_cells,
@@ -407,7 +401,6 @@ def run_experiments(
         pending,
         processes=config.processes,
         consume=persist,
-        transport=config.transport,
     )
     by_key = {o.key: o for o in outcomes}
     for run in runs.values():

@@ -86,19 +86,6 @@ class TestPredictMany:
         decisions = Sage().predict_many(suite, processes=2)
         assert [d.workload_name for d in decisions] == [w.name for w in suite]
 
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_transports_match_sequential(self, transport, monkeypatch):
-        # Decisions must be identical whichever wire moved the jobs.
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1")
-        sage = Sage()
-        suite = _suite()
-        seq = sage.predict_many(suite, processes=1)
-        par = sage.predict_many(suite, processes=2, transport=transport)
-        for got, want in zip(par, seq):
-            assert got.workload_name == want.workload_name
-            assert got.best == want.best
-            assert got.ranking == want.ranking
-
     def test_worker_bug_propagates_instead_of_degrading(self):
         # Before the pre-flight pickle check, any AttributeError/TypeError
         # escaping a worker was misread as "non-picklable predictor" and

@@ -204,31 +204,6 @@ class TestModes:
                 assert decision.fidelity == "cycle"
                 assert c.stats()["fidelity"] == "cycle"
 
-    def test_cycle_server_operand_segments_cleaned_on_close(self):
-        # Cycle-tier shards share proxy operands through named segments;
-        # the namespace must die with the server (leak-check contract).
-        from repro.sage import predictor
-        from repro.util import shm
-
-        if not shm.shm_available():
-            pytest.skip("no shared memory on this platform")
-        config = ServeConfig(port=0, shards=1, fidelity="cycle")
-        wl = MatrixWorkload("cyc-shm", Kernel.SPMM, m=96, k=96, n=64,
-                            nnz_a=900, nnz_b=96 * 64)
-        srv = SageServer(serve=config)
-        prefix = srv._operands.prefix
-        with srv:
-            with ServeClient(*srv.address) as c:
-                assert c.predict(wl).fidelity == "cycle"
-            assert any(
-                name.startswith(prefix)
-                for name in shm.active_operand_segments()
-            ), "cycle prediction should have published warm operands"
-        assert not any(
-            name.startswith(prefix) for name in shm.active_operand_segments()
-        )
-        assert predictor._PROXY_OPERAND_CACHE is None
-
     def test_calibrated_fidelity_server(self, tmp_path):
         # A calibrated-tier server answers corrected decisions from its
         # preloaded factor table (shards inherit it across the fork).

@@ -52,3 +52,30 @@ def test_extractor_sees_only_python_fences(tmp_path):
     blocks = docs_smoke.extract_blocks(doc)
     assert blocks == ["x = 1\n", "# doc: no-run\ny = undefined_name\n"]
     assert docs_smoke.runnable_source(blocks) == "x = 1\n"
+
+
+def _span_names() -> set[str]:
+    """Name literals of every ``span("…")`` call under ``src/repro``."""
+    import ast
+
+    names = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None)
+            first = node.args[0]
+            if called == "span" and isinstance(first, ast.Constant) \
+                    and isinstance(first.value, str):
+                names.add(first.value)
+    return names
+
+
+def test_every_emitted_span_is_documented():
+    names = _span_names()
+    assert "pool.fork_map" in names  # the scan itself still finds spans
+    doc = (ROOT / "docs" / "observability.md").read_text()
+    missing = sorted(n for n in names if f"`{n}`" not in doc)
+    assert not missing, f"spans missing from docs/observability.md: {missing}"

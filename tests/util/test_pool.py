@@ -1,16 +1,13 @@
-"""fork_map transports: parity, preflight cost, degradation, cleanup."""
+"""fork_map: parity, one pickle per job, degradation, worker bugs."""
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
 
-from repro.util import shm
 from repro.util.pool import fork_map
 
-_BIG = np.arange(200_000, dtype=np.float64)  # above any min_bytes default
+_BIG = np.arange(200_000, dtype=np.float64)
 
 
 def _checksum(item):
@@ -53,95 +50,43 @@ def _first(item):
 
 
 class TestParity:
-    @pytest.mark.parametrize("transport", ["shm", "pickle", "auto"])
-    def test_transports_match_sequential(self, transport):
+    def test_matches_sequential(self):
         items = [(i, _BIG * (i + 1)) for i in range(6)]
         expected = [_checksum(item) for item in items]
-        got = fork_map(items=items, fn=_checksum, processes=3,
-                       transport=transport)
-        assert got == expected
+        assert fork_map(_checksum, items, processes=3) == expected
 
     def test_consume_sees_results_in_order(self):
         seen = []
         out = fork_map(_double, list(range(8)), processes=2,
-                       consume=seen.append, transport="shm")
+                       consume=seen.append)
         assert seen == out == [2 * i for i in range(8)]
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            fork_map(_double, [1], transport="carrier-pigeon")
-
-    def test_env_override_forces_pickle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSPORT", "pickle")
-        assert fork_map(_double, [1, 2, 3], processes=2) == [2, 4, 6]
 
 
 class TestPreflight:
-    def test_probe_is_one_sample_not_the_whole_batch(self):
-        # The seed preflight pickled (fn, items, initargs) wholesale —
-        # every item serialized twice per run.  The probe must cost one
-        # sample; the pool itself then pickles each item once.
+    def test_each_item_pickled_exactly_once(self):
+        # The parent's pickle is both the pre-flight and the payload the
+        # worker unpickles: no separate probe, no second serialization.
         _CountedItem.pickled = 0
         items = [_CountedItem(i) for i in range(10)]
-        out = fork_map(_value_of, items, processes=2, transport="pickle")
+        out = fork_map(_value_of, items, processes=2)
         assert out == list(range(10))
-        # 1 probe + n submits; the old code's floor was 2n.
-        assert _CountedItem.pickled <= len(items) + 1
+        assert _CountedItem.pickled == len(items)
 
     def test_unpicklable_first_item_degrades_sequentially(self):
         items = [(0, lambda: None), (1, None)]
         assert fork_map(_first, items, processes=2) == [0, 1]
 
-    def test_unpicklable_later_item_degrades_with_cleanup(self):
-        # The probe samples item[0]; a poison pill further in must still
-        # degrade — and under shm, without leaking exported segments.
+    def test_unpicklable_later_item_degrades(self):
+        # Every item is pickled before any worker starts, so a poison
+        # pill anywhere in the batch degrades the whole batch.
         items = [(0, _BIG), (1, lambda: None), (2, _BIG)]
-        out = fork_map(_first, items, processes=2, transport="shm")
-        assert out == [0, 1, 2]
-        assert shm.active_operand_segments() == []
+        assert fork_map(_first, items, processes=2) == [0, 1, 2]
 
     def test_worker_bug_propagates(self):
-        # Exceptions escaping the pool after the preflight passes are
+        # Exceptions escaping the pool after the pre-flight passes are
         # genuine worker bugs: never misread as "degrade sequentially".
-        for transport in ("shm", "pickle"):
-            with pytest.raises(AttributeError, match="worker-side bug"):
-                fork_map(_boom, list(range(6)), processes=2,
-                         transport=transport)
-
-
-class TestShmLifecycle:
-    def test_no_segments_after_success(self):
-        items = [(i, _BIG) for i in range(6)]
-        fork_map(_checksum, items, processes=3, transport="shm")
-        assert shm.active_operand_segments() == []
-
-    def test_no_segments_after_worker_error(self):
-        with pytest.raises(AttributeError):
-            fork_map(_boom, list(range(6)), processes=2, transport="shm")
-        assert shm.active_operand_segments() == []
-
-    def test_no_segments_after_interrupt(self):
-        # A KeyboardInterrupt mid-consume models ^C mid-batch: the
-        # finally must still unlink every exported segment.
-        def interrupter(result):
-            raise KeyboardInterrupt
-
-        items = [(i, _BIG) for i in range(6)]
-        with pytest.raises(KeyboardInterrupt):
-            fork_map(_checksum, items, processes=2, consume=interrupter,
-                     transport="shm")
-        assert shm.active_operand_segments() == []
-
-    def test_stationary_operand_crosses_once(self):
-        # One shared stationary array across the batch must occupy one
-        # segment, not one per job (the whole point of the plane).
-        stationary = np.ones(100_000)
-        plane = shm.OperandPlane(min_bytes=1)
-        try:
-            plane.export([(i, stationary) for i in range(32)])
-            assert len(plane.segment_names) == 1
-        finally:
-            plane.close()
+        with pytest.raises(AttributeError, match="worker-side bug"):
+            fork_map(_boom, list(range(6)), processes=2)
 
 
 class TestDegradation:
@@ -154,9 +99,3 @@ class TestDegradation:
         marker = []
         fork_map(lambda x: marker.append(x) or x, [1, 2], processes=1)
         assert marker == [1, 2]
-
-    def test_explicit_shm_without_support_falls_back(self, monkeypatch):
-        # shm_available() False (simulated) must not break transport="shm".
-        monkeypatch.setattr(shm, "shm_available", lambda: False)
-        out = fork_map(_double, [1, 2, 3, 4], processes=2, transport="shm")
-        assert out == [2, 4, 6, 8]
