@@ -14,6 +14,7 @@ The test suite cross-checks these formulas against the concrete
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,7 +49,7 @@ def storage_bits(
     per-dimension block edge for BSR/HiCOO.
     """
     dims = [int(d) for d in dims]
-    size = int(np.prod(dims))
+    size = math.prod(dims)
     if not 0 <= nnz <= size:
         raise FormatError(f"nnz {nnz} out of range for dims {dims}")
     density = nnz / size if size else 0.0
@@ -111,7 +112,7 @@ def storage_bits(
     if fmt is Format.HICOO:
         grid = [ceil_div(d, block) for d in dims]
         nblocks = _expected_occupied(
-            float(np.prod(grid)), block ** 3, density
+            float(math.prod(grid)), block ** 3, density
         )
         block_coord = sum(bits_for_index(max(1, g)) for g in grid)
         offset_bits = 3 * bits_for_index(block)

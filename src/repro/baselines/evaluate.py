@@ -26,8 +26,8 @@ from repro.hardware.dram import DramChannel
 from repro.mint.cost import ConversionCost
 from repro.sage.cost_model import (
     CostBreakdown,
-    evaluate_matrix_combo,
     mint_provider,
+    price_matrix_menu,
 )
 from repro.workloads.spec import MatrixWorkload
 
@@ -95,25 +95,20 @@ def evaluate_policy(
     else:
         provider = sw_provider_factory(sw_device or CpuModel(), cfg.clock_hz)
 
-    best: CostBreakdown | None = None
-    for mcf, acf in policy.candidates():
-        cost = evaluate_matrix_combo(
-            workload,
-            mcf,
-            acf,
-            config=cfg,
-            dram=dram,
-            provider=provider,
-            flexible_noc=policy.zero_skipping,
-        )
-        if cost is None:
-            continue
-        if best is None or cost.edp < best.edp:
-            best = cost
-    if best is None:
+    menu = price_matrix_menu(
+        workload,
+        policy.candidates(),
+        config=cfg,
+        dram=dram,
+        provider=provider,
+        flexible_noc=policy.zero_skipping,
+    )
+    if not menu:
         raise PredictionError(
             f"policy {policy.name} has no feasible candidate on {workload.name}"
         )
+    # min() keeps the first of equal EDPs, as a strict-< scan would.
+    best = min(menu, key=lambda cost: cost.edp)
     return PolicyResult(policy=policy, workload=workload, best=best)
 
 

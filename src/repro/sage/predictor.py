@@ -65,10 +65,10 @@ from repro.sage.calibrate import (
 from repro.sage.cost_model import (
     ConversionProvider,
     CostBreakdown,
-    evaluate_matrix_combo,
-    evaluate_tensor_combo,
     mint_provider,
     price_matrix_io,
+    price_matrix_menu,
+    price_tensor_menu,
 )
 from repro.sage.spaces import MATRIX_ACF_STREAMED, matrix_combos, tensor_combos
 from repro.util.pool import fork_map
@@ -144,12 +144,19 @@ class SageDecision:
     @classmethod
     def from_wire(cls, data: dict) -> "SageDecision":
         """Rebuild a decision from its :meth:`to_wire` form."""
+        ranking = tuple(
+            CostBreakdown.from_wire(cand) for cand in data["ranking"]
+        )
+        # Every tier ranks its best candidate first: decode it once.
+        best = (
+            ranking[0]
+            if ranking and data["best"] == data["ranking"][0]
+            else CostBreakdown.from_wire(data["best"])
+        )
         return cls(
             workload_name=str(data["workload_name"]),
-            best=CostBreakdown.from_wire(data["best"]),
-            ranking=tuple(
-                CostBreakdown.from_wire(cand) for cand in data["ranking"]
-            ),
+            best=best,
+            ranking=ranking,
             fidelity=str(data.get("fidelity", "analytical")),
             sim_scale=float(data.get("sim_scale", 1.0)),
             error_bound=(
@@ -307,25 +314,17 @@ class Sage:
             return self.for_options(opts).predict_matrix(
                 workload, options=self._strip_hardware(opts)
             )
-        candidates: list[CostBreakdown] = []
-        enumerated = 0
         with span("sage.enumerate", workload=workload.name):
-            for mcf, acf in matrix_combos(**opts.search_kwargs()):
-                enumerated += 1
-                cost = evaluate_matrix_combo(
-                    workload,
-                    mcf,
-                    acf,
-                    config=self.config,
-                    dram=self.dram,
-                    provider=self.provider,
-                )
-                if cost is not None:
-                    candidates.append(cost)
-        # Aggregated (not per-candidate) incs: the enumerate loop is the
-        # predict hot path and counter cost must not scale with it.
+            combos = list(matrix_combos(**opts.search_kwargs()))
+            candidates = price_matrix_menu(
+                workload,
+                combos,
+                config=self.config,
+                dram=self.dram,
+                provider=self.provider,
+            )
         _CANDIDATES.inc(len(candidates), kind="matrix", feasible="yes")
-        _CANDIDATES.inc(enumerated - len(candidates), kind="matrix",
+        _CANDIDATES.inc(len(combos) - len(candidates), kind="matrix",
                         feasible="no")
         decision = self._decide(workload.name, candidates)
         if opts.fidelity == "cycle":
@@ -381,23 +380,17 @@ class Sage:
                 f"3-D tensor kernels are analytical-only (matricized "
                 f"streaming specs)"
             )
-        candidates: list[CostBreakdown] = []
-        enumerated = 0
         with span("sage.enumerate", workload=workload.name):
-            for mcf, acf in tensor_combos(fixed_mcf=opts.fixed_mcf):
-                enumerated += 1
-                cost = evaluate_tensor_combo(
-                    workload,
-                    mcf,
-                    acf,
-                    config=self.config,
-                    dram=self.dram,
-                    provider=self.provider,
-                )
-                if cost is not None:
-                    candidates.append(cost)
+            combos = list(tensor_combos(fixed_mcf=opts.fixed_mcf))
+            candidates = price_tensor_menu(
+                workload,
+                combos,
+                config=self.config,
+                dram=self.dram,
+                provider=self.provider,
+            )
         _CANDIDATES.inc(len(candidates), kind="tensor", feasible="yes")
-        _CANDIDATES.inc(enumerated - len(candidates), kind="tensor",
+        _CANDIDATES.inc(len(combos) - len(candidates), kind="tensor",
                         feasible="no")
         decision = self._decide(workload.name, candidates)
         _PREDICTIONS.inc(fidelity=decision.fidelity)

@@ -77,8 +77,10 @@ def matrix_combos(
     """
     if fixed_mcf is not None:
         mcf_a, mcf_b = (fixed_mcf[0],), (fixed_mcf[1],)
-    for combo in product(mcf_a, mcf_b, acf_a, acf_b):
-        yield (combo[0], combo[1]), (combo[2], combo[3])
+    # Nested products hand out one shared tuple per pair, so the
+    # candidates of a ranking share their format pairs (pickle keeps that
+    # sharing when a decision crosses a process boundary).
+    yield from product(product(mcf_a, mcf_b), product(acf_a, acf_b))
 
 
 def tensor_combos(
@@ -92,5 +94,4 @@ def tensor_combos(
     """Enumerate tensor-kernel candidates ((mcf_t, mcf_f), (acf_t, acf_f))."""
     if fixed_mcf is not None:
         mcf_t, mcf_f = (fixed_mcf[0],), (fixed_mcf[1],)
-    for combo in product(mcf_t, mcf_f, acf_t, acf_f):
-        yield (combo[0], combo[1]), (combo[2], combo[3])
+    yield from product(product(mcf_t, mcf_f), product(acf_t, acf_f))
