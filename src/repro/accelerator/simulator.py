@@ -155,6 +155,7 @@ class WeightStationarySimulator:
         load_cycles = stream_cycles = 0
         issued = matched = compares = spills = 0
         entries_loaded_total = 0
+        cam_grouped = layout.matcher != "direct" and proto.row_grouped
 
         for k_lo, k_hi in schedule.k_tiles:
             kt = k_hi - k_lo
@@ -174,12 +175,12 @@ class WeightStationarySimulator:
                 )
                 s_vals = np.zeros((m, kt), dtype=np.float64)
                 s_vals[i_e, k_e] = v_e
-                p_mask = np.zeros((m, kt), dtype=bool)
-                p_mask[i_e, k_e] = True
+                if cam_grouped:
+                    pattern, active_k = _streamed_pattern(i_e, k_e, m, c_all)
                 runs_all = 1 + int(np.count_nonzero(i_e[1:] != i_e[:-1]))
             else:
                 c_all = c_nz = np.zeros(kt, dtype=np.int64)
-                s_vals = p_mask = None
+                s_vals = None
                 runs_all = 0
 
             for col_lo, col_hi in schedule.rounds:
@@ -205,10 +206,13 @@ class WeightStationarySimulator:
                     issued += int(np.dot(c_all, stored_per_k))
                     matched += int(np.dot(c_nz, stored_per_k))
                     compares += num * int(sm_t.sum())
-                    if proto.row_grouped:
+                    if cam_grouped:
                         # Row-grouped streams open one Oreg run per
-                        # (row with >= 1 metadata match, PE).
-                        spills += int(np.count_nonzero(p_mask @ sm_t))
+                        # (row with >= 1 metadata match, PE).  A float32
+                        # GEMM of 0/1 operands is an exact nonzero test:
+                        # a sum of positive terms never rounds to zero.
+                        hits = pattern @ sm_t[active_k].astype(np.float32)
+                        spills += int(np.count_nonzero(hits))
                     else:
                         spills += _interleaved_runs(i_e, k_e, sm_t)
 
@@ -349,6 +353,25 @@ class WeightStationarySimulator:
     def stream_cycles_only(self, a: MatrixFormat, acf_a: Format) -> int:
         """Cycles to broadcast operand A once, untiled (the Fig. 6 number)."""
         return build_beat_plan(a, acf_a, self.config.bus_slots).total_cycles
+
+
+def _streamed_pattern(
+    i_e: np.ndarray, k_e: np.ndarray, m: int, c_all: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 float32 mask of the streamed (row, k) cells, compacted.
+
+    Rows and reduction indices the tile never streams cannot open an Oreg
+    run, so the mask keeps only active rows x active k.  Returns it with
+    the active k indices (tile-local, ascending).
+    """
+    row_on = np.zeros(m, dtype=bool)
+    row_on[i_e] = True
+    k_on = c_all > 0
+    pattern = np.zeros(
+        (np.count_nonzero(row_on), np.count_nonzero(k_on)), dtype=np.float32
+    )
+    pattern[(np.cumsum(row_on) - 1)[i_e], (np.cumsum(k_on) - 1)[k_e]] = 1.0
+    return pattern, np.flatnonzero(k_on)
 
 
 def _interleaved_runs(

@@ -33,21 +33,19 @@ def encode_runs(flat: np.ndarray, run_bits: int) -> tuple[np.ndarray, np.ndarray
         raise FormatError(f"run_bits must be >= 1, got {run_bits}")
     flat = np.asarray(flat, dtype=np.float64).ravel()
     max_run = (1 << run_bits) - 1
-    positions = np.nonzero(flat)[0]
-    runs: list[int] = []
-    levels: list[float] = []
-    prev_end = -1  # index of the previously consumed position
-    for pos in positions:
-        gap = int(pos) - prev_end - 1
-        # Each padding entry covers max_run zeros plus its own zero level.
-        while gap > max_run:
-            runs.append(max_run)
-            levels.append(0.0)
-            gap -= max_run + 1
-        runs.append(gap)
-        levels.append(float(flat[pos]))
-        prev_end = int(pos)
-    return np.asarray(runs, dtype=np.int64), np.asarray(levels, dtype=np.float64)
+    positions = np.flatnonzero(flat)
+    # Each nonzero is preceded by ``pads`` padding entries, each covering
+    # max_run zeros plus its own zero level, then its own entry whose run
+    # is the remaining gap.
+    gaps = np.diff(positions, prepend=-1) - 1
+    pads, rest = np.divmod(gaps, max_run + 1)
+    ends = np.cumsum(pads + 1) - 1  # entry index of each nonzero
+    size = int(ends[-1]) + 1 if len(ends) else 0
+    runs = np.full(size, max_run, dtype=np.int64)
+    levels = np.zeros(size, dtype=np.float64)
+    runs[ends] = rest
+    levels[ends] = flat[positions]
+    return runs, levels
 
 
 def decode_runs(

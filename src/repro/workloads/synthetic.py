@@ -19,9 +19,10 @@ from repro.util.validation import check_probability
 def _sample_distinct(total: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Sample *count* distinct linear indices from [0, total).
 
-    Over-samples with replacement and deduplicates, looping until enough
-    distinct positions exist — O(count) memory even for huge *total*
-    (``rng.choice(..., replace=False)`` would materialize the whole range).
+    Over-samples with replacement and deduplicates through a ``bool[total]``
+    bitmap, looping until enough distinct positions exist.  The bitmap
+    costs one byte per index, 1/8 of the ``float64[total]`` array every
+    caller fills.
     """
     if count < 0 or count > total:
         raise ValueError(f"cannot sample {count} distinct from {total}")
@@ -35,10 +36,11 @@ def _sample_distinct(total: int, count: int, rng: np.random.Generator) -> np.nda
         mask = np.ones(total, dtype=bool)
         mask[holes] = False
         return np.flatnonzero(mask).astype(np.int64)
-    chosen = np.unique(rng.integers(0, total, size=int(count * 1.2) + 16))
-    while len(chosen) < count:
-        extra = rng.integers(0, total, size=int(count * 0.2) + 16)
-        chosen = np.unique(np.concatenate([chosen, extra]))
+    seen = np.zeros(total, dtype=bool)
+    seen[rng.integers(0, total, size=int(count * 1.2) + 16)] = True
+    while np.count_nonzero(seen) < count:
+        seen[rng.integers(0, total, size=int(count * 0.2) + 16)] = True
+    chosen = np.flatnonzero(seen)
     rng.shuffle(chosen)
     return np.sort(chosen[:count]).astype(np.int64)
 

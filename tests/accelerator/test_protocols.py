@@ -124,6 +124,63 @@ class TestEngineEquivalence:
         assert rep_v.cycles == rep_r.cycles
         assert rep_v.energy == rep_r.energy
 
+    # Configs that force K-tiling (4-entry buffers) and many rounds (two
+    # PEs), next to one whose schedule fits a single tile and round.
+    SCHEDULES = {
+        "k_tiled": AcceleratorConfig(num_pes=16, vector_lanes=4,
+                                     pe_buffer_bytes=4 * 4, bus_bits=4 * 32),
+        "multi_round": AcceleratorConfig(num_pes=2, vector_lanes=4,
+                                         pe_buffer_bytes=64 * 4,
+                                         bus_bits=3 * 32),
+        "k_tiled_multi_round": AcceleratorConfig(num_pes=2, vector_lanes=2,
+                                                 pe_buffer_bytes=3 * 4,
+                                                 bus_bits=5 * 32),
+        "single": AcceleratorConfig(num_pes=64, vector_lanes=4,
+                                    pe_buffer_bytes=64 * 4, bus_bits=8 * 32),
+    }
+
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("acf_a", [Format.DENSE, Format.CSR, Format.COO,
+                                       Format.ELL, Format.CSC])
+    @pytest.mark.parametrize("acf_b", [Format.CSC, Format.DENSE])
+    def test_sparse_rows_and_unstreamed_k(self, rng, schedule, acf_a, acf_b):
+        # Empty rows of A and reduction indices A never streams: the CAM
+        # spill count skips both, and must still match the per-beat model.
+        sim = WeightStationarySimulator(self.SCHEDULES[schedule])
+        a_dense = make_sparse(rng, (14, 24), 0.35)
+        a_dense[[0, 5, 6, 13], :] = 0.0
+        a_dense[:, [1, 2, 3, 10, 17, 23]] = 0.0
+        b_dense = make_sparse(rng, (24, 9), 0.4)
+        b_dense[[4, 11], :] = 0.0  # stationary rows with nothing stored
+        a = matrix_class(acf_a).from_dense(a_dense)
+        b_cls = CscMatrix if acf_b is Format.CSC else DenseMatrix
+        b = b_cls.from_dense(b_dense)
+        out_v, rep_v = sim.run_gemm(a, acf_a, b, acf_b, engine="vectorized")
+        out_r, rep_r = sim.run_gemm(a, acf_a, b, acf_b, engine="reference")
+        np.testing.assert_allclose(out_v, a_dense @ b_dense)
+        np.testing.assert_allclose(out_v, out_r)
+        assert rep_v.cycles == rep_r.cycles
+        assert rep_v.energy == rep_r.energy
+        if schedule.startswith("k_tiled"):
+            assert rep_v.cycles.k_tiles > 1
+        if schedule.endswith("multi_round"):
+            assert rep_v.cycles.rounds > 1
+        if acf_b is Format.CSC:
+            assert rep_v.cycles.output_spills > 0
+
+    @pytest.mark.parametrize("acf_a", [Format.CSR, Format.CSC])
+    def test_tile_with_no_streamed_entries(self, acf_a):
+        # A whole K tile of A is zero: that tile streams nothing.
+        sim = WeightStationarySimulator(self.SCHEDULES["k_tiled_multi_round"])
+        rng = np.random.default_rng(11)
+        a_dense = make_sparse(rng, (6, 12), 0.5)
+        a_dense[:, :6] = 0.0
+        b = CscMatrix.from_dense(make_sparse(rng, (12, 5), 0.5))
+        a = matrix_class(acf_a).from_dense(a_dense)
+        _, rep_v = sim.run_gemm(a, acf_a, b, Format.CSC, engine="vectorized")
+        _, rep_r = sim.run_gemm(a, acf_a, b, Format.CSC, engine="reference")
+        assert rep_v == rep_r
+
     def test_unknown_engine_rejected(self, sim, small_matrix):
         a = CsrMatrix.from_dense(small_matrix)
         b = DenseMatrix.from_dense(np.ones((small_matrix.shape[1], 2)))

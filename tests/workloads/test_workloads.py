@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,54 @@ class TestSynthetic:
     def test_bernoulli_density(self, rng):
         mat = bernoulli_sparse_matrix(200, 200, 0.3, rng)
         assert np.count_nonzero(mat) / mat.size == pytest.approx(0.3, abs=0.05)
+
+
+def _sample_distinct_unique(total, count, rng):
+    """The ``np.unique`` deduplication the bitmap replaced (the oracle)."""
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    if count == total:
+        return np.arange(total, dtype=np.int64)
+    if count > total // 2:
+        holes = _sample_distinct_unique(total, total - count, rng)
+        mask = np.ones(total, dtype=bool)
+        mask[holes] = False
+        return np.flatnonzero(mask).astype(np.int64)
+    chosen = np.unique(rng.integers(0, total, size=int(count * 1.2) + 16))
+    while len(chosen) < count:
+        extra = rng.integers(0, total, size=int(count * 0.2) + 16)
+        chosen = np.unique(np.concatenate([chosen, extra]))
+    rng.shuffle(chosen)
+    return np.sort(chosen[:count]).astype(np.int64)
+
+
+class TestSampleDistinctOracle:
+    """The bitmap sampler draws the same indices as ``np.unique`` did."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 9001])
+    @pytest.mark.parametrize("total", [1, 2, 37, 1000, 4096])
+    def test_matches_unique_version(self, seed, total):
+        for count in sorted({0, 1, total // 2, total // 2 + 1, total - 1, total}):
+            rng_new = np.random.default_rng(seed)
+            rng_old = np.random.default_rng(seed)
+            got = _sample_distinct(total, count, rng_new)
+            want = _sample_distinct_unique(total, count, rng_old)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            # Both consumed the same draws: the next value agrees too.
+            assert rng_new.random() == rng_old.random()
+
+    def test_random_sparse_digest_pinned(self):
+        h = hashlib.sha256()
+        shapes = [(64, 48, 0), (64, 48, 1), (64, 48, 300), (64, 48, 1536),
+                  (64, 48, 1537), (64, 48, 3071), (64, 48, 3072),
+                  (512, 512, 2621)]
+        for seed, (m, k, nnz) in enumerate(shapes):
+            h.update(random_sparse_matrix(m, k, nnz, seed).tobytes())
+        h.update(random_sparse_tensor((12, 10, 8), 77, 3).tobytes())
+        assert h.hexdigest() == (
+            "8aa8b49747a0f6fef420d40b5c3d0552602905f87c2641316eebecc7639fb208"
+        )
 
 
 class TestSuite:
