@@ -1,9 +1,11 @@
-"""Fleet serving under Zipf-skewed traffic replay: single vs fleet.
+"""Serving under Zipf-skewed traffic replay: binary frames vs JSON lines.
 
-The serve-fleet acceptance bar: a 2-replica consistent-hash fleet
-speaking the binary wire must sustain >= 2x the request rate of the
-single-process JSON-lines server it replaced, with warm-steady-state
-p99 under 50 ms.  This bench is the loadgen that measures it:
+The serve-wire bar: one server answering length-prefixed binary frames
+must sustain >= 2x the request rate it reaches on the legacy JSON-lines
+protocol, with warm-steady-state p99 under 50 ms.  The gap is the
+encoded-reply fast path: a byte-identical framed repeat is answered with
+cached reply bytes on the event loop, while a line always takes the full
+decode/lookup/encode path.  This bench is the loadgen that measures it:
 
 * a **universe** of synthetic workloads spanning sizes and density
   bands, sampled **Zipf-skewed** (rank-``s`` weights) the way real
@@ -12,16 +14,16 @@ p99 under 50 ms.  This bench is the loadgen that measures it:
   replayed as raw bytes, and replies are validated with a byte scan —
   client-side CPU stays out of the measurement (decision *correctness*
   over the wire is pinned by ``tests/serve``, not here);
-* three phases over the same replayed sequence, warm in every case:
-  ``single_json`` (the PR-2-era deployment: one server, JSON lines),
-  ``single_binary`` (the same server, framed), and ``fleet_binary``
-  (router + 2 replicas + speculative warming, frames).
+* two phases over the same replayed sequence against the same server,
+  warm in both: ``single_json`` (JSON lines) and ``single_binary``
+  (frames).
 
 Per-request wall time is recorded client-side and split by the cache
 ``outcome`` each reply names, so the table shows where the tail lives
 (hit / near-hit / miss).  Headline numbers land in
-``benchmarks/out/serve_fleet.json`` and are floored by
-``check_floors.py`` (speedup >= 2x, warm p99 <= 50 ms).
+``benchmarks/out/serve_wire.json`` and are floored by
+``check_floors.py`` (binary-vs-JSON speedup >= 2x, binary warm p99
+<= 50 ms).
 """
 
 from __future__ import annotations
@@ -34,17 +36,11 @@ import threading
 import time
 from pathlib import Path
 
-from repro.serve import (
-    RouterConfig,
-    SageRouter,
-    SageServer,
-    ServeConfig,
-    routing_key,
-)
+from repro.serve import SageServer, ServeConfig
 from repro.serve import wire
 from repro.workloads.spec import Kernel, MatrixWorkload
 
-OUT_PATH = Path(__file__).parent / "out" / "serve_fleet.json"
+OUT_PATH = Path(__file__).parent / "out" / "serve_wire.json"
 
 UNIVERSE = 24  # distinct workloads in the traffic model
 REQUESTS = 600  # timed requests per phase
@@ -53,7 +49,6 @@ ZIPF_S = 1.1  # skew exponent (rank-weighted 1/r^s)
 SEED = 20210517  # the paper's conference date; any constant works
 
 _SERVE = ServeConfig(port=0, shards=0, batch_window_ms=0.5, warm_bands=0)
-_FLEET_REPLICAS = 2
 
 _OUTCOMES = ("hit", "near_hit", "miss", "bypassed")
 
@@ -93,9 +88,7 @@ def _encode_json(wl: MatrixWorkload) -> bytes:
 
 def _encode_binary(wl: MatrixWorkload) -> bytes:
     payload = {"op": "predict", "workload": wl.to_dict(), "top": 1}
-    return wire.encode_frame(
-        payload, packed=True, routing_key=routing_key(wl)
-    )
+    return wire.encode_frame(payload)
 
 
 def _scan_outcome(body: bytes) -> str:
@@ -121,7 +114,7 @@ class _ThinClient:
         self._file.flush()
         if self._binary:
             header = self._file.read(wire.HEADER.size)
-            _, length = wire.parse_header(header)
+            length = wire.parse_header(header)
             body = self._file.read(length)
         else:
             body = self._file.readline()
@@ -213,7 +206,7 @@ def measure() -> dict:
     binary_encoded = [_encode_binary(wl) for wl in universe]
     phases: dict[str, dict] = {}
 
-    # Phase 1+2: the single-process server, legacy lines then frames.
+    # One server, legacy lines then frames.
     with SageServer(serve=_SERVE) as server:
         _warm(server.address, json_encoded, binary=False)
         phases["single_json"] = _replay(
@@ -223,69 +216,52 @@ def measure() -> dict:
         phases["single_binary"] = _replay(
             server.address, binary_encoded, sequence, binary=True
         )
-
-    # Phase 3: the fleet — router + replicas + speculative warming.
-    fleet_serve = ServeConfig(
-        port=0, shards=0, batch_window_ms=0.5, warm_bands=1
-    )
-    with SageRouter(
-        router=RouterConfig(replicas=_FLEET_REPLICAS, serve=fleet_serve)
-    ) as fleet:
-        _warm(fleet.address, binary_encoded, binary=True)
-        phases["fleet_binary"] = _replay(
-            fleet.address, binary_encoded, sequence, binary=True
-        )
-        stats = fleet.stats()
+        stats = server.stats()
 
     result = {
         "universe": len(universe),
         "requests_per_phase": REQUESTS,
         "threads": THREADS,
         "zipf_s": ZIPF_S,
-        "replicas": _FLEET_REPLICAS,
         "phases": phases,
-        "speedup_fleet_vs_single": (
-            phases["fleet_binary"]["rps"] / phases["single_json"]["rps"]
-        ),
         "speedup_binary_vs_json_single": (
             phases["single_binary"]["rps"] / phases["single_json"]["rps"]
         ),
-        "warm_p99_ms": phases["fleet_binary"]["latency_ms"]["p99"],
-        "fleet_relay": stats["fleet"]["relay"],
-        "fleet_requests": stats["requests"],
-        "fleet_cache": stats["cache"],
+        "warm_p99_ms": phases["single_binary"]["latency_ms"]["p99"],
+        "server_requests": stats["requests"],
+        "server_cache": stats["cache"],
     }
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     return result
 
 
-def bench_serve_fleet(once, benchmark):
+def bench_serve_wire(once, benchmark):
     out = once(measure)
     print()
     print(f"{'phase':>14} | {'req/s':>8} | {'p50':>8} | {'p99':>8}")
-    for name in ("single_json", "single_binary", "fleet_binary"):
+    for name in ("single_json", "single_binary"):
         phase = out["phases"][name]
         lat = phase["latency_ms"]
         print(
             f"{name:>14} | {phase['rps']:>8.0f} | {lat['p50']:>6.2f}ms "
             f"| {lat['p99']:>6.2f}ms"
         )
-    fleet = out["phases"]["fleet_binary"]
-    for outcome, lat in fleet["latency_by_outcome_ms"].items():
+    binary = out["phases"]["single_binary"]
+    for outcome, lat in binary["latency_by_outcome_ms"].items():
         print(
-            f"  fleet[{outcome}]: p50={lat['p50']:.2f}ms "
+            f"  binary[{outcome}]: p50={lat['p50']:.2f}ms "
             f"p99={lat['p99']:.2f}ms over {lat['count']} request(s)"
         )
     print(
-        f"fleet vs single-json: {out['speedup_fleet_vs_single']:.1f}x "
-        f"({out['replicas']} replicas, warm p99 {out['warm_p99_ms']:.2f} ms)"
+        f"binary vs json: {out['speedup_binary_vs_json_single']:.1f}x "
+        f"(warm p99 {out['warm_p99_ms']:.2f} ms)"
     )
     print(f"wrote {OUT_PATH}")
-    assert out["speedup_fleet_vs_single"] >= 2.0
+    assert out["speedup_binary_vs_json_single"] >= 2.0
     assert out["warm_p99_ms"] <= 50.0
-    benchmark.extra_info["speedup_fleet_vs_single"] = round(
-        out["speedup_fleet_vs_single"], 1
+    benchmark.extra_info["speedup_binary_vs_json_single"] = round(
+        out["speedup_binary_vs_json_single"], 1
     )
-    benchmark.extra_info["fleet_rps"] = round(fleet["rps"], 1)
+    benchmark.extra_info["binary_rps"] = round(binary["rps"], 1)
     benchmark.extra_info["warm_p99_ms"] = round(out["warm_p99_ms"], 2)

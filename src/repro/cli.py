@@ -171,7 +171,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import RouterConfig, SageRouter, SageServer, ServeConfig
+    from repro.serve import SageServer, ServeConfig
 
     serve_config = ServeConfig(
         host=args.host,
@@ -189,31 +189,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"warming {args.warm_bands} band(s)" if args.warm_bands else
         "no warming"
     )
-    if args.replicas > 1:
-        server = SageRouter(
-            router=RouterConfig(
-                host=args.host, port=args.port, replicas=args.replicas,
-                serve=serve_config,
-            )
-        )
-        host, port = server.start()
-        print(
-            f"repro serve fleet listening on {host}:{port} "
-            f"({args.replicas} replica(s) x {args.shards} shard(s), "
-            f"{mode} cache, {args.fidelity} fidelity, {warm}; Ctrl-C or "
-            f'an {{"op": "shutdown"}} request stops the fleet)',
-            flush=True,  # supervisors watching a pipe need the banner now
-        )
-    else:
-        server = SageServer(serve=serve_config)
-        host, port = server.start()
-        print(
-            f"repro serve listening on {host}:{port} "
-            f"({args.shards} shard(s), {mode} cache, "
-            f"{args.fidelity} fidelity, {warm}; Ctrl-C or a "
-            f'{{"op": "shutdown"}} request stops it)',
-            flush=True,
-        )
+    server = SageServer(serve=serve_config)
+    host, port = server.start()
+    print(
+        f"repro serve listening on {host}:{port} "
+        f"({args.shards} shard(s), {mode} cache, "
+        f"{args.fidelity} fidelity, {warm}; Ctrl-C or a "
+        f'{{"op": "shutdown"}} request stops it)',
+        flush=True,  # supervisors watching a pipe need the banner now
+    )
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive
@@ -542,63 +526,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_fleet_stats(stats: dict) -> str:
-    """Human form of a router's aggregated ``stats`` payload."""
-    ring = stats.get("fleet", {}).get("ring", {})
-    relay = stats.get("fleet", {}).get("relay", {})
-    req = stats.get("requests", {})
-    cache = stats.get("cache", {})
-    nodes = ring.get("nodes", [])
-    down = set(ring.get("down", []))
-    lines = [
-        f"fleet uptime {stats.get('uptime_s', 0.0):.1f}s, "
-        f"{len(nodes)} replica(s) on the ring"
-        + (f", {len(down)} DOWN" if down else ""),
-        "relay: "
-        + ", ".join(f"{k}={relay.get(k, 0)}"
-                    for k in ("frames", "edge_hits", "parsed", "local",
-                              "forwarded", "failed")),
-        "requests (fleet total): "
-        + ", ".join(f"{k}={req.get(k, 0)}"
-                    for k in ("submitted", "served", "errors", "bypassed",
-                              "fast_path")),
-        f"cache (fleet total): {cache.get('hits', 0)} hits, "
-        f"{cache.get('near_hits', 0)} near, {cache.get('misses', 0)} miss "
-        f"({100.0 * cache.get('hit_rate', 0.0):.1f}% hit rate)",
-    ]
-    for outcome, pct in stats.get("latency_by_outcome_ms", {}).items():
-        if pct.get("count"):
-            p99 = pct.get("p99")
-            lines.append(
-                f"latency[{outcome}]: worst-replica "
-                f"p99={p99:.2f}ms over {pct['count']} request(s)"
-                if p99 is not None
-                else f"latency[{outcome}]: {pct['count']} request(s)"
-            )
-    for entry in stats.get("fleet", {}).get("replicas", []):
-        node = entry.get("node")
-        state = "DOWN" if entry.get("down") else "up"
-        detail = ""
-        rstats = entry.get("stats")
-        if rstats:
-            rreq = rstats.get("requests", {})
-            detail = (
-                f", served {rreq.get('served', 0)}"
-                f"/{rreq.get('submitted', 0)} request(s)"
-            )
-        elif entry.get("error"):
-            detail = f", stats unavailable ({entry['error']})"
-        lines.append(f"replica {node} [{entry.get('address')}]: "
-                     f"{state}{detail}")
-    return "\n".join(lines)
-
-
 def _render_stats(stats: dict) -> str:
     """Human form of the ``stats`` RPC payload, metrics section included."""
     from repro.obs.metrics import snapshot_quantile
 
-    if "fleet" in stats:
-        return _render_fleet_stats(stats)
     req = stats.get("requests", {})
     cache = stats.get("cache", {})
     reply_cache = stats.get("reply_cache", {})
@@ -869,9 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="analytical",
                    help="prediction tier the server answers with "
                    "(calibrated needs a built table, see 'repro calibrate')")
-    p.add_argument("--replicas", type=int, default=1,
-                   help="server replicas; >1 boots a consistent-hash "
-                   "router fleet behind the bind address")
     p.add_argument("--warm-bands", type=int, default=1,
                    help="speculative warming depth on cache misses "
                    "(adjacent density bands per direction; 0 disables)")

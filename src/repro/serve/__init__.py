@@ -1,17 +1,16 @@
-"""``repro.serve`` — SAGE as a batched, cached, sharded prediction fleet.
+"""``repro.serve`` — SAGE as a batched, cached, sharded prediction server.
 
 The serving subsystem (stdlib only) layered over the in-process predictor:
 
 * :mod:`repro.serve.fingerprint` — canonical workload identity (kernel,
   dims, nnz, dtype, accelerator-config digest) with exact and
-  density-band keys, stable shard assignment, and the config-free
-  :func:`~repro.serve.fingerprint.routing_key` fleet routers shard on;
+  density-band keys and stable shard assignment;
 * :mod:`repro.serve.cache` — thread-safe LRU
   :class:`~repro.serve.cache.DecisionCache` with hit/miss/eviction
   counters and an optional near-hit tier;
-* :mod:`repro.serve.wire` — the length-prefixed binary frame (and its
-  packed body codec) with one-byte auto-detection against the legacy
-  JSON-lines protocol;
+* :mod:`repro.serve.wire` — the length-prefixed binary frame around a
+  JSON body, with one-byte auto-detection against the legacy JSON-lines
+  protocol;
 * :mod:`repro.serve.server` — the async-front-end TCP
   :class:`~repro.serve.server.SageServer`: request coalescing, an
   encoded-reply fast path, a shard pool of warm-seeded worker
@@ -19,9 +18,6 @@ The serving subsystem (stdlib only) layered over the in-process predictor:
 * :mod:`repro.serve.warmer` — speculative
   :class:`~repro.serve.warmer.BandWarmer` pre-computing adjacent
   density bands on misses;
-* :mod:`repro.serve.router` — the consistent-hash
-  :class:`~repro.serve.router.SageRouter` fronting N replicas behind
-  one address with health checks and miss-forwarding;
 * :mod:`repro.serve.client` — the blocking
   :class:`~repro.serve.client.ServeClient` (binary wire, transparent
   retry) and :class:`~repro.serve.client.ServeClientPool`.
@@ -34,22 +30,13 @@ Quickstart::
         with ServeClient(*server.address) as client:
             decision = client.predict(workload)
 
-or a fleet::
-
-    from repro.serve import RouterConfig, SageRouter
-
-    with SageRouter(router=RouterConfig(replicas=2)) as fleet:
-        with ServeClient(*fleet.address) as client:
-            decision = client.predict(workload)
-
-or from a shell: ``python -m repro serve --port 7342 --replicas 2``.
+or from a shell: ``python -m repro serve --port 7342``.
 Most callers should go through the
 :class:`~repro.api.session.Session` facade (``Session("tcp://host:port")``),
 which fronts this client and the in-process predictor with one
 backend-transparent surface.  The request schema is versioned and shared
 with :mod:`repro.api.options`; legacy (version-1) workload dicts remain
-accepted, and legacy JSON-lines clients interoperate with fleets
-unchanged.
+accepted, and legacy JSON-lines clients interoperate unchanged.
 """
 
 from repro.serve.cache import CacheStats, DecisionCache
@@ -59,9 +46,7 @@ from repro.serve.fingerprint import (
     config_digest,
     density_band,
     fingerprint_of,
-    routing_key,
 )
-from repro.serve.router import HashRing, RouterConfig, SageRouter
 from repro.serve.server import OUTCOMES, SageServer, ServeConfig
 from repro.serve.warmer import BandWarmer, warm_candidates
 from repro.serve.wire import WireError
@@ -70,10 +55,7 @@ __all__ = [
     "BandWarmer",
     "CacheStats",
     "DecisionCache",
-    "HashRing",
     "OUTCOMES",
-    "RouterConfig",
-    "SageRouter",
     "SageServer",
     "ServeClient",
     "ServeClientPool",
@@ -83,6 +65,5 @@ __all__ = [
     "config_digest",
     "density_band",
     "fingerprint_of",
-    "routing_key",
     "warm_candidates",
 ]

@@ -34,7 +34,7 @@ __all__ = ["CacheStats", "DecisionCache"]
 
 #: Per-instance counters stay (CacheStats is part of the stats RPC shape);
 #: every event is *also* mirrored onto the process-global metric registry
-#: so merged serve metrics include shard-local cache activity.
+#: so cache activity shows up in the merged serve metrics.
 _CACHE_EVENTS = registry().counter(
     "repro_serve_cache_events_total",
     "DecisionCache lookups/evictions, by cache scope and event",

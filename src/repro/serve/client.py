@@ -4,11 +4,9 @@ One :class:`ServeClient` holds one TCP connection and issues one request
 at a time (the server multiplexes many clients; use a
 :class:`ServeClientPool` for client-side concurrency).  Two wire modes:
 
-* ``wire="binary"`` (default) — length-prefixed frames
-  (:mod:`repro.serve.wire`); ``predict`` requests travel packed and
-  stamped with their config-free routing key, so a fleet router can
-  shard them without parsing, and byte-identical repeats ride the
-  server's encoded-reply fast path.
+* ``wire="binary"`` (default) — length-prefixed frames around the JSON
+  payload (:mod:`repro.serve.wire`); byte-identical ``predict`` repeats
+  ride the server's encoded-reply fast path.
 * ``wire="json"`` — the legacy JSON-lines protocol, byte-for-byte what
   PR-2-era clients speak.  Kept for interop and for pinning the
   compatibility contract in tests.
@@ -42,7 +40,6 @@ from repro.errors import ServeError
 from repro.obs import current_trace_id, get_logger, span
 from repro.sage.predictor import SageDecision
 from repro.serve import wire
-from repro.serve.fingerprint import routing_key
 from repro.workloads.spec import MatrixWorkload, TensorWorkload
 
 __all__ = ["ServeClient", "ServeClientPool"]
@@ -110,16 +107,12 @@ class ServeClient:
         self._file = self._sock.makefile("rwb")
 
     # ------------------------------------------------------------ transport
-    def _send_recv(
-        self, payload: dict, *, scale: int, key: int | None, packed: bool
-    ) -> dict:
+    def _send_recv(self, payload: dict, *, scale: int) -> dict:
         """One attempt: request out, response in, on the configured wire."""
         assert self._sock is not None and self._file is not None
         self._sock.settimeout(self._timeout * max(1, scale))
         if self.wire_mode == "binary":
-            self._file.write(
-                wire.encode_frame(payload, packed=packed, routing_key=key)
-            )
+            self._file.write(wire.encode_frame(payload))
             self._file.flush()
             return wire.read_frame(self._file)
         self._file.write((json.dumps(payload) + "\n").encode())
@@ -137,8 +130,6 @@ class ServeClient:
         payload: dict,
         *,
         scale: int = 1,
-        key: int | None = None,
-        packed: bool = False,
         retryable: bool = True,
     ) -> dict:
         """One request out, one response in, with transparent retry.
@@ -187,9 +178,7 @@ class ServeClient:
                 )
             try:
                 with span("serve.rpc", op=str(payload.get("op"))):
-                    response = self._send_recv(
-                        payload, scale=scale, key=key, packed=packed
-                    )
+                    response = self._send_recv(payload, scale=scale)
             except (OSError, ValueError, wire.WireError, ServeError) as exc:
                 last_exc = exc
                 continue
@@ -230,23 +219,12 @@ class ServeClient:
         ``options`` attaches a typed option set (search restrictions,
         fidelity tier) in the versioned wire schema; requests without
         options stay in the legacy (version-1) shape old servers accept.
-
-        On the binary wire the request travels packed and carries its
-        routing key in the frame header (fleet routers shard on it).
         """
-        wl_dict = _wire_workload(workload)
-        payload: dict = {"op": "predict", "workload": wl_dict}
+        payload: dict = {"op": "predict", "workload": _wire_workload(workload)}
         if top is not None:
             payload["top"] = top
         _attach_options(payload, options)
-        key = packed = None
-        if self.wire_mode == "binary":
-            packed = True
-            try:
-                key = routing_key(wl_dict)
-            except Exception:  # noqa: BLE001 - malformed workloads stay the
-                key = None  # server's to reject (in-band), not the client's
-        reply = self._rpc(payload, key=key, packed=bool(packed))
+        reply = self._rpc(payload)
         return SageDecision.from_wire(reply["decision"])
 
     def predict_many(
@@ -258,8 +236,7 @@ class ServeClient:
     ) -> list[SageDecision]:
         """Decisions for a suite, in input order, via one round trip.
 
-        ``options`` applies to every workload in the batch.  Batches ship
-        unrouted (they fan out across fingerprints anyway) and unpacked.
+        ``options`` applies to every workload in the batch.
         """
         payload: dict = {
             "op": "predict_many",

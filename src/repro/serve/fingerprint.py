@@ -40,7 +40,6 @@ __all__ = [
     "config_digest",
     "density_band",
     "fingerprint_of",
-    "routing_key",
 ]
 
 
@@ -124,7 +123,7 @@ class WorkloadFingerprint:
         """Stable shard assignment in ``[0, shards)`` from the band key.
 
         Banded (not exact) so near-identical workloads warm the same
-        shard-local caches.
+        shard's planner caches.
         """
         if shards <= 1:
             return 0
@@ -132,45 +131,6 @@ class WorkloadFingerprint:
             repr(self.band_key()).encode(), digest_size=8
         ).digest()
         return int.from_bytes(digest, "big") % shards
-
-
-def routing_key(
-    workload: MatrixWorkload | TensorWorkload | Mapping,
-) -> int:
-    """Config-free 64-bit shard key over the workload's density bands.
-
-    Clients stamp this into the binary frame header (``FLAG_ROUTED``) so
-    the consistent-hash router can pick a replica without parsing the
-    payload.  It deliberately bands every statistic the way
-    :meth:`WorkloadFingerprint.band_key` does — workloads within 2x on
-    every extent and nonzero count route to the same replica, keeping
-    that replica's decision cache (and its near-hit tier) hot for the
-    key range — but it excludes the accelerator-config digest, which a
-    client has no way to know and which is constant per fleet anyway.
-    """
-    if isinstance(workload, Mapping):
-        from repro.workloads.spec import workload_from_dict
-
-        workload = workload_from_dict(workload)
-    if isinstance(workload, TensorWorkload):
-        key = (
-            "tensor",
-            workload.kernel.value,
-            tuple(density_band(d) for d in (*workload.shape, workload.rank)),
-            (density_band(workload.nnz),),
-            workload.dtype_bits,
-        )
-    else:
-        key = (
-            "matrix",
-            workload.kernel.value,
-            tuple(density_band(d) for d in (workload.m, workload.k,
-                                            workload.n)),
-            (density_band(workload.nnz_a), density_band(workload.nnz_b)),
-            workload.dtype_bits,
-        )
-    digest = hashlib.blake2s(repr(key).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 def fingerprint_of(

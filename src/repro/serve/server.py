@@ -16,10 +16,10 @@ Request path
    frame (:mod:`repro.serve.wire`), anything else is a legacy JSON line
    — so old clients and ``repro stats`` keep working unchanged.
 2. Framed ``predict`` requests first probe the **encoded-reply cache**:
-   a repeat of a byte-identical request is answered with the previously
-   framed reply — no JSON parse, no fingerprint, no ``to_wire`` — right
-   on the event loop.  (Legacy lines always take the full path; the
-   binary frame *is* the fast path.)
+   a repeat of a byte-identical request body is answered with the
+   previously framed reply — no JSON parse, no fingerprint, no
+   ``to_wire`` — right on the event loop.  (Legacy lines always take
+   the full path; the binary frame *is* the fast path.)
 3. Everything else dispatches to a bounded worker pool where the
    request parses once and consults the :class:`DecisionCache` — hits
    (exact or density-band near-hits) are answered immediately.
@@ -35,9 +35,11 @@ Request path
    spawn with the parent planner's :meth:`~repro.mint.cost.PathPlanner.
    export_snapshot` (routes *and* exact-stats costs) and addressed by
    the fingerprint's stable band-key hash — repeats of a workload always
-   hit the same worker, so every shard's planner and local decision
-   caches stay hot.  ``shards=0`` computes in-process instead (no extra
-   processes; useful on platforms without ``fork``).
+   hit the same worker, so every shard's planner caches stay hot.  A
+   shard only ever sees front-cache misses that survived coalescing, so
+   it predicts directly; the front :class:`DecisionCache` is the one
+   decision cache a request consults.  ``shards=0`` computes in-process
+   instead (no extra processes; useful on platforms without ``fork``).
 6. Results flow back through per-shard collector threads, populate the
    front cache, and release every waiter that coalesced onto them.
 
@@ -226,10 +228,10 @@ class _PendingRequest:
 class _ReplyCache:
     """Tiny thread-safe LRU of fully-encoded reply frames.
 
-    Keyed by the request's raw body bytes (plus its body encoding):
-    byte-identical framed ``predict`` requests get byte-identical framed
-    replies — decisions are pure functions of the fingerprint, so
-    entries never go stale, only cold.  Near-hit replies are *not*
+    Keyed by the request's raw JSON body bytes: byte-identical framed
+    ``predict`` requests get byte-identical framed replies — decisions
+    are pure functions of the fingerprint, so entries never go stale,
+    only cold.  Near-hit replies are *not*
     cached (a later exact computation or a speculative warm may refine
     the band's answer); exact hits and computed decisions are final.
     """
@@ -237,10 +239,10 @@ class _ReplyCache:
     def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, bytes] = OrderedDict()
+        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
         self.hits = 0
 
-    def get(self, key: tuple) -> bytes | None:
+    def get(self, key: bytes) -> bytes | None:
         if self.maxsize <= 0:
             return None
         with self._lock:
@@ -250,7 +252,7 @@ class _ReplyCache:
                 self.hits += 1
             return reply
 
-    def put(self, key: tuple, reply: bytes) -> None:
+    def put(self, key: bytes, reply: bytes) -> None:
         if self.maxsize <= 0:
             return
         with self._lock:
@@ -264,27 +266,19 @@ class _ReplyCache:
             return len(self._entries)
 
 
-def _shard_main(
-    in_q,
-    out_q,
-    sage: Sage,
-    snapshot: dict,
-    near_hit: bool,
-    fidelity: str,
-) -> None:
+def _shard_main(in_q, out_q, sage: Sage, snapshot: dict, fidelity: str) -> None:
     """Shard worker loop: predict forever until the ``None`` sentinel.
 
-    Seeds this process's shared planner from the parent's snapshot and
-    keeps a shard-local :class:`DecisionCache`, so a shard that has seen
-    a fingerprint (or its density band) never re-runs the search even if
-    the front cache has evicted it.
+    Seeds this process's shared planner from the parent's snapshot.  No
+    decision cache lives here: the parent only dispatches front-cache
+    misses, one per in-flight fingerprint, so a shard-local cache would
+    never answer.
     """
     shared_planner().seed_snapshot(snapshot)
     # The forked child inherits the parent's metric values; zero them so
     # the in-band snapshots this shard ships cover only its own work and
     # merging them into the parent never double-counts.
     obs_metrics.reset_registry()
-    local = DecisionCache(maxsize=1024, near_hit=near_hit, scope="shard")
     while True:
         msg = in_q.get()
         if msg is None:
@@ -298,12 +292,8 @@ def _shard_main(
             continue
         try:
             workload = workload_from_dict(wl_dict)
-            fp = fingerprint_of(workload, sage.config)
-            decision = local.get(fp)
-            if decision is None:
-                with span("serve.shard_predict", workload=workload.name):
-                    decision = sage.predict(workload, fidelity=fidelity)
-                local.put(fp, decision)
+            with span("serve.shard_predict", workload=workload.name):
+                decision = sage.predict(workload, fidelity=fidelity)
             out_q.put((key, decision, None))
         except Exception as exc:  # noqa: BLE001 - shipped to the client
             _LOG.warning(
@@ -318,19 +308,12 @@ def _shard_main(
 class _Shard:
     """One worker process plus its request/response queues."""
 
-    def __init__(
-        self,
-        ctx,
-        sage: Sage,
-        snapshot: dict,
-        near_hit: bool,
-        fidelity: str,
-    ) -> None:
+    def __init__(self, ctx, sage: Sage, snapshot: dict, fidelity: str) -> None:
         self.in_q = ctx.Queue()
         self.out_q = ctx.Queue()
         self.proc = ctx.Process(
             target=_shard_main,
-            args=(self.in_q, self.out_q, sage, snapshot, near_hit, fidelity),
+            args=(self.in_q, self.out_q, sage, snapshot, fidelity),
             daemon=True,
         )
         self.proc.start()
@@ -349,9 +332,9 @@ class _AsyncFrontEnd:
     connections cost nothing, and the per-message first byte selects
     binary frames vs legacy JSON lines.  The owner supplies two hooks:
 
-    * ``fast_reply(body, mode, t_recv) -> bytes | None`` — loop-side
+    * ``fast_reply(body, framed, t_recv) -> bytes | None`` — loop-side
       fast path (must not block);
-    * ``handle_raw(body, mode) -> (reply_bytes, close_after)`` — full
+    * ``handle_raw(body, framed) -> (reply_bytes, close_after)`` — full
       path, dispatched to the owner's worker pool.
     """
 
@@ -436,29 +419,24 @@ class _AsyncFrontEnd:
                 loop.close()
 
     # ------------------------------------------------------------- traffic
-    async def _read_message(self, reader) -> tuple[bytes, str] | None:
-        """One message: ``(body, mode)`` or ``None`` on clean EOF.
+    async def _read_message(self, reader) -> tuple[bytes, bool] | None:
+        """One message: ``(body, framed)`` or ``None`` on clean EOF.
 
-        ``mode`` is ``"line"`` (legacy JSON line, newline stripped),
-        ``"frame-json"`` or ``"frame-packed"``.  Frame integrity errors
-        raise :class:`~repro.serve.wire.WireError` (frame sync is lost;
-        the connection must close).
+        ``framed`` is false for a legacy JSON line (newline stripped).
+        Frame integrity errors raise
+        :class:`~repro.serve.wire.WireError` (frame sync is lost; the
+        connection must close).
         """
         first = await reader.read(1)
         if not first:
             return None
         if first == wire.MAGIC_BYTE:
             header = first + await reader.readexactly(wire.HEADER.size - 1)
-            flags, length = wire.parse_header(header)
-            if flags & wire.FLAG_ROUTED:
-                # Replicas ignore the routing key (the router consumed
-                # it); drain it to stay frame-aligned.
-                await reader.readexactly(8)
+            length = wire.parse_header(header)
             body = await reader.readexactly(length) if length else b""
-            mode = "frame-packed" if flags & wire.FLAG_PACKED else "frame-json"
-            return body, mode
+            return body, True
         line = first + await reader.readline()
-        return line.strip(), "line"
+        return line.strip(), False
 
     async def _on_connection(self, reader, writer) -> None:
         loop = asyncio.get_running_loop()
@@ -475,16 +453,16 @@ class _AsyncFrontEnd:
                     break
                 if message is None:
                     break
-                body, mode = message
+                body, framed = message
                 if not body:
                     continue
                 t_recv = time.perf_counter()
-                reply = self._owner._fast_reply(body, mode, t_recv)
+                reply = self._owner._fast_reply(body, framed, t_recv)
                 close_after = False
                 if reply is None:
                     reply, close_after = await loop.run_in_executor(
                         self._owner._executor,
-                        self._owner._handle_raw, body, mode,
+                        self._owner._handle_raw, body, framed,
                     )
                 writer.write(reply)
                 await writer.drain()
@@ -593,7 +571,6 @@ class SageServer:
                             ctx,
                             self._sage,
                             snapshot,
-                            self.serve.near_hit,
                             self.serve.fidelity,
                         )
                     )
@@ -708,16 +685,18 @@ class SageServer:
         self.close()
 
     # ----------------------------------------------------------- wire layer
-    def _fast_reply(self, body: bytes, mode: str, t_recv: float) -> bytes | None:
+    def _fast_reply(
+        self, body: bytes, framed: bool, t_recv: float
+    ) -> bytes | None:
         """Loop-side fast path: framed repeats answered from cached bytes.
 
         Legacy JSON-lines requests never take this path (the binary
         frame is the fast path; lines are the compatibility mode), and
         only byte-identical ``predict`` repeats can match.
         """
-        if mode == "line":
+        if not framed:
             return None
-        reply = self._reply_cache.get((mode, body))
+        reply = self._reply_cache.get(body)
         if reply is None:
             return None
         elapsed = time.perf_counter() - t_recv
@@ -734,7 +713,7 @@ class SageServer:
         _STAGE_SECONDS.observe(elapsed, stage="total")
         return reply
 
-    def _handle_raw(self, body: bytes, mode: str) -> tuple[bytes, bool]:
+    def _handle_raw(self, body: bytes, framed: bool) -> tuple[bytes, bool]:
         """Full path (worker pool): decode, dispatch, encode, maybe cache.
 
         Returns ``(reply_bytes, close_after)``; the reply rides the same
@@ -743,28 +722,28 @@ class SageServer:
         op = None
         outcome = None
         try:
-            if mode == "frame-packed":
-                message = wire.decode_body(body, wire.FLAG_PACKED)
-            else:
-                message = wire.decode_body(body, 0)
+            message = wire.decode_body(body)
             op = message.get("op")
             response, outcome = self._handle_traced(message, op)
         except Exception as exc:  # noqa: BLE001 - reported in-band
             _LOG.warning("handler failed on op %r", op, exc_info=True)
             response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        if mode == "line":
-            reply = (json.dumps(response) + "\n").encode()
-        else:
-            reply = wire.encode_frame(response)
+        if not framed:
+            return (json.dumps(response) + "\n").encode(), op == "shutdown"
+        reply = wire.encode_frame(response)
         if (
-            mode != "line"
-            and op == "predict"
+            op == "predict"
             and response.get("ok")
             and outcome in ("hit", "miss")
         ):
             # Exact decisions are final (pure function of the
             # fingerprint); near-hit and bypass replies are not cached.
-            self._reply_cache.put((mode, body), reply)
+            # A replay is a hit, so a miss's reply is cached relabelled.
+            if outcome == "miss":
+                replay = wire.encode_frame({**response, "outcome": "hit"})
+            else:
+                replay = reply
+            self._reply_cache.put(body, replay)
         return reply, op == "shutdown"
 
     # ------------------------------------------------------------- protocol
@@ -896,7 +875,7 @@ class SageServer:
         unrestricted requests at that fidelity (or with no tier named,
         which defers to the server's) may ride the cache/batcher.
         Hardware-override requests (``options.config`` / ``dram_gbps``,
-        the tuner's fleet-evaluation path) answer for a different
+        the tuner's remote-evaluation path) answer for a different
         accelerator than the resident fingerprints name, so they bypass
         too — ``Sage.for_options`` derives the right predictor at the
         bypass sites.
@@ -1147,10 +1126,10 @@ class SageServer:
         its ordinary request queue — fingerprint keys are tuples, so the
         sentinel cannot collide) and given a shared *timeout_s* deadline;
         shards busy past the deadline simply miss this poll.  Snapshots
-        merge exactly, so worker-side counters (shard-local cache events,
-        SAGE candidate counts, span histograms) land in one registry view
-        under ``"registry"``; ``"shards_polled"`` / ``"shards_reporting"``
-        say how complete this poll was.
+        merge exactly, so worker-side counters (SAGE candidate counts,
+        span histograms) land in one registry view under ``"registry"``;
+        ``"shards_polled"`` / ``"shards_reporting"`` say how complete
+        this poll was.
         """
         merged = obs_metrics.MetricRegistry()
         merged.merge_snapshot(registry().snapshot())

@@ -2,35 +2,31 @@
 
 The serve protocol started as JSON-lines: one ``{"op": ...}`` object per
 line, one reply line per request.  That shape survives unchanged as the
-**legacy mode** — but every byte of it pays ``json.dumps``/``loads`` and
-a newline scan per request, which is measurable at serving rates.  This
-module adds the compact framed alternative the fleet speaks natively:
+**legacy mode** — but every byte of it pays a newline scan per request,
+and a line cannot be replayed without re-encoding.  This module adds the
+length-prefixed framed alternative:
 
-``magic (2B) | version (1B) | flags (1B) | body length (4B)`` —
-``struct`` packed, network byte order — optionally followed by an 8-byte
-**routing key** (``FLAG_ROUTED``) and then the body.  The body is the
-*same* versioned JSON payload the legacy mode carries (``FLAG_PACKED``
-clear), or a msgpack-style packed encoding of it (``FLAG_PACKED`` set)
-used by clients for the small, hot ``predict`` request where a binary
-walk beats building a JSON string.  Replies are framed JSON: the C-level
-``json`` codec outruns any pure-Python packer on decision-sized payloads,
-and framing (not encoding) is what the reply path needs — a framed reply
-can be cached and relayed as raw bytes without ever re-encoding.
+``magic (2B) | version (1B) | flags (1B) = 0 | body length (4B)`` —
+``struct`` packed, network byte order — followed by the body, which is
+the *same* versioned UTF-8 JSON payload the legacy mode carries.  The
+C-level ``json`` codec outruns any pure-Python packer on request- and
+decision-sized payloads, and framing (not encoding) is what the hot path
+needs: a framed request body is a byte-exact cache key, and a framed
+reply can be cached and replayed as raw bytes without re-encoding.
 
-The routing key rides *outside* the body so the consistent-hash router
-(:mod:`repro.serve.router`) can shard a request onto its replica without
-parsing the payload at all: read 16 bytes, pick a replica, relay the
-frame verbatim.
+The flags byte is always zero.  Earlier builds set bits in it for a
+packed body codec and an 8-byte routing key; a frame with any flag set
+is rejected rather than misread as JSON.
 
 Auto-detection is one byte: frames open with ``0xA5`` (never the first
 byte of a JSON document), so a server peeks the first byte of each
 message and speaks whichever protocol the client chose — old clients and
-``repro stats`` keep working against a fleet front end.
+``repro stats`` keep working unchanged.
 
 Frame integrity errors raise :class:`WireError` (a
 :class:`~repro.errors.ServeError`): bad magic, unknown wire version,
-bodies over :data:`MAX_FRAME`, truncated frames, or packed bodies that
-do not decode.
+nonzero flags, bodies over :data:`MAX_FRAME`, truncated frames, or
+bodies that do not decode to a JSON object.
 """
 
 from __future__ import annotations
@@ -42,8 +38,6 @@ from typing import BinaryIO
 from repro.errors import ServeError
 
 __all__ = [
-    "FLAG_PACKED",
-    "FLAG_ROUTED",
     "HEADER",
     "MAGIC",
     "MAGIC_BYTE",
@@ -53,10 +47,8 @@ __all__ = [
     "decode_body",
     "encode_frame",
     "frame_for_body",
-    "pack",
     "parse_header",
     "read_frame",
-    "unpack",
 ]
 
 
@@ -77,189 +69,18 @@ WIRE_VERSION = 1
 #: ``magic | version | flags | body length``, network byte order.
 HEADER = struct.Struct("!HBBI")
 
-FLAG_PACKED = 0x01  #: body is msgpack-style packed (else UTF-8 JSON)
-FLAG_ROUTED = 0x02  #: an 8-byte routing key follows the header
-
 #: Upper bound on one frame body; anything larger is rejected before a
 #: single body byte is read (a garbage length must not stall the
 #: connection buffering gigabytes).
 MAX_FRAME = 16 * 1024 * 1024
 
-_ROUTING_KEY = struct.Struct("!Q")
 
-
-# --------------------------------------------------------------- packed body
-#
-# A deliberately small msgpack-style codec: type-tagged, length-prefixed,
-# self-contained (no third-party deps in this repo).  It covers exactly
-# the JSON data model (None/bool/int/float/str/list/dict, plus bytes)
-# because the packed body *is* the JSON payload in binary form.
-
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"i"  # signed 64-bit
-_TAG_BIGINT = b"I"  # decimal string fallback (arbitrary precision)
-_TAG_FLOAT = b"f"
-_TAG_STR = b"s"
-_TAG_BYTES = b"b"
-_TAG_LIST = b"l"
-_TAG_DICT = b"d"
-
-_I64 = struct.Struct("!q")
-_F64 = struct.Struct("!d")
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
-
-
-def _pack_varint(value: int, out: list[bytes]) -> None:
-    """Unsigned LEB128 (7 bits per byte, high bit = continue)."""
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(bytes([byte | 0x80]))
-        else:
-            out.append(bytes([byte]))
-            return
-
-
-def _pack_into(obj, out: list[bytes]) -> None:
-    if obj is None:
-        out.append(_TAG_NONE)
-    elif obj is True:
-        out.append(_TAG_TRUE)
-    elif obj is False:
-        out.append(_TAG_FALSE)
-    elif isinstance(obj, int):
-        if _I64_MIN <= obj <= _I64_MAX:
-            out.append(_TAG_INT)
-            out.append(_I64.pack(obj))
-        else:
-            text = str(obj).encode()
-            out.append(_TAG_BIGINT)
-            _pack_varint(len(text), out)
-            out.append(text)
-    elif isinstance(obj, float):
-        out.append(_TAG_FLOAT)
-        out.append(_F64.pack(obj))
-    elif isinstance(obj, str):
-        raw = obj.encode()
-        out.append(_TAG_STR)
-        _pack_varint(len(raw), out)
-        out.append(raw)
-    elif isinstance(obj, (bytes, bytearray)):
-        out.append(_TAG_BYTES)
-        _pack_varint(len(obj), out)
-        out.append(bytes(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append(_TAG_LIST)
-        _pack_varint(len(obj), out)
-        for item in obj:
-            _pack_into(item, out)
-    elif isinstance(obj, dict):
-        out.append(_TAG_DICT)
-        _pack_varint(len(obj), out)
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise WireError(
-                    f"packed dict keys must be str, got {type(key).__name__}"
-                )
-            _pack_into(key, out)
-            _pack_into(value, out)
-    else:
-        raise WireError(f"cannot pack {type(obj).__name__} values")
-
-
-def pack(obj) -> bytes:
-    """Pack a JSON-shaped object into the msgpack-style binary body."""
-    out: list[bytes] = []
-    _pack_into(obj, out)
-    return b"".join(out)
-
-
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise WireError("packed body truncated")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def varint(self) -> int:
-        value = shift = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise WireError("packed varint overlong")
-
-
-def _unpack_from(reader: _Reader):
-    tag = reader.take(1)
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_TRUE:
-        return True
-    if tag == _TAG_FALSE:
-        return False
-    if tag == _TAG_INT:
-        return _I64.unpack(reader.take(8))[0]
-    if tag == _TAG_BIGINT:
-        return int(reader.take(reader.varint()))
-    if tag == _TAG_FLOAT:
-        return _F64.unpack(reader.take(8))[0]
-    if tag == _TAG_STR:
-        return reader.take(reader.varint()).decode()
-    if tag == _TAG_BYTES:
-        return reader.take(reader.varint())
-    if tag == _TAG_LIST:
-        return [_unpack_from(reader) for _ in range(reader.varint())]
-    if tag == _TAG_DICT:
-        return {
-            _unpack_from(reader): _unpack_from(reader)
-            for _ in range(reader.varint())
-        }
-    raise WireError(f"unknown packed tag {tag!r}")
-
-
-def unpack(data: bytes):
-    """Inverse of :func:`pack`; rejects trailing garbage."""
-    reader = _Reader(data)
-    obj = _unpack_from(reader)
-    if reader.pos != len(data):
-        raise WireError(
-            f"packed body has {len(data) - reader.pos} trailing byte(s)"
-        )
-    return obj
-
-
-# -------------------------------------------------------------------- frames
-def encode_body(payload: dict, *, packed: bool = False) -> tuple[bytes, int]:
-    """Encode one payload dict; returns ``(body, flags)``."""
-    if packed:
-        return pack(payload), FLAG_PACKED
-    return json.dumps(payload, separators=(",", ":")).encode(), 0
-
-
-def decode_body(body: bytes, flags: int) -> dict:
-    """Decode a frame body back into its payload dict."""
-    if flags & FLAG_PACKED:
-        payload = unpack(body)
-    else:
-        try:
-            payload = json.loads(body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise WireError(f"undecodable JSON frame body: {exc}") from exc
+def decode_body(body: bytes) -> dict:
+    """Decode a JSON frame body back into its payload dict."""
+    try:
+        payload = json.loads(body)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise WireError(f"undecodable JSON frame body: {exc}") from exc
     if not isinstance(payload, dict):
         raise WireError(
             f"frame body must decode to an object, got "
@@ -268,33 +89,22 @@ def decode_body(body: bytes, flags: int) -> dict:
     return payload
 
 
-def frame_for_body(
-    body: bytes, flags: int = 0, *, routing_key: int | None = None
-) -> bytes:
-    """Wrap already-encoded body bytes in a frame (relay fast path)."""
+def frame_for_body(body: bytes) -> bytes:
+    """Wrap already-encoded JSON body bytes in a frame."""
     if len(body) > MAX_FRAME:
         raise WireError(
             f"frame body {len(body)} bytes exceeds MAX_FRAME {MAX_FRAME}"
         )
-    if routing_key is not None:
-        flags |= FLAG_ROUTED
-        header = HEADER.pack(MAGIC, WIRE_VERSION, flags, len(body))
-        return header + _ROUTING_KEY.pack(routing_key & 0xFFFFFFFFFFFFFFFF) \
-            + body
-    return HEADER.pack(MAGIC, WIRE_VERSION, flags & ~FLAG_ROUTED, len(body)) \
-        + body
+    return HEADER.pack(MAGIC, WIRE_VERSION, 0, len(body)) + body
 
 
-def encode_frame(
-    payload: dict, *, packed: bool = False, routing_key: int | None = None
-) -> bytes:
-    """One payload dict -> one complete frame (header [+key] + body)."""
-    body, flags = encode_body(payload, packed=packed)
-    return frame_for_body(body, flags, routing_key=routing_key)
+def encode_frame(payload: dict) -> bytes:
+    """One payload dict -> one complete frame (header + JSON body)."""
+    return frame_for_body(json.dumps(payload, separators=(",", ":")).encode())
 
 
-def parse_header(header: bytes) -> tuple[int, int]:
-    """Validate 8 header bytes; returns ``(flags, body_length)``."""
+def parse_header(header: bytes) -> int:
+    """Validate 8 header bytes; returns the body length."""
     if len(header) != HEADER.size:
         raise WireError(
             f"short frame header ({len(header)}/{HEADER.size} bytes)"
@@ -307,23 +117,16 @@ def parse_header(header: bytes) -> tuple[int, int]:
             f"unsupported wire version {version} (this build speaks "
             f"{WIRE_VERSION})"
         )
+    if flags:
+        raise WireError(
+            f"unsupported frame flags 0x{flags:02x} (this build speaks "
+            f"flag-free JSON frames only)"
+        )
     if length > MAX_FRAME:
         raise WireError(
             f"frame body {length} bytes exceeds MAX_FRAME {MAX_FRAME}"
         )
-    return flags, length
-
-
-def routing_key_bytes(key: int) -> bytes:
-    """The 8-byte wire form of a routing key."""
-    return _ROUTING_KEY.pack(key & 0xFFFFFFFFFFFFFFFF)
-
-
-def parse_routing_key(raw: bytes) -> int:
-    """Inverse of :func:`routing_key_bytes`."""
-    if len(raw) != _ROUTING_KEY.size:
-        raise WireError("truncated routing key")
-    return _ROUTING_KEY.unpack(raw)[0]
+    return length
 
 
 def read_frame(stream: BinaryIO) -> dict:
@@ -336,15 +139,10 @@ def read_frame(stream: BinaryIO) -> dict:
     header = stream.read(HEADER.size)
     if not header:
         raise WireError("connection closed before a frame header")
-    flags, length = parse_header(header)
-    if flags & FLAG_ROUTED:
-        raw = stream.read(_ROUTING_KEY.size)
-        if len(raw) != _ROUTING_KEY.size:
-            raise WireError("frame truncated inside its routing key")
-        parse_routing_key(raw)
+    length = parse_header(header)
     body = stream.read(length) if length else b""
     if len(body) != length:
         raise WireError(
             f"frame truncated ({len(body)}/{length} body bytes)"
         )
-    return decode_body(body, flags)
+    return decode_body(body)

@@ -6,7 +6,7 @@ One evaluation prices a whole workload suite on one :class:`TunePoint`:
   the suite, computed through :meth:`Session.predict` with the point's
   hardware shipped as ``PredictOptions(config=..., dram_gbps=...)``.
   That makes every (workload, hardware) pair a servable query: the same
-  evaluation runs in-process or against a ``tcp://`` fleet backend.
+  evaluation runs in-process or against a ``tcp://`` server backend.
 * **energy** — DRAM energy plus tech-node-scaled on-chip energy from the
   :mod:`repro.hardware.energy` event prices riding each
   :class:`~repro.sage.cost_model.CostBreakdown`.
@@ -136,7 +136,7 @@ def evaluate_with_session(session, params: Mapping) -> dict:
     Shared by the tuner workers and the ``tune_grid`` xp experiment so
     both produce byte-identical results for the same cell.  *session* is
     any :class:`~repro.api.session.Session`-shaped object; the point's
-    hardware travels in the options, so local and fleet backends price
+    hardware travels in the options, so local and server backends price
     identically.
     """
     point = TunePoint.from_params(params["point"])

@@ -84,13 +84,12 @@ class TestMetricsRpc:
     def test_worker_side_counters_are_merged_in(self, client):
         client.predict(_wl(160))  # unseen workload: must reach the shard
         snapshot = client.stats()["metrics"]["registry"]
-        cache_events = snapshot["repro_serve_cache_events_total"]["values"]
-        # scope=shard series only ever increment inside the shard
-        # process; their presence proves the cross-process merge.
-        shard_series = [k for k in cache_events if "scope=shard" in k]
+        spans = snapshot["repro_span_seconds"]["values"]
+        # The serve.shard_predict span is only ever entered inside the
+        # shard process; its presence proves the cross-process merge.
+        shard_series = [k for k in spans if "span=serve.shard_predict" in k]
         assert shard_series
         assert snapshot["repro_sage_predictions_total"]["values"]
-        assert "repro_span_seconds" in snapshot
 
     def test_stage_latency_histograms_recorded(self, client):
         client.predict(_wl(224))

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import socket
+import struct
 import threading
 
 import pytest
 
+from repro.api import Session
 from repro.errors import PredictionError, ServeError
 from repro.sage import Sage
-from repro.serve import SageServer, ServeClient, ServeConfig
+from repro.serve import SageServer, ServeClient, ServeConfig, wire
 from repro.workloads.spec import Kernel, MatrixWorkload, TensorWorkload
 
 
@@ -104,9 +108,6 @@ class TestRoundTrip:
         assert client.ping()
 
     def test_invalid_json_line_reports_in_band(self, server):
-        import json
-        import socket
-
         with socket.create_connection(server.address, timeout=30) as sock:
             f = sock.makefile("rwb")
             f.write(b"this is not json\n")
@@ -117,6 +118,57 @@ class TestRoundTrip:
     def test_unknown_op_rejected(self, client):
         with pytest.raises(ServeError, match="unknown op"):
             client._rpc({"op": "transmogrify"})
+
+
+class TestWireParity:
+    def test_binary_and_legacy_clients_agree_with_local_session(self, server):
+        # A band no other test in this module touches, so neither answer
+        # can be a near-hit from a neighbour's decision.
+        wl = MatrixWorkload("parity", Kernel.SPMM, m=144, k=96, n=64,
+                            nnz_a=937, nnz_b=96 * 64)
+        with Session() as session:
+            local = session.predict(wl).to_wire()
+        # top=0 requests the full ranking, matching the local wire form.
+        with ServeClient(*server.address) as binary:
+            served_binary = binary.predict(wl, top=0).to_wire()
+        with ServeClient(*server.address, wire_mode="json") as legacy:
+            served_legacy = legacy.predict(wl, top=0).to_wire()
+        assert served_binary == local
+        assert served_legacy == local
+
+    def test_binary_repeat_of_a_miss_rides_the_fast_path(self, client):
+        # Its own band (SpGEMM, far-off sizes): the first answer is an
+        # exact miss, which is final and so enters the reply cache.
+        wl = MatrixWorkload("fast", Kernel.SPGEMM, m=512, k=512, n=256,
+                            nnz_a=30_000, nnz_b=20_000)
+        request = {"op": "predict", "workload": wl.to_dict()}
+        first = client._rpc(dict(request))
+        before = client.stats()["requests"]["fast_path"]
+        again = client._rpc(dict(request))
+        after = client.stats()["requests"]["fast_path"]
+        assert after - before == 1
+        # The decision field is the decision's to_wire() form.
+        assert again["decision"] == first["decision"]
+        # The replay is a hit, not a copy of the original miss label.
+        assert (first["outcome"], again["outcome"]) == ("miss", "hit")
+
+    @pytest.mark.parametrize("flags", [0x01, 0x02])
+    def test_flagged_frame_is_rejected_then_closed(self, server, flags):
+        # A packed (0x01) or routed (0x02) frame from an older client
+        # must not be read as JSON: one in-band error frame, then EOF.
+        body = b'{"op":"ping"}'
+        header = struct.pack(
+            "!HBBI", wire.MAGIC, wire.WIRE_VERSION, flags, len(body)
+        )
+        with socket.create_connection(server.address, timeout=30) as sock:
+            f = sock.makefile("rwb")
+            f.write(header + body)
+            f.flush()
+            reply = wire.read_frame(f)
+            assert reply["ok"] is False
+            assert reply["error"].startswith("WireError: ")
+            assert f"flags 0x{flags:02x}" in reply["error"]
+            assert f.read(1) == b""
 
 
 class TestConcurrency:

@@ -14,73 +14,6 @@ from repro.serve import wire
 from repro.serve.wire import WireError
 
 
-# ------------------------------------------------------------- packed codec
-class TestPackedCodec:
-    @pytest.mark.parametrize("value", [
-        None, True, False, 0, 1, -1, 2**62, -(2**62), 2**100, -(2**100),
-        0.0, -1.5, 3.141592653589793, "", "hello", "κείμενο \U0001f600",
-        b"", b"\x00\xff raw", [], [1, [2, [3]]], {}, {"a": 1},
-        {"nested": {"list": [None, True, {"k": "v"}], "f": 2.5}},
-    ])
-    def test_round_trip(self, value):
-        assert wire.unpack(wire.pack(value)) == value
-
-    def test_int64_boundaries_stay_ints(self):
-        for v in (2**63 - 1, -(2**63), 2**63, -(2**63) - 1):
-            assert wire.unpack(wire.pack(v)) == v
-
-    def test_dict_key_order_preserved(self):
-        obj = {"z": 1, "a": 2, "m": 3}
-        assert list(wire.unpack(wire.pack(obj))) == ["z", "a", "m"]
-
-    def test_non_str_dict_keys_rejected(self):
-        with pytest.raises(WireError, match="keys must be str"):
-            wire.pack({1: "x"})
-
-    def test_unpackable_type_rejected(self):
-        with pytest.raises(WireError, match="cannot pack"):
-            wire.pack({"x": object()})
-
-    def test_trailing_garbage_rejected(self):
-        with pytest.raises(WireError, match="trailing"):
-            wire.unpack(wire.pack({"a": 1}) + b"\x00")
-
-    def test_truncated_body_rejected(self):
-        packed = wire.pack({"key": "a longer string value"})
-        for cut in (1, len(packed) // 2, len(packed) - 1):
-            with pytest.raises(WireError):
-                wire.unpack(packed[:cut])
-
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(WireError, match="unknown packed tag"):
-            wire.unpack(b"Z")
-
-    def test_overlong_varint_rejected(self):
-        with pytest.raises(WireError, match="overlong|truncated"):
-            wire.unpack(b"s" + b"\xff" * 12)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.recursive(
-        st.none() | st.booleans() | st.integers() | st.text()
-        | st.floats(allow_nan=False),
-        lambda children: st.lists(children, max_size=4)
-        | st.dictionaries(st.text(max_size=8), children, max_size=4),
-        max_leaves=12,
-    ))
-    def test_round_trip_hypothesis(self, value):
-        assert wire.unpack(wire.pack(value)) == value
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.binary(max_size=64))
-    def test_fuzz_never_hangs_or_crashes(self, blob):
-        # Arbitrary bytes must either decode or raise WireError — never
-        # loop, never raise anything else.
-        try:
-            wire.unpack(blob)
-        except WireError:
-            pass
-
-
 # ------------------------------------------------------------------ frames
 class TestFrames:
     def test_magic_byte_cannot_open_json(self):
@@ -90,27 +23,30 @@ class TestFrames:
         for first in b'{["0123456789tfn- \t\r\n':
             assert bytes([first]) != wire.MAGIC_BYTE
 
-    @pytest.mark.parametrize("packed", [False, True])
-    @pytest.mark.parametrize("key", [None, 0, 2**64 - 1, 0x1234_5678])
-    def test_round_trip(self, packed, key):
+    def test_round_trip(self):
         payload = {"op": "predict", "workload": {"kind": "matrix"}, "top": 3}
-        frame = wire.encode_frame(payload, packed=packed, routing_key=key)
+        frame = wire.encode_frame(payload)
         assert frame[:1] == wire.MAGIC_BYTE
         assert wire.read_frame(io.BytesIO(frame)) == payload
 
-    def test_routed_flag_and_key_on_the_wire(self):
-        frame = wire.encode_frame({"op": "predict"}, routing_key=0xABCD)
-        flags, length = wire.parse_header(frame[:wire.HEADER.size])
-        assert flags & wire.FLAG_ROUTED
-        raw_key = frame[wire.HEADER.size:wire.HEADER.size + 8]
-        assert wire.parse_routing_key(raw_key) == 0xABCD
-        assert len(frame) == wire.HEADER.size + 8 + length
+    def test_frame_is_flag_free_header_plus_json_body(self):
+        payload = {"op": "ping"}
+        frame = wire.encode_frame(payload)
+        body = json.dumps(payload, separators=(",", ":")).encode()
+        assert frame == struct.pack(
+            "!HBBI", wire.MAGIC, wire.WIRE_VERSION, 0, len(body)
+        ) + body
+        assert wire.parse_header(frame[:wire.HEADER.size]) == len(body)
 
-    def test_unrouted_frame_has_no_key(self):
-        frame = wire.encode_frame({"op": "ping"})
-        flags, length = wire.parse_header(frame[:wire.HEADER.size])
-        assert not flags & wire.FLAG_ROUTED
-        assert len(frame) == wire.HEADER.size + length
+    @pytest.mark.parametrize("flags", [0x01, 0x02, 0x80])
+    def test_nonzero_flags_rejected(self, flags):
+        # Packed (0x01) and routed (0x02) frames from older clients, or
+        # any unknown bit, must not be misread as a JSON body.
+        header = struct.pack("!HBBI", wire.MAGIC, wire.WIRE_VERSION, flags, 2)
+        with pytest.raises(WireError, match=f"flags 0x{flags:02x}"):
+            wire.parse_header(header)
+        with pytest.raises(WireError, match="flags"):
+            wire.read_frame(io.BytesIO(header + b"{}"))
 
     def test_bad_magic_rejected(self):
         header = struct.pack("!HBBI", 0xDEAD, wire.WIRE_VERSION, 0, 0)
@@ -143,11 +79,6 @@ class TestFrames:
             with pytest.raises(WireError):
                 wire.read_frame(io.BytesIO(frame[:cut]))
 
-    def test_truncated_routing_key_rejected(self):
-        frame = wire.encode_frame({"op": "predict"}, routing_key=7)
-        with pytest.raises(WireError, match="routing key"):
-            wire.read_frame(io.BytesIO(frame[:wire.HEADER.size + 4]))
-
     def test_undecodable_json_body_rejected(self):
         frame = wire.frame_for_body(b"\xff\xfe not json")
         with pytest.raises(WireError, match="undecodable"):
@@ -162,7 +93,7 @@ class TestFrames:
     @given(st.binary(min_size=wire.HEADER.size, max_size=32))
     def test_header_fuzz(self, blob):
         try:
-            flags, length = wire.parse_header(blob[:wire.HEADER.size])
+            length = wire.parse_header(blob[:wire.HEADER.size])
             assert length <= wire.MAX_FRAME
         except WireError:
             pass
