@@ -13,6 +13,7 @@ from repro.api import Session
 from repro.errors import PredictionError, ServeError
 from repro.sage import Sage
 from repro.serve import SageServer, ServeClient, ServeConfig, wire
+from repro.workloads import MATRIX_SUITE, TENSOR_SUITE
 from repro.workloads.spec import Kernel, MatrixWorkload, TensorWorkload
 
 
@@ -25,6 +26,28 @@ def _wl(m: int = 256, nnz_a: int = 2_000) -> MatrixWorkload:
 def server():
     with SageServer(
         serve=ServeConfig(port=0, shards=1, batch_window_ms=1.0)
+    ) as srv:
+        yield srv
+
+
+#: Table III as served: every matrix entry under SpGEMM and SpMM, every
+#: tensor entry under SpTTM and MTTKRP (the serve_zipf population).
+_TABLE3 = [
+    e.matrix_workload(kernel)
+    for e in MATRIX_SUITE for kernel in (Kernel.SPGEMM, Kernel.SPMM)
+] + [
+    e.tensor_workload(kernel)
+    for e in TENSOR_SUITE for kernel in (Kernel.SPTTM, Kernel.MTTKRP)
+]
+
+
+@pytest.fixture(scope="module")
+def exact_server():
+    # No near hits: every answer is this workload's own decision, so it
+    # must equal the local Session's whatever the other tests asked.
+    with SageServer(
+        serve=ServeConfig(port=0, shards=1, batch_window_ms=1.0,
+                          near_hit=False)
     ) as srv:
         yield srv
 
@@ -152,7 +175,22 @@ class TestWireParity:
         # The replay is a hit, not a copy of the original miss label.
         assert (first["outcome"], again["outcome"]) == ("miss", "hit")
 
-    @pytest.mark.parametrize("flags", [0x01, 0x02])
+    @pytest.mark.parametrize(
+        "wl", _TABLE3, ids=[f"{wl.name}-{wl.kernel.value}" for wl in _TABLE3]
+    )
+    def test_table3_binary_cold_warm_and_json_agree_with_session(
+        self, exact_server, wl
+    ):
+        with Session() as session:
+            local = session.predict(wl).to_wire()
+        with ServeClient(*exact_server.address) as binary:
+            cold = binary.predict(wl, top=0).to_wire()
+            warm = binary.predict(wl, top=0).to_wire()
+        with ServeClient(*exact_server.address, wire_mode="json") as legacy:
+            replayed = legacy.predict(wl, top=0).to_wire()
+        assert cold == warm == replayed == local
+
+    @pytest.mark.parametrize("flags", [0x01, 0x02, 0x80])
     def test_flagged_frame_is_rejected_then_closed(self, server, flags):
         # A packed (0x01) or routed (0x02) frame from an older client
         # must not be read as JSON: one in-band error frame, then EOF.

@@ -14,6 +14,77 @@ from repro.serve import wire
 from repro.serve.wire import WireError
 
 
+# --------------------------------------------------------------- JSON body
+def _frame_round_trip(payload: dict) -> dict:
+    return wire.read_frame(io.BytesIO(wire.encode_frame(payload)))
+
+
+class TestJsonBody:
+    """The JSON body is the only body codec: every value a request or a
+    decision carries must survive one frame unchanged."""
+
+    @pytest.mark.parametrize("value", [
+        None, True, False, 0, 1, -1, 2**62, -(2**62), 2**100, -(2**100),
+        0.0, -1.5, 3.141592653589793, 1e-300, "", "hello",
+        "κείμενο \U0001f600", "quote \" backslash \\ nl \n",
+        [], [1, [2, [3]]], {}, {"a": 1},
+        {"nested": {"list": [None, True, {"k": "v"}], "f": 2.5}},
+    ])
+    def test_round_trip(self, value):
+        assert _frame_round_trip({"v": value}) == {"v": value}
+
+    def test_int64_boundaries_stay_ints(self):
+        for v in (2**63 - 1, -(2**63), 2**63, -(2**63) - 1):
+            out = _frame_round_trip({"v": v})["v"]
+            assert type(out) is int and out == v
+
+    def test_dict_key_order_preserved(self):
+        obj = {"z": 1, "a": 2, "m": 3}
+        assert list(_frame_round_trip(obj)) == ["z", "a", "m"]
+
+    def test_body_is_compact_ascii_json(self):
+        frame = wire.encode_frame({"name": "κ", "top": [1, 2]})
+        assert frame[wire.HEADER.size:] == b'{"name":"\\u03ba","top":[1,2]}'
+
+    def test_back_to_back_frames_read_in_order(self):
+        payloads = [{"op": "ping"}, {"op": "stats"}, {"op": "predict", "i": 2}]
+        stream = io.BytesIO(b"".join(wire.encode_frame(p) for p in payloads))
+        assert [wire.read_frame(stream) for _ in payloads] == payloads
+        with pytest.raises(WireError, match="before a frame header"):
+            wire.read_frame(stream)
+
+    def test_empty_body_rejected(self):
+        with pytest.raises(WireError, match="undecodable"):
+            wire.read_frame(io.BytesIO(wire.frame_for_body(b"")))
+
+    @pytest.mark.parametrize("body", [b"[]", b"1", b'"s"', b"null", b"true"])
+    def test_non_object_bodies_rejected(self, body):
+        with pytest.raises(WireError, match="must decode to an object"):
+            wire.decode_body(body)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text()
+        | st.floats(allow_nan=False, allow_infinity=False),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=8), children, max_size=4),
+        max_leaves=12,
+    ), max_size=4))
+    def test_round_trip_hypothesis(self, payload):
+        assert _frame_round_trip(payload) == payload
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_body_fuzz_never_hangs_or_crashes(self, blob):
+        # Arbitrary body bytes must either decode to an object or raise
+        # WireError; never anything else.
+        try:
+            payload = wire.read_frame(io.BytesIO(wire.frame_for_body(blob)))
+        except WireError:
+            return
+        assert isinstance(payload, dict)
+
+
 # ------------------------------------------------------------------ frames
 class TestFrames:
     def test_magic_byte_cannot_open_json(self):
@@ -38,10 +109,13 @@ class TestFrames:
         ) + body
         assert wire.parse_header(frame[:wire.HEADER.size]) == len(body)
 
-    @pytest.mark.parametrize("flags", [0x01, 0x02, 0x80])
+    @pytest.mark.parametrize(
+        "flags", [0x01, 0x02, 0x80, 0x04, 0x08, 0x10, 0x20, 0x40, 0x03, 0xFF]
+    )
     def test_nonzero_flags_rejected(self, flags):
         # Packed (0x01) and routed (0x02) frames from older clients, or
-        # any unknown bit, must not be misread as a JSON body.
+        # any unknown bit or combination, must not be misread as a JSON
+        # body.
         header = struct.pack("!HBBI", wire.MAGIC, wire.WIRE_VERSION, flags, 2)
         with pytest.raises(WireError, match=f"flags 0x{flags:02x}"):
             wire.parse_header(header)
