@@ -72,21 +72,23 @@ class EllMatrix(MatrixFormat):
     def from_dense(cls, dense: np.ndarray, *, dtype_bits: int = 32) -> "EllMatrix":
         dense = check_dense_matrix(dense)
         m, k = dense.shape
-        row_nnz = np.count_nonzero(dense, axis=1)
+        rows, cols = np.nonzero(dense)
+        row_nnz = np.bincount(rows, minlength=m)
         width = int(row_nnz.max()) if m else 0
         values = np.zeros((m, width), dtype=np.float64)
         col_ids = np.full((m, width), PAD_COL, dtype=np.int64)
-        for i in range(m):
-            cols = np.flatnonzero(dense[i])
-            values[i, : len(cols)] = dense[i, cols]
-            col_ids[i, : len(cols)] = cols
+        # np.nonzero scans row-major, so each entry lands at (its row, its
+        # rank within the row): its position minus its row's start.
+        starts = np.cumsum(row_nnz) - row_nnz
+        slots = np.arange(len(rows), dtype=np.int64) - starts[rows]
+        values[rows, slots] = dense[rows, cols]
+        col_ids[rows, slots] = cols
         return cls(dense.shape, values, col_ids, dtype_bits=dtype_bits)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float64)
-        for i in range(self.shape[0]):
-            real = self.col_ids[i] != PAD_COL
-            out[i, self.col_ids[i, real]] = self.values[i, real]
+        rows, slots = np.nonzero(self.col_ids != PAD_COL)
+        out[rows, self.col_ids[rows, slots]] = self.values[rows, slots]
         return out
 
     @property

@@ -23,9 +23,10 @@ Three **fidelity tiers** are exposed through ``fidelity=``:
 * ``"cycle"`` — the analytical top-k is validated (or re-ranked) by the
   cycle-level simulator (Sec. IV's operational ground truth): concrete
   operands with the workload's exact statistics are materialized, encoded
-  per candidate, and batch-simulated via
+  once per distinct ACF, and batch-simulated via
   :meth:`~repro.accelerator.simulator.WeightStationarySimulator.
-  simulate_many`.  Any extra streamable ACF registered in the
+  simulate_many`, which simulates each distinct (operand, ACF) job once —
+  candidates that differ only in their MCFs share one simulation.  Any extra streamable ACF registered in the
   streaming-protocol registry but absent from the analytical search space
   (e.g. ELL) joins the candidate set here — the cycle tier is how newly
   registered protocols enter SAGE decisions before anyone writes a
@@ -465,9 +466,13 @@ class Sage:
 
         Operands with the workload's exact statistics are materialized
         (seeded, hence deterministic), encoded once per distinct ACF, and
-        batch-simulated.  Extra streamable ACFs outside the analytical
-        space join paired with the analytical winner's stationary ACF and
-        MCFs.  All candidates share DRAM/conversion pricing from
+        batch-simulated.  Because candidates reuse one encoded object per
+        ACF, ``simulate_many`` (which keys jobs on operand identity) runs
+        each distinct ACF pair once, hands every candidate on that pair the
+        same ``(out, report)`` tuple, and prepares each stationary operand
+        once for the whole batch.  Extra streamable ACFs outside the
+        analytical space join paired with the analytical winner's
+        stationary ACF and MCFs.  All candidates share DRAM/conversion pricing from
         :func:`~repro.sage.cost_model.price_matrix_io` at the simulated
         scale, so EDPs are comparable within the ranking.
         """

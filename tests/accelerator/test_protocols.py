@@ -29,6 +29,9 @@ from repro.accelerator.stream import StreamSpec
 from repro.errors import SimulationError
 from repro.formats import CscMatrix, CsrMatrix, DenseMatrix, EllMatrix
 from repro.formats.registry import Format, matrix_class
+from repro.obs import collect_spans, registry
+from repro.sage import calibrate
+from repro.workloads import random_sparse_matrix
 from tests.conftest import make_sparse
 
 
@@ -210,6 +213,108 @@ class TestSimulateMany:
             out_seq, rep_seq = sim.run_gemm(*job)
             assert np.array_equal(out, out_seq)
             assert report == rep_seq
+
+    @staticmethod
+    def _tiled_sim():
+        """4-entry PE buffers, so a K of 20 splits into several K tiles."""
+        return WeightStationarySimulator(AcceleratorConfig(
+            num_pes=3, vector_lanes=8, pe_buffer_bytes=16, bus_bits=5 * 32,
+        ))
+
+    @staticmethod
+    def _shared_batch(rng):
+        """Every streamable ACF against a shared Dense and a shared CSC
+        stationary operand, each job listed twice, interleaved."""
+        a_dense = make_sparse(rng, (9, 20), 0.3)
+        b_dense = make_sparse(rng, (20, 7), 0.4)
+        stationary = [
+            (DenseMatrix.from_dense(b_dense), Format.DENSE),
+            (CscMatrix.from_dense(b_dense), Format.CSC),
+        ]
+        distinct = [
+            (matrix_class(acf_a).from_dense(a_dense), acf_a, b, acf_b)
+            for acf_a in streamable_formats()
+            for b, acf_b in stationary
+        ]
+        return distinct, distinct + distinct[::-1] + distinct[:3]
+
+    @staticmethod
+    def _gemms():
+        return registry().counter("repro_accel_gemms_total").value(
+            engine="vectorized"
+        )
+
+    def test_repeats_and_shared_stationary_match_run_gemm(self, rng):
+        sim = self._tiled_sim()
+        distinct, jobs = self._shared_batch(rng)
+        before = self._gemms()
+        with collect_spans() as spans:
+            batch = sim.simulate_many(jobs)
+        assert self._gemms() - before == len(distinct)
+        # One preparation per stationary operand (Dense and CSC).
+        assert spans.summary()["accel.prepare"]["count"] == 2
+        assert spans.summary()["accel.gemm"]["count"] == len(distinct)
+        assert len(batch) == len(jobs)
+        assert any(report.cycles.k_tiles > 1 for _out, report in batch)
+        for job, result in zip(jobs, batch):
+            out_seq, rep_seq = sim.run_gemm(*job)
+            assert np.array_equal(result[0], out_seq)
+            assert result[1] == rep_seq
+
+    def test_repeated_job_shares_the_first_result(self, rng):
+        distinct, jobs = self._shared_batch(rng)
+        batch = self._tiled_sim().simulate_many(jobs)
+        first = {}
+        for (a, acf_a, b, acf_b), result in zip(jobs, batch):
+            key = (id(a), acf_a, id(b), acf_b)
+            assert first.setdefault(key, result) is result
+        assert len(first) == len(distinct)
+
+    def test_equal_valued_copies_simulate_separately(self, rng):
+        sim = self._tiled_sim()
+        a_dense = make_sparse(rng, (6, 20), 0.4)
+        b_dense = make_sparse(rng, (20, 5), 0.5)
+        a1, a2 = (CsrMatrix.from_dense(a_dense) for _ in range(2))
+        b1, b2 = (CscMatrix.from_dense(b_dense) for _ in range(2))
+        jobs = [
+            (a1, Format.CSR, b1, Format.CSC),
+            (a2, Format.CSR, b1, Format.CSC),
+            (a1, Format.CSR, b2, Format.CSC),
+            (a1, Format.CSR, b1, Format.CSC),
+        ]
+        before = self._gemms()
+        batch = sim.simulate_many(jobs)
+        assert self._gemms() - before == 3
+        assert batch[3] is batch[0]
+        assert batch[1] is not batch[0] and batch[2] is not batch[0]
+        assert batch[1][1] == batch[0][1] == batch[2][1]
+
+    def test_calibration_samples_match_per_job_oracle(self):
+        cfg = AcceleratorConfig.paper_default()
+        for workload in calibrate.GRIDS["tiny"].workloads():
+            seed = calibrate._workload_seed(workload)
+            a_dense = random_sparse_matrix(
+                workload.m, workload.k, workload.nnz_a, seed
+            )
+            b_dense = random_sparse_matrix(
+                workload.k, workload.n, workload.nnz_b, seed + 1
+            )
+            expected = []
+            for acf_a, acf_b in calibrate._acf_pairs():
+                b_cls = CscMatrix if acf_b is Format.CSC else DenseMatrix
+                _out, run = WeightStationarySimulator(cfg).run_gemm(
+                    matrix_class(acf_a).from_dense(a_dense), acf_a,
+                    b_cls.from_dense(b_dense), acf_b,
+                )
+                expected.append((
+                    acf_a.value, acf_b.value,
+                    run.cycles.total_cycles, run.energy.total_j,
+                ))
+            samples = calibrate._measure_workload(workload, cfg)
+            assert [
+                (s["acf_a"], s["acf_b"], s["sim_cycles"], s["sim_energy_j"])
+                for s in samples
+            ] == expected
 
 
 class TestDynamicRegistration:
