@@ -211,7 +211,7 @@ AcceleratorConfig` instead of the backend's resident one (accepts the
         return self.config is not None or self.dram_gbps is not None
 
     def search_kwargs(self) -> dict[str, Any]:
-        """The restriction kwargs in ``matrix_combos`` vocabulary."""
+        """The restriction kwargs in ``matrix_grid`` vocabulary."""
         kwargs: dict[str, Any] = {"fixed_mcf": self.fixed_mcf}
         if self.mcf_a_space is not None:
             kwargs["mcf_a"] = self.mcf_a_space

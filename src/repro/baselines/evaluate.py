@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.accelerator.config import AcceleratorConfig
 from repro.analysis.compactness import storage_bits
 from repro.baselines.cpu import CpuModel
@@ -95,9 +97,12 @@ def evaluate_policy(
     else:
         provider = sw_provider_factory(sw_device or CpuModel(), cfg.clock_hz)
 
+    # The policy's MCF x ACF pair grid; with no converter, the cells whose
+    # MCF differs from the ACF are infeasible, as candidates() skips them.
     menu = price_matrix_menu(
         workload,
-        policy.candidates(),
+        policy.mcf_pairs,
+        policy.acf_pairs,
         config=cfg,
         dram=dram,
         provider=provider,
@@ -107,8 +112,8 @@ def evaluate_policy(
         raise PredictionError(
             f"policy {policy.name} has no feasible candidate on {workload.name}"
         )
-    # min() keeps the first of equal EDPs, as a strict-< scan would.
-    best = min(menu, key=lambda cost: cost.edp)
+    # argmin keeps the first of equal EDPs, as a strict-< scan would.
+    best = menu.row(int(np.argmin(menu.edp())))
     return PolicyResult(policy=policy, workload=workload, best=best)
 
 

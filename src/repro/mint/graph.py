@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterator
 
 from repro.analysis.compactness import storage_bits
@@ -108,11 +108,18 @@ def _dims_for(size: int, major_dim: int, *, tensor: bool) -> tuple[int, ...]:
     return (major_dim, mid, max(1, minor // mid))
 
 
+#: Distinct (format, operand) footprints kept by :func:`_footprint_bits`.
+FOOTPRINT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=FOOTPRINT_CACHE_SIZE)
 def _footprint_bits(fmt: Format, stats: HopStats) -> float:
     """Bits of an encoding as it transits MINT.
 
     Dense transits as nonzeros + occupancy sideband (the flexible-NoC
     representation, ZVC-equivalent) — MINT never materializes zeros.
+    Memoized: a route search prices every hop's two ends twice (its cycle
+    estimate and its cost) for one operand's statistics.
     """
     dims = _dims_for(stats.size, stats.major_dim, tensor=stats.tensor)
     transit_fmt = Format.ZVC if fmt is Format.DENSE else fmt

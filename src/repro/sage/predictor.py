@@ -66,12 +66,13 @@ from repro.sage.calibrate import (
 from repro.sage.cost_model import (
     ConversionProvider,
     CostBreakdown,
+    Menu,
     mint_provider,
     price_matrix_io,
     price_matrix_menu,
     price_tensor_menu,
 )
-from repro.sage.spaces import MATRIX_ACF_STREAMED, matrix_combos, tensor_combos
+from repro.sage.spaces import MATRIX_ACF_STREAMED, matrix_grid, tensor_grid
 from repro.util.pool import fork_map
 from repro.workloads.spec import MatrixWorkload, TensorWorkload
 from repro.workloads.synthetic import random_sparse_matrix
@@ -98,7 +99,12 @@ class SageDecision:
 
     workload_name: str
     best: CostBreakdown
-    ranking: tuple[CostBreakdown, ...]
+    #: Every feasible candidate by ascending EDP, ``best`` first.  A fresh
+    #: analytical search holds a lazy
+    #: :class:`~repro.sage.cost_model.Ranking` over the priced menu's
+    #: columns (rows are built when read, and ``best is ranking[0]``);
+    #: the cycle and calibrated tiers and :meth:`from_wire` hold tuples.
+    ranking: Sequence[CostBreakdown]
     fidelity: str = "analytical"
     #: Fraction of the workload's (m*k*n) volume the cycle tier actually
     #: simulated: 1.0 = exact scale; < 1.0 = a density-preserving proxy
@@ -316,18 +322,15 @@ class Sage:
                 workload, options=self._strip_hardware(opts)
             )
         with span("sage.enumerate", workload=workload.name):
-            combos = list(matrix_combos(**opts.search_kwargs()))
-            candidates = price_matrix_menu(
+            menu = price_matrix_menu(
                 workload,
-                combos,
+                *matrix_grid(**opts.search_kwargs()),
                 config=self.config,
                 dram=self.dram,
                 provider=self.provider,
             )
-        _CANDIDATES.inc(len(candidates), kind="matrix", feasible="yes")
-        _CANDIDATES.inc(len(combos) - len(candidates), kind="matrix",
-                        feasible="no")
-        decision = self._decide(workload.name, candidates)
+        _count_candidates("matrix", menu)
+        decision = self._decide(workload.name, menu)
         if opts.fidelity == "cycle":
             with span("sage.rerank", workload=workload.name):
                 decision = self._cycle_rerank(workload, decision)
@@ -382,18 +385,15 @@ class Sage:
                 f"streaming specs)"
             )
         with span("sage.enumerate", workload=workload.name):
-            combos = list(tensor_combos(fixed_mcf=opts.fixed_mcf))
-            candidates = price_tensor_menu(
+            menu = price_tensor_menu(
                 workload,
-                combos,
+                *tensor_grid(fixed_mcf=opts.fixed_mcf),
                 config=self.config,
                 dram=self.dram,
                 provider=self.provider,
             )
-        _CANDIDATES.inc(len(candidates), kind="tensor", feasible="yes")
-        _CANDIDATES.inc(len(combos) - len(candidates), kind="tensor",
-                        feasible="no")
-        decision = self._decide(workload.name, candidates)
+        _count_candidates("tensor", menu)
+        decision = self._decide(workload.name, menu)
         _PREDICTIONS.inc(fidelity=decision.fidelity)
         return truncate_ranking(decision, opts.top_k)
 
@@ -626,11 +626,18 @@ class Sage:
         )
 
     @staticmethod
-    def _decide(name: str, candidates: list[CostBreakdown]) -> SageDecision:
-        if not candidates:
+    def _decide(name: str, menu: Menu) -> SageDecision:
+        if not menu:
             raise PredictionError(f"no feasible MCF/ACF candidate for {name}")
-        ranking = tuple(sorted(candidates, key=lambda c: c.edp))
+        ranking = menu.ranking()
         return SageDecision(workload_name=name, best=ranking[0], ranking=ranking)
+
+
+def _count_candidates(kind: str, menu: Menu) -> None:
+    """Count a priced grid's cells, feasible and not."""
+    cells = len(menu.mcf_pairs) * len(menu.acf_pairs)
+    _CANDIDATES.inc(len(menu), kind=kind, feasible="yes")
+    _CANDIDATES.inc(cells - len(menu), kind=kind, feasible="no")
 
 
 def _proxy_workload(wl: MatrixWorkload, cap_elements: int) -> MatrixWorkload:

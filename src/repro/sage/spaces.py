@@ -62,36 +62,52 @@ OUTPUT_MCF: tuple[Format, ...] = (
 )
 
 
-def matrix_combos(
+FormatPair = tuple[Format, Format]
+
+
+def matrix_grid(
     *,
-    fixed_mcf: tuple[Format, Format] | None = None,
+    fixed_mcf: FormatPair | None = None,
     mcf_a: tuple[Format, ...] = MATRIX_MCF,
     mcf_b: tuple[Format, ...] = MATRIX_MCF,
     acf_a: tuple[Format, ...] = MATRIX_ACF_STREAMED,
     acf_b: tuple[Format, ...] = MATRIX_ACF_STATIONARY,
-) -> Iterator[tuple[tuple[Format, Format], tuple[Format, Format]]]:
-    """Enumerate ((mcf_a, mcf_b), (acf_a, acf_b)) candidates.
+) -> tuple[tuple[FormatPair, ...], tuple[FormatPair, ...]]:
+    """The matrix search space as a grid: (MCF pairs, ACF pairs).
 
     ``fixed_mcf`` implements the Sec. VI scenario where "the MCF is already
     predetermined by the programmer": SAGE then only searches ACFs.
     """
     if fixed_mcf is not None:
         mcf_a, mcf_b = (fixed_mcf[0],), (fixed_mcf[1],)
-    # Nested products hand out one shared tuple per pair, so the
-    # candidates of a ranking share their format pairs (pickle keeps that
-    # sharing when a decision crosses a process boundary).
-    yield from product(product(mcf_a, mcf_b), product(acf_a, acf_b))
+    return tuple(product(mcf_a, mcf_b)), tuple(product(acf_a, acf_b))
 
 
-def tensor_combos(
+def matrix_combos(**space) -> Iterator[tuple[FormatPair, FormatPair]]:
+    """Enumerate ((mcf_a, mcf_b), (acf_a, acf_b)) candidates.
+
+    The cells of :func:`matrix_grid` (same keywords) in row-major order,
+    which is the order ties keep in a ranking.  Candidates share one
+    tuple per pair.
+    """
+    return product(*matrix_grid(**space))
+
+
+def tensor_grid(
     *,
-    fixed_mcf: tuple[Format, Format] | None = None,
+    fixed_mcf: FormatPair | None = None,
     mcf_t: tuple[Format, ...] = TENSOR_MCF,
     mcf_f: tuple[Format, ...] = MATRIX_MCF,
     acf_t: tuple[Format, ...] = TENSOR_ACF,
     acf_f: tuple[Format, ...] = MATRIX_ACF_STATIONARY,
-) -> Iterator[tuple[tuple[Format, Format], tuple[Format, Format]]]:
-    """Enumerate tensor-kernel candidates ((mcf_t, mcf_f), (acf_t, acf_f))."""
+) -> tuple[tuple[FormatPair, ...], tuple[FormatPair, ...]]:
+    """The tensor-kernel search space as a grid: (MCF pairs, ACF pairs)."""
     if fixed_mcf is not None:
         mcf_t, mcf_f = (fixed_mcf[0],), (fixed_mcf[1],)
-    yield from product(product(mcf_t, mcf_f), product(acf_t, acf_f))
+    return tuple(product(mcf_t, mcf_f)), tuple(product(acf_t, acf_f))
+
+
+def tensor_combos(**space) -> Iterator[tuple[FormatPair, FormatPair]]:
+    """Enumerate tensor-kernel candidates ((mcf_t, mcf_f), (acf_t, acf_f)),
+    the cells of :func:`tensor_grid` (same keywords) in row-major order."""
+    return product(*tensor_grid(**space))
