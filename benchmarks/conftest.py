@@ -1,10 +1,10 @@
 """Benchmark-harness helpers.
 
-Every bench regenerates one table or figure of the paper: it computes the
-series, prints a paper-style table (run pytest with ``-s`` to see it, or
-read the captured stdout in the report), records headline values in
-``benchmark.extra_info``, and times the regeneration itself via
-pytest-benchmark.
+Every bench measures one performance property of the stack: it prints a
+table (run pytest with ``-s`` to see it, or read the captured stdout in
+the report), records headline values in ``benchmark.extra_info``, and
+times the measurement itself via pytest-benchmark.  The paper's figures
+and tables are ``repro xp run <name>`` experiments, not benches.
 """
 
 from __future__ import annotations

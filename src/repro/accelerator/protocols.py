@@ -1,11 +1,10 @@
 """Pluggable streaming-protocol and stationary-layout registries.
 
-The accelerator used to hard-code its format dispatch: ``_MATRIX_SPECS`` /
-``_TENSOR_SPECS`` dicts for streaming slot costs, ``STREAMED_ACFS`` /
-``STATIONARY_ACFS`` tuples in the simulator, and per-format ``if`` ladders
-for entry extraction and stationary footprints.  This module replaces all
-of that with two registries, mirroring the conversion-graph registry of
-:mod:`repro.mint.graph`:
+The accelerator's whole format dispatch (streaming slot costs, which ACFs
+may stream or sit stationary, entry extraction and stationary footprints)
+lives in two registries, mirroring the conversion-graph registry of
+:mod:`repro.mint.graph`; :func:`streamable_formats` and
+:func:`stationary_formats` derive the supported ACF sets from them:
 
 * :class:`StreamProtocol` — how one ACF travels on the distribution bus:
   its :class:`~repro.accelerator.stream.StreamSpec` slot costs, whether

@@ -12,19 +12,12 @@ stationary is decided by the protocol registries of
 :mod:`repro.accelerator.protocols` — adding a format there is enough for
 it to run here.
 
-Two engines share the registries:
-
-* ``engine="vectorized"`` (default) — consumes array-resident
-  :class:`~repro.accelerator.stream.BeatPlan` objects and computes every
-  per-PE statistic with numpy segment ops; no per-entry Python loops.
-* ``engine="reference"`` — the seed per-beat path: materialized
-  :class:`Beat` objects driving one :class:`~repro.accelerator.pe.PE`
-  object per column.  Kept as the differential-testing ground truth and
-  the baseline ``benchmarks/bench_simulate_many.py`` measures against.
-
-Both engines produce identical cycle/energy reports (pinned by the test
-suite, along with the Fig. 6 walkthrough's 8 / 3 / 4 streaming cycles and
-the closed-form analytical cross-check).
+It consumes array-resident :class:`~repro.accelerator.stream.BeatPlan`
+objects and computes every per-PE statistic with numpy segment ops; no
+per-entry Python loops.  Its cycle/energy reports are pinned by the test
+suite against a per-beat PE model kept there as an oracle, along with the
+Fig. 6 walkthrough's 8 / 3 / 4 streaming cycles and the closed-form
+analytical cross-check.
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.accelerator.config import AcceleratorConfig
-from repro.accelerator.pe import PE
 from repro.accelerator.protocols import (
     StationaryLayout,
     StationaryOperand,
@@ -57,7 +49,7 @@ from repro.obs import registry, span
 from repro.util.bits import ceil_div
 
 _GEMMS = registry().counter(
-    "repro_accel_gemms_total", "Simulated GEMMs, by engine"
+    "repro_accel_gemms_total", "Simulated GEMMs"
 )
 _PHASE_CYCLES = registry().counter(
     "repro_accel_phase_cycles_total",
@@ -85,15 +77,13 @@ class WeightStationarySimulator:
         acf_a: Format,
         b: MatrixFormat,
         acf_b: Format,
-        *,
-        engine: str = "vectorized",
     ) -> tuple[np.ndarray, RunReport]:
         """Execute ``O = A @ B`` and return (output, report).
 
         ``a`` must be encoded in ``acf_a`` (its class must match) and ``b``
         is re-encoded to the stationary layout internally if needed.
         """
-        return self._gemm(a, acf_a, b, acf_b, engine, {})
+        return self._gemm(a, acf_a, b, acf_b, {})
 
     def _gemm(
         self,
@@ -101,7 +91,6 @@ class WeightStationarySimulator:
         acf_a: Format,
         b: MatrixFormat,
         acf_b: Format,
-        engine: str,
         prepared: _Prepared,
     ) -> tuple[np.ndarray, RunReport]:
         """Validate, prepare the stationary side unless *prepared* already
@@ -123,12 +112,7 @@ class WeightStationarySimulator:
             )
         if self.config.pe_buffer_entries < 1:  # pragma: no cover - config guard
             raise SimulationError("PE buffer must hold at least one entry")
-        with span(
-            "accel.gemm",
-            engine=engine,
-            streamed=str(acf_a),
-            stationary=str(acf_b),
-        ):
+        with span("accel.gemm", streamed=str(acf_a), stationary=str(acf_b)):
             key = (id(b), acf_b)
             if key not in prepared:
                 with span("accel.prepare"):
@@ -140,17 +124,10 @@ class WeightStationarySimulator:
                         rounds=compute_rounds(b.ncols, self.config.num_pes),
                     )
             stationary, schedule = prepared[key]
-            if engine == "vectorized":
-                out, report = self._run_vectorized(
-                    a, proto, layout, stationary, schedule
-                )
-            elif engine == "reference":
-                out, report = self._run_reference(
-                    a, proto, layout, stationary, schedule
-                )
-            else:
-                raise SimulationError(f"unknown engine {engine!r}")
-        _GEMMS.inc(engine=engine)
+            out, report = self._run_vectorized(
+                a, proto, layout, stationary, schedule
+            )
+        _GEMMS.inc()
         cycles = report.cycles
         for phase, amount in (
             ("load", cycles.load_cycles),
@@ -254,87 +231,9 @@ class WeightStationarySimulator:
         )
         return out, RunReport(cycles=cycles, energy=energy)
 
-    # -------------------------------------------------- reference engine --
-    def _run_reference(
-        self, a, proto: StreamProtocol, layout: StationaryLayout,
-        stationary, schedule,
-    ) -> tuple[np.ndarray, RunReport]:
-        """The seed per-beat path: Beat objects into per-column PE models."""
-        cfg = self.config
-        if layout.format not in (Format.DENSE, Format.CSC):
-            raise SimulationError(
-                f"the reference engine models Dense/CSC PE buffers only, "
-                f"not {layout.format}"
-            )
-        m, n = a.nrows, stationary.values.shape[1]
-        out = np.zeros((m, n), dtype=np.float64)
-        load_cycles = stream_cycles = 0
-        issued = matched = compares = spills = 0
-        entries_loaded_total = 0
-        beat_cycles_total = 0
-
-        for k_lo, k_hi in schedule.k_tiles:
-            # Beats are identical across rounds of the same tile; enumerate
-            # once and replay per round.
-            plan = build_beat_plan(a, proto.format, cfg.bus_slots, (k_lo, k_hi))
-            tile_beats = list(plan.iter_beats())
-            tile_beat_cycles = sum(bt.cycles for bt in tile_beats)
-            for col_lo, col_hi in schedule.rounds:
-                pes: list[PE] = []
-                entries_loaded = 0
-                for j in range(col_lo, col_hi):
-                    pe = PE(j)
-                    if layout.format is Format.DENSE:
-                        pe.load_dense(stationary.values[k_lo:k_hi, j], k_lo)
-                    else:
-                        rows = np.flatnonzero(stationary.stored[k_lo:k_hi, j])
-                        pe.load_csc(
-                            rows + k_lo, stationary.values[rows + k_lo, j]
-                        )
-                    entries_loaded += pe.footprint_entries
-                    pes.append(pe)
-                load_cycles += ceil_div(entries_loaded, cfg.bus_slots) if (
-                    entries_loaded
-                ) else 0
-                entries_loaded_total += entries_loaded
-
-                for beat in tile_beats:
-                    for i, k, v in beat.entries:
-                        for pe in pes:
-                            pe.process(i, k, v)
-                stream_cycles += tile_beat_cycles
-                beat_cycles_total += tile_beat_cycles
-
-                for pe in pes:
-                    pe.flush()
-                    for i, contribution in pe.contributions:
-                        out[i, pe.col_index] += contribution
-                    issued += pe.issued_macs
-                    matched += pe.matched_macs
-                    compares += pe.compares
-                    spills += pe.spills
-
-        drain_cycles = ceil_div(spills, cfg.bus_slots) if spills else 0
-        compute_cycles = ceil_div(issued, cfg.total_macs) if issued else 0
-        cycles = CycleReport(
-            load_cycles=load_cycles,
-            stream_cycles=stream_cycles,
-            drain_cycles=drain_cycles,
-            compute_cycles=compute_cycles,
-            rounds=schedule.num_rounds,
-            k_tiles=schedule.num_tiles,
-            issued_macs=issued,
-            matched_macs=matched,
-            output_spills=spills,
-        )
-        energy = self._energy(
-            beat_cycles_total, entries_loaded_total, issued, compares, spills
-        )
-        return out, RunReport(cycles=cycles, energy=energy)
-
     # ------------------------------------------------------------- batch --
     def simulate_many(
-        self, jobs: Sequence[SimJob], *, engine: str = "vectorized"
+        self, jobs: Sequence[SimJob]
     ) -> list[tuple[np.ndarray, RunReport]]:
         """Run a batch of GEMMs in this process, in input order.
 
@@ -360,7 +259,7 @@ class WeightStationarySimulator:
         for a, acf_a, b, acf_b in jobs:
             key = (id(a), acf_a, id(b), acf_b)
             if key not in done:
-                done[key] = self._gemm(a, acf_a, b, acf_b, engine, prepared)
+                done[key] = self._gemm(a, acf_a, b, acf_b, prepared)
             results.append(done[key])
         return results
 
@@ -438,13 +337,3 @@ def _interleaved_runs(
         total += int(mask.sum()) - int(same.sum())
     return total
 
-
-def __getattr__(name: str):
-    # Back-compat for the seed module constants: derive from the registries.
-    if name == "STREAMED_ACFS":
-        return streamable_formats()
-    if name == "STATIONARY_ACFS":
-        from repro.accelerator.protocols import stationary_formats
-
-        return stationary_formats()
-    raise AttributeError(name)

@@ -69,10 +69,6 @@ WIRE_SCHEMA_VERSION = 2
 #: Schema versions the serve layer still answers.
 SUPPORTED_WIRE_SCHEMAS = (1, 2)
 
-#: Simulation engines Session.run accepts (the cycle simulator's two
-#: report-identical implementations).
-RUN_ENGINES = ("vectorized", "reference")
-
 
 def _as_format(value: Any, *, name: str) -> Format:
     if isinstance(value, Format):
@@ -318,9 +314,6 @@ class RunOptions:
     seed:
         RNG seed for materializing operands from workload statistics
         (ignored when the caller supplies concrete operands).
-    engine:
-        Cycle-simulator implementation: ``"vectorized"`` (default) or the
-        seed per-beat ``"reference"`` engine.
     verify:
         Check the simulator's output against a numpy matmul of the
         materialized operands (raises ``SimulationError`` on mismatch).
@@ -333,28 +326,17 @@ class RunOptions:
     Example
     -------
     >>> from repro import PredictOptions, RunOptions
-    >>> opts = RunOptions(predict=PredictOptions(top_k=3), seed=7,
-    ...                   engine="reference")
+    >>> opts = RunOptions(predict=PredictOptions(top_k=3), seed=7)
     >>> RunOptions.from_wire(opts.to_wire()) == opts
     True
-    >>> RunOptions(engine="imaginary")
-    Traceback (most recent call last):
-        ...
-    repro.errors.PredictionError: unknown run engine 'imaginary' (choose from vectorized, reference)
     """
 
     predict: PredictOptions = field(default_factory=PredictOptions)
     seed: int = 0
-    engine: str = "vectorized"
     verify: bool = True
     max_sim_elements: int | None = None
 
     def __post_init__(self) -> None:
-        if self.engine not in RUN_ENGINES:
-            raise PredictionError(
-                f"unknown run engine {self.engine!r} (choose from "
-                f"{', '.join(RUN_ENGINES)})"
-            )
         if self.max_sim_elements is not None and self.max_sim_elements < 1:
             raise PredictionError("max_sim_elements must be positive")
 
@@ -363,7 +345,6 @@ class RunOptions:
         return {
             "predict": self.predict.to_wire(),
             "seed": self.seed,
-            "engine": self.engine,
             "verify": self.verify,
             "max_sim_elements": self.max_sim_elements,
         }
@@ -381,7 +362,6 @@ class RunOptions:
         return cls(
             predict=PredictOptions.from_wire(data.get("predict", {})),
             seed=int(data.get("seed", 0)),
-            engine=str(data.get("engine", "vectorized")),
             verify=bool(data.get("verify", True)),
             max_sim_elements=(
                 None

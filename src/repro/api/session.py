@@ -260,7 +260,7 @@ class Session:
 
         sim = WeightStationarySimulator(self.config)
         out, report = sim.run_gemm(
-            a_acf, decision.acf[0], b_acf, decision.acf[1], engine=opts.engine
+            a_acf, decision.acf[0], b_acf, decision.acf[1]
         )
         verified: bool | None = None
         if opts.verify:

@@ -136,7 +136,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     opts = RunOptions(
         predict=PredictOptions(fidelity=args.fidelity),
         seed=args.seed,
-        engine=args.engine,
     )
     if args.trace:
         from repro.obs import export_chrome_trace, start_trace, stop_trace
@@ -771,8 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="analytical")
     p.add_argument("--seed", type=int, default=0,
                    help="operand materialization seed")
-    p.add_argument("--engine", choices=["vectorized", "reference"],
-                   default="vectorized", help="cycle-simulator engine")
     p.add_argument("--json", action="store_true",
                    help="emit the run result as JSON")
     p.add_argument("--trace", metavar="OUT.JSON", default=None,

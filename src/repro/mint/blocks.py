@@ -58,7 +58,7 @@ class PrefixSumUnit:
 
     All three produce identical inclusive prefix sums; they differ in
     latency, adder count and wiring — the ablation of
-    ``benchmarks/bench_ablation_prefix.py``.
+    ``repro xp run ablation_prefix``.
     """
 
     def __init__(

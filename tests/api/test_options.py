@@ -172,19 +172,20 @@ class TestRunOptions:
         opts = RunOptions(
             predict=PredictOptions(fidelity="cycle", top_k=2),
             seed=7,
-            engine="reference",
             verify=False,
             max_sim_elements=1 << 12,
         )
         assert RunOptions.from_wire(json.loads(json.dumps(opts.to_wire()))) == opts
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(PredictionError, match="unknown run engine"):
-            RunOptions(engine="quantum")
-
-    def test_unknown_wire_field_rejected(self):
-        with pytest.raises(PredictionError, match="unknown RunOptions"):
-            RunOptions.from_wire({"sim_cap": 4})
+    @pytest.mark.parametrize(
+        "data",
+        [{"sim_cap": 4}, {"engine": "reference"}, {"engine": "vectorized"}],
+    )
+    def test_unknown_wire_field_rejected(self, data):
+        (name,) = data
+        with pytest.raises(PredictionError, match="unknown RunOptions") as err:
+            RunOptions.from_wire(data)
+        assert name in str(err.value)
 
     def test_nonpositive_cap_rejected(self):
         with pytest.raises(PredictionError, match="max_sim_elements"):

@@ -13,9 +13,11 @@ from repro.api import (
     Session,
 )
 from repro.errors import ConfigError, PredictionError, SimulationError
-from repro.formats.registry import Format
+from repro.formats.registry import Format, matrix_class
 from repro.sage import Sage
+from repro.workloads import random_sparse_matrix
 from repro.workloads.spec import Kernel, MatrixWorkload, TensorWorkload
+from tests.accelerator._reference_engine import reference_gemm
 
 
 def _wl(name: str = "sess", m: int = 192, nnz_a: int = 1_500) -> MatrixWorkload:
@@ -178,10 +180,17 @@ class TestRunPipeline:
 
     def test_reference_engine_matches_vectorized(self):
         wl = _wl("engines", m=64, nnz_a=300)
-        vec = self.SESSION.run(wl, RunOptions(engine="vectorized"))
-        ref = self.SESSION.run(wl, RunOptions(engine="reference"))
-        assert vec.report.cycles == ref.report.cycles
-        assert np.allclose(vec.output, ref.output)
+        a = random_sparse_matrix(wl.m, wl.k, wl.nnz_a, 0)
+        b = random_sparse_matrix(wl.k, wl.n, wl.nnz_b, 1)
+        run = self.SESSION.run(wl, a=a, b=b)
+        acf_a, acf_b = run.decision.acf
+        out, report = reference_gemm(
+            self.SESSION.config,
+            matrix_class(acf_a).from_dense(a), acf_a,
+            matrix_class(acf_b).from_dense(b), acf_b,
+        )
+        assert run.report == report
+        assert np.allclose(run.output, out)
 
 
 class TestLocalRemoteParity:

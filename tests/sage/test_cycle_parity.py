@@ -43,14 +43,14 @@ def oracle(sage):
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda wl: wl.name)
 def test_cycle_decision_matches_per_candidate_oracle(sage, oracle, workload):
     gemms = registry().counter("repro_accel_gemms_total")
-    before = gemms.value(engine="vectorized")
+    before = gemms.value()
     decision = sage.predict_matrix(workload, fidelity="cycle")
     expected, _reports = oracle[workload.name]
     assert decision.to_wire() == expected.to_wire()
     # Operands are encoded once per ACF, so candidates sharing an ACF pair
     # share one simulated GEMM.
     distinct_pairs = {cand.acf for cand in expected.ranking}
-    assert gemms.value(engine="vectorized") - before == len(distinct_pairs)
+    assert gemms.value() - before == len(distinct_pairs)
 
 
 def test_suite_covers_k_tiled_proxies(oracle):

@@ -22,7 +22,6 @@ class TestParser:
              "--rank", "8"],
             ["sage", "--backend", "tcp://127.0.0.1:7342"],
             ["run", "--m", "64", "--k", "64", "--n", "32"],
-            ["run", "--engine", "reference", "--seed", "3"],
             ["serve", "--port", "0", "--shards", "1"],
             ["sweep", "--m", "500", "--k", "500"],
             ["walkthrough"],
@@ -37,6 +36,11 @@ class TestParser:
     def test_commands_parse(self, argv):
         args = build_parser().parse_args(argv)
         assert callable(args.fn)
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    def test_run_has_no_engine_flag(self, engine):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--engine", engine])
 
     def test_version_flag_prints_and_exits(self, capsys):
         import repro
