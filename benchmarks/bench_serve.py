@@ -7,7 +7,7 @@ requests per pass) three ways:
   ``Sage()`` and runs the full MCF/ACF search in-process;
 * **server cold** — first pass through a freshly started
   :class:`~repro.serve.server.SageServer` (every request is a cache miss
-  and fans out to the warm-seeded shard pool);
+  and fans out to the shard pool);
 * **server warm** — repeat passes, where the
   :class:`~repro.serve.cache.DecisionCache` answers over TCP.
 

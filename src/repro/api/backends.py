@@ -5,9 +5,8 @@ The same calling code runs in-process or against a running
 fronts many execution targets:
 
 * :class:`LocalBackend` wraps an in-process
-  :class:`~repro.sage.predictor.Sage`, a fingerprint-keyed
-  :class:`~repro.serve.cache.DecisionCache` per fidelity tier, and an
-  optional :class:`~repro.mint.cost.PathPlanner` snapshot seed.  Batches
+  :class:`~repro.sage.predictor.Sage` and a fingerprint-keyed
+  :class:`~repro.serve.cache.DecisionCache` per fidelity tier.  Batches
   fan out across :func:`~repro.util.pool.fork_map`.
 * :class:`RemoteBackend` wraps a
   :class:`~repro.serve.client.ServeClient`; options travel in the
@@ -25,7 +24,6 @@ import dataclasses
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.api.options import FIDELITIES, PredictOptions
-from repro.mint.cost import shared_planner
 from repro.sage.predictor import Sage, SageDecision, truncate_ranking
 from repro.serve.cache import DecisionCache
 from repro.serve.client import ServeClient
@@ -74,10 +72,7 @@ class LocalBackend:
 
     ``near_hit`` defaults off (unlike the serve layer) so local sessions
     stay exact by default; turn it on to trade exactness for throughput
-    the same way a near-hit server does.  ``planner_snapshot`` seeds the
-    process-wide conversion planner (e.g. from another process's
-    :meth:`~repro.mint.cost.PathPlanner.export_snapshot`), so a fresh
-    session starts with routes already amortized elsewhere.
+    the same way a near-hit server does.
     """
 
     def __init__(
@@ -86,11 +81,8 @@ class LocalBackend:
         *,
         cache_size: int = 1024,
         near_hit: bool = False,
-        planner_snapshot: dict | None = None,
     ) -> None:
         self.sage = sage or Sage()
-        if planner_snapshot is not None:
-            shared_planner().seed_snapshot(planner_snapshot)
         # One cache per registered tier: a calibrated decision must never
         # alias (nor be served from) an analytical entry for the same
         # workload fingerprint.

@@ -78,7 +78,7 @@ class Session:
     options:
         Session-wide default :class:`PredictOptions`; per-call options
         override.
-    timeout, cache_size, near_hit, planner_snapshot:
+    timeout, cache_size, near_hit:
         Backend tuning, forwarded to :class:`RemoteBackend` (``timeout``)
         or :class:`LocalBackend` (the rest).
 
@@ -102,7 +102,6 @@ class Session:
         timeout: float = 150.0,
         cache_size: int = 1024,
         near_hit: bool = False,
-        planner_snapshot: dict | None = None,
     ) -> None:
         self.config = config or AcceleratorConfig.paper_default()
         self.options = options or PredictOptions()
@@ -112,7 +111,6 @@ class Session:
                     Sage(config=config),
                     cache_size=cache_size,
                     near_hit=near_hit,
-                    planner_snapshot=planner_snapshot,
                 )
             elif backend.startswith("tcp://"):
                 host, _, port = backend[len("tcp://"):].partition(":")

@@ -15,7 +15,7 @@ controller) instead of one dedicated converter per format pair.
 * :mod:`repro.mint.engine` — graph-routed dispatch + cost reports;
 * :mod:`repro.mint.designs` — MINT_b / MINT_m / MINT_mr area & power;
 * :mod:`repro.mint.cost` — closed-form conversion cost estimates for SAGE,
-  memoized by :class:`~repro.mint.cost.PathPlanner`.
+  priced per operand by :class:`~repro.mint.cost.PathPlanner`.
 """
 
 from repro.mint.blocks import (

@@ -1,4 +1,4 @@
-"""Closed-form conversion cost estimates and the memoized path planner.
+"""Closed-form conversion cost estimates and the per-operand path planner.
 
 SAGE must price every (MCF, ACF) candidate without materializing the
 operands (Sec. VI: "to model the conversion cost, we evaluate the building
@@ -20,37 +20,32 @@ accounted as the compute stage's streaming cycles; a Dense endpoint inside
 MINT is therefore costed as nonzeros + occupancy sideband (ZVC-like), never
 as materialized zeros.
 
-:class:`PathPlanner` layers two LRU caches under the estimator so SAGE's
-exhaustive combo search stops recomputing identical conversion costs:
-
-* a **route cache** keyed on ``(src, dst, tensor, size-class)`` — operands
-  in the same power-of-two size/nnz bucket share a planned route, and
-* a **cost cache** keyed on the exact summary statistics, so repeated
-  pricing of the same operand (every MCF/ACF cross-product revisits each
-  pair ~a dozen times) is a dictionary hit.
+:class:`PathPlanner` prices conversions per operand.  The first query for
+an operand's exact summary statistics builds one
+:class:`~repro.mint.graph.RouteTable`: every datapath priced once, one
+shortest-path tree per source.  Every (src, dst) cost of that operand is
+then read from it.  A small LRU of these tables, keyed on the exact
+statistics, serves the repeated pricing of SAGE's search, and no route
+depends on what the process priced before.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
 
 from repro.formats.registry import Format
 from repro.hardware.energy import DEFAULT_ENERGY, EnergyModel
 from repro.mint.graph import (
     DEFAULT_THROUGHPUT,
-    Datapath,
     HopStats,
     MintThroughput,
-    _footprint_bits,
+    RouteTable,
     _needs_divmod,
     conversion_graph,
-    estimate_hop_cycles,
 )
 
 __all__ = [
-    "CacheInfo",
     "ConversionCost",
     "MintThroughput",
     "PathPlanner",
@@ -80,119 +75,61 @@ class ConversionCost:
         )
 
 
-def _hop_cost(
-    dp: Datapath,
-    stats: HopStats,
-    tp: MintThroughput,
-    energy: EnergyModel,
-    *,
-    final_hop: bool,
-) -> ConversionCost:
-    """Price one routed hop: the datapath's cycle estimate + energy model."""
-    src, dst = dp.source, dp.target
-    in_bits = _footprint_bits(src, stats)
-    out_bits = _footprint_bits(dst, stats)
-    div_ops = float(stats.nnz) if _needs_divmod(src, dst) else 0.0
-    scan_ops = (
-        float(stats.size)
-        if src is Format.DENSE
-        else float(max(stats.nnz, stats.major_dim))
-    )
-    compares = float(stats.size) if src is Format.DENSE else float(stats.nnz)
-    if tp is DEFAULT_THROUGHPUT:
-        cycles = int(dp.cycles(stats, final_hop=final_hop))
-    else:
-        # A non-default throughput overrides whatever estimator the edge
-        # registered (custom estimators close over the default sizing).
-        cycles = estimate_hop_cycles(
-            src, dst, stats, final_hop=final_hop, throughput=tp
-        )
-    energy_j = (
-        (in_bits + out_bits) * energy.sram_global_bit
-        + div_ops * (energy.div_int32 + energy.mod_int32)
-        + scan_ops * energy.add_int32
-        + compares * energy.compare
-    )
-    return ConversionCost(cycles, energy_j, cycles / tp.clock_hz)
+class _CostTable:
+    """One operand's :class:`ConversionCost` for every (src, dst) pair,
+    each priced along its :class:`~repro.mint.graph.RouteTable` route."""
 
+    def __init__(self, table: RouteTable, energy: EnergyModel) -> None:
+        self.table = table
+        self.energy = energy
+        self._costs: dict[tuple[Format, Format], ConversionCost] = {}
 
-def _price_path(
-    path: tuple[Datapath, ...],
-    stats: HopStats,
-    tp: MintThroughput,
-    energy: EnergyModel,
-) -> ConversionCost:
-    total = ConversionCost.zero()
-    for idx, dp in enumerate(path):
-        total = total + _hop_cost(
-            dp, stats, tp, energy, final_hop=idx == len(path) - 1
+    def cost(self, src: Format, dst: Format) -> ConversionCost:
+        cost = self._costs.get((src, dst))
+        if cost is None:
+            edges = self.table.edges(src, dst)
+            cost = ConversionCost.zero()
+            for i, e in enumerate(edges):
+                cost = cost + self._hop(e, final_hop=i == len(edges) - 1)
+            self._costs[src, dst] = cost
+        return cost
+
+    def _hop(self, e: int, *, final_hop: bool) -> ConversionCost:
+        """Price one routed hop: its table cycles + the energy model."""
+        table, energy = self.table, self.energy
+        stats, index = table.stats, table.index
+        src, dst = index.edges[e].pair
+        in_bits = table.bits[index.src[e]]
+        out_bits = table.bits[index.dst[e]]
+        div_ops = float(stats.nnz) if _needs_divmod(src, dst) else 0.0
+        scan_ops = (
+            float(stats.size)
+            if src is Format.DENSE
+            else float(max(stats.nnz, stats.major_dim))
         )
-    return total
+        compares = float(stats.size) if src is Format.DENSE else float(stats.nnz)
+        cycles = int(table.final[e] if final_hop else table.inter[e])
+        energy_j = (
+            (in_bits + out_bits) * energy.sram_global_bit
+            + div_ops * (energy.div_int32 + energy.mod_int32)
+            + scan_ops * energy.add_int32
+            + compares * energy.compare
+        )
+        return ConversionCost(cycles, energy_j, cycles / table.throughput.clock_hz)
 
 
 # ---------------------------------------------------------------- planner
-@dataclass(frozen=True)
-class CacheInfo:
-    """Hit/size counters of one planner cache (lru_cache-compatible)."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-class _LruDict:
-    """A tiny ordered-dict LRU with hit accounting and bulk seed/export."""
-
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(self, key, compute: Callable[[], object]):
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            value = compute()
-            self._data[key] = value
-            if len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-            return value
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def seed(self, entries: dict) -> None:
-        for key, value in entries.items():
-            self._data[key] = value
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def export(self) -> dict:
-        return dict(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def info(self) -> CacheInfo:
-        return CacheInfo(self.hits, self.misses, self.maxsize, len(self._data))
-
-
-def _size_class(value: int) -> int:
-    """Power-of-two bucket: operands within 2x share a planned route."""
-    return max(1, int(value)).bit_length()
+#: Operands whose cost tables a planner keeps (a predict prices 2-3).
+TABLE_CACHE_SIZE = 256
 
 
 class PathPlanner:
-    """Memoized conversion route + cost planner over the conversion graph.
+    """Exact-statistics conversion cost planner over the conversion graph.
 
     One planner instance serves one (throughput, energy) configuration;
     :func:`shared_planner` returns the process-wide default every SAGE
-    search shares.
+    search shares.  It keeps the last :data:`TABLE_CACHE_SIZE` operands'
+    cost tables.
     """
 
     def __init__(
@@ -200,54 +137,23 @@ class PathPlanner:
         *,
         throughput: MintThroughput | None = None,
         energy: EnergyModel = DEFAULT_ENERGY,
-        route_cache: int = 4096,
-        cost_cache: int = 65536,
     ) -> None:
         self.throughput = throughput or DEFAULT_THROUGHPUT
         self.energy = energy
-        self._routes = _LruDict(route_cache)
-        self._costs = _LruDict(cost_cache)
+        self._table = lru_cache(maxsize=TABLE_CACHE_SIZE)(self._build)
 
-    # ------------------------------------------------------------- routes
-    def route(
-        self,
-        src: Format,
-        dst: Format,
-        *,
-        tensor: bool = False,
-        size: int,
-        nnz: int,
-        major_dim: int,
-        dtype_bits: int = 32,
-    ) -> tuple[Datapath, ...]:
-        """The planned hop sequence, memoized per size-class."""
-        if src is dst:
-            return ()
-        key = (
-            src,
-            dst,
-            tensor,
-            _size_class(size),
-            _size_class(nnz),
-            _size_class(major_dim),
-            dtype_bits,
-        )
+    def _build(
+        self, size: int, nnz: int, major_dim: int, dtype_bits: int, tensor: bool
+    ) -> _CostTable:
         stats = HopStats(
-            size=size,
-            nnz=nnz,
-            major_dim=major_dim,
-            dtype_bits=dtype_bits,
+            size=size, nnz=nnz, major_dim=major_dim, dtype_bits=dtype_bits,
             tensor=tensor,
         )
         graph = conversion_graph(tensor=tensor)
-        return self._routes.get_or_compute(
-            key,
-            lambda: graph.find_path(
-                src, dst, stats, throughput=self.throughput
-            ),
+        return _CostTable(
+            graph.table(stats, throughput=self.throughput), self.energy
         )
 
-    # -------------------------------------------------------------- costs
     def estimate(
         self,
         src: Format,
@@ -259,87 +165,19 @@ class PathPlanner:
         dtype_bits: int = 32,
         tensor: bool = False,
     ) -> ConversionCost:
-        """Exact-statistics conversion cost along the memoized route."""
+        """Conversion cost along the operand's cheapest route."""
         if src is dst:
             return ConversionCost.zero()
-        key = (src, dst, tensor, size, nnz, major_dim, dtype_bits)
+        table = self._table(size, nnz, major_dim, dtype_bits, tensor)
+        return table.cost(src, dst)
 
-        def compute() -> ConversionCost:
-            path = self.route(
-                src,
-                dst,
-                tensor=tensor,
-                size=size,
-                nnz=nnz,
-                major_dim=major_dim,
-                dtype_bits=dtype_bits,
-            )
-            stats = HopStats(
-                size=size,
-                nnz=nnz,
-                major_dim=major_dim,
-                dtype_bits=dtype_bits,
-                tensor=tensor,
-            )
-            return _price_path(path, stats, self.throughput, self.energy)
-
-        return self._costs.get_or_compute(key, compute)
-
-    # ------------------------------------------------------------ plumbing
-    def cache_info(self) -> dict[str, CacheInfo]:
-        """Hit/miss counters of the route and cost caches."""
-        return {"route": self._routes.info(), "cost": self._costs.info()}
+    def cache_info(self):
+        """Hit/miss counters of the per-operand table LRU."""
+        return self._table.cache_info()
 
     def cache_clear(self) -> None:
-        """Drop both caches (used by cold-vs-warm benchmarks)."""
-        self._routes.clear()
-        self._costs.clear()
-
-    def export_routes(self) -> dict:
-        """Snapshot the route cache keyed by pair/size-class.
-
-        Routes are exported as ``(source, target)`` pairs — picklable — so
-        :meth:`Sage.predict_many` can seed worker processes.
-        """
-        return {
-            key: tuple(dp.pair for dp in path)
-            for key, path in self._routes.export().items()
-        }
-
-    def export_snapshot(self) -> dict:
-        """Bundle both caches for warm-starting another process.
-
-        The serve layer ships this to each shard worker so a freshly forked
-        shard starts with every route *and* exact-stats cost the parent has
-        already paid for.  Values are plain picklable tuples/dataclasses;
-        pair with :meth:`seed_snapshot` on the receiving side.
-        """
-        return {
-            "routes": self.export_routes(),
-            "costs": self._costs.export(),
-        }
-
-    def seed_snapshot(self, snapshot: dict) -> None:
-        """Adopt a snapshot produced by :meth:`export_snapshot`."""
-        self.seed_routes(snapshot.get("routes", {}))
-        self._costs.seed(snapshot.get("costs", {}))
-
-    def seed_routes(self, routes: dict) -> None:
-        """Adopt a route snapshot produced by :meth:`export_routes`."""
-        resolved = {}
-        for key, pairs in routes.items():
-            tensor = bool(key[2])
-            graph = conversion_graph(tensor=tensor)
-            path = []
-            for s, t in pairs:
-                dp = graph.direct(s, t)
-                if dp is None:  # an edge vanished: skip this snapshot entry
-                    path = None
-                    break
-                path.append(dp)
-            if path is not None:
-                resolved[key] = tuple(path)
-        self._routes.seed(resolved)
+        """Drop every cached table (used to time cold searches)."""
+        self._table.cache_clear()
 
 
 _SHARED_PLANNER = PathPlanner()
@@ -364,8 +202,8 @@ def estimate_conversion_cost(
 ) -> ConversionCost:
     """Estimate MINT's cost to convert src -> dst from summary statistics.
 
-    Default-configuration queries go through the shared memoized planner;
-    custom throughput/energy models are priced uncached.
+    Default-configuration queries go through the shared planner; custom
+    throughput/energy models are priced by a fresh one.
 
     Parameters
     ----------
@@ -377,26 +215,18 @@ def estimate_conversion_cost(
         Pointer-array length driver (rows for CSR, columns for CSC; use the
         larger dimension when unknown).
     """
-    if src is dst:
-        return ConversionCost.zero()
     if (throughput is None or throughput is DEFAULT_THROUGHPUT) and (
         energy is DEFAULT_ENERGY
     ):
-        return _SHARED_PLANNER.estimate(
-            src,
-            dst,
-            size=size,
-            nnz=nnz,
-            major_dim=major_dim,
-            dtype_bits=dtype_bits,
-            tensor=tensor,
-        )
-    tp = throughput or DEFAULT_THROUGHPUT
-    stats = HopStats(
-        size=size, nnz=nnz, major_dim=major_dim, dtype_bits=dtype_bits,
+        planner = _SHARED_PLANNER
+    else:
+        planner = PathPlanner(throughput=throughput, energy=energy)
+    return planner.estimate(
+        src,
+        dst,
+        size=size,
+        nnz=nnz,
+        major_dim=major_dim,
+        dtype_bits=dtype_bits,
         tensor=tensor,
     )
-    path = conversion_graph(tensor=tensor).find_path(
-        src, dst, stats, throughput=tp
-    )
-    return _price_path(path, stats, tp, energy)

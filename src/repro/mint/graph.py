@@ -10,7 +10,9 @@ keyword arguments it accepts, and a per-hop cycle estimator.  Path
 resolution is then a Dijkstra shortest-path search over the registered
 datapaths, weighted by estimated cycles for the operand at hand
 (size/nnz-aware), so adding a format is one decorated function and routing
-automatically exploits it.
+automatically exploits it.  A :class:`RouteTable` prices every edge once
+for one operand and answers every target of a source from one
+shortest-path tree.
 
 Because the legacy hub route is itself a path in the same graph, the
 Dijkstra route is **never costlier than the old heuristic's** under the
@@ -26,8 +28,9 @@ feeds the accelerator directly.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Any, Callable, Iterator
 
 from repro.analysis.compactness import storage_bits
@@ -108,18 +111,11 @@ def _dims_for(size: int, major_dim: int, *, tensor: bool) -> tuple[int, ...]:
     return (major_dim, mid, max(1, minor // mid))
 
 
-#: Distinct (format, operand) footprints kept by :func:`_footprint_bits`.
-FOOTPRINT_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=FOOTPRINT_CACHE_SIZE)
 def _footprint_bits(fmt: Format, stats: HopStats) -> float:
     """Bits of an encoding as it transits MINT.
 
     Dense transits as nonzeros + occupancy sideband (the flexible-NoC
     representation, ZVC-equivalent) — MINT never materializes zeros.
-    Memoized: a route search prices every hop's two ends twice (its cycle
-    estimate and its cost) for one operand's statistics.
     """
     dims = _dims_for(stats.size, stats.major_dim, tensor=stats.tensor)
     transit_fmt = Format.ZVC if fmt is Format.DENSE else fmt
@@ -148,9 +144,22 @@ def estimate_hop_cycles(
     stages bounds the pass, pointer-to-pointer transposes (CSR<->CSC) take
     a second full pass, and non-final hops add the scratchpad write-back.
     """
-    tp = throughput
-    in_bits = _footprint_bits(src, stats)
-    out_bits = _footprint_bits(dst, stats)
+    out_bits = 0.0 if final_hop else _footprint_bits(dst, stats)
+    inter, final = _hop_cycles(
+        src, dst, stats, _footprint_bits(src, stats), out_bits, throughput
+    )
+    return final if final_hop else inter
+
+
+def _hop_cycles(
+    src: Format,
+    dst: Format,
+    stats: HopStats,
+    in_bits: float,
+    out_bits: float,
+    tp: MintThroughput,
+) -> tuple[int, int]:
+    """A hop's (intermediate, final) cycles given its ends' footprints."""
     div_ops = float(stats.nnz) if _needs_divmod(src, dst) else 0.0
     scan_ops = (
         float(stats.size)
@@ -165,9 +174,8 @@ def estimate_hop_cycles(
         div_ops / tp.divmod_units,
         scan_ops / tp.scan_width,
     )
-    if not final_hop:
-        stage_cycles += out_bits / tp.stream_bits
-    return max(1, int(stage_cycles) + 1)
+    inter = stage_cycles + out_bits / tp.stream_bits
+    return max(1, int(inter) + 1), max(1, int(stage_cycles) + 1)
 
 
 @dataclass(frozen=True)
@@ -234,6 +242,7 @@ class ConversionGraph:
         self.tensor = tensor
         self._edges: dict[tuple[Format, Format], Datapath] = {}
         self._out: dict[Format, list[Datapath]] = {}
+        self._index: _GraphIndex | None = None
 
     # ------------------------------------------------------------ registry
     def register(self, dp: Datapath) -> Datapath:
@@ -243,6 +252,7 @@ class ConversionGraph:
             self._out[dp.source].remove(old)
         self._edges[dp.pair] = dp
         self._out.setdefault(dp.source, []).append(dp)
+        self._index = None
         return dp
 
     def direct(self, source: Format, target: Format) -> Datapath | None:
@@ -268,6 +278,23 @@ class ConversionGraph:
         return len(self._edges)
 
     # ------------------------------------------------------------- routing
+    def _indexed(self) -> "_GraphIndex":
+        index = self._index
+        if index is None:
+            index = self._index = _GraphIndex(self)
+        return index
+
+    def table(
+        self,
+        stats: HopStats | None = None,
+        *,
+        throughput: MintThroughput | None = None,
+    ) -> "RouteTable":
+        """Every route of this graph for one operand's *stats*."""
+        return RouteTable(
+            self, stats or HopStats.typical(tensor=self.tensor), throughput
+        )
+
     def find_path(
         self,
         source: Format,
@@ -285,49 +312,7 @@ class ConversionGraph:
         """
         if source is target:
             return ()
-        stats = stats or HopStats.typical(tensor=self.tensor)
-        # Dijkstra with every hop charged as intermediate; dst is never
-        # expanded, so dist[u] is the cheapest dst-free prefix ending at u.
-        dist: dict[Format, float] = {source: 0.0}
-        prev: dict[Format, Datapath] = {}
-        pq: list[tuple[float, int, str, Format]] = [(0.0, 0, source.value, source)]
-        settled: set[Format] = set()
-        while pq:
-            d, hops, _, node = heapq.heappop(pq)
-            if node in settled or node is target:
-                continue
-            settled.add(node)
-            for dp in self._out.get(node, ()):
-                nd = d + dp.cycles(stats, final_hop=False, throughput=throughput)
-                if nd < dist.get(dp.target, float("inf")):
-                    dist[dp.target] = nd
-                    prev[dp.target] = dp
-                    heapq.heappush(
-                        pq, (nd, hops + 1, dp.target.value, dp.target)
-                    )
-        # The true path cost discounts the last hop's write-back: pick the
-        # final edge minimizing prefix + final-priced hop.
-        best: tuple[float, Datapath] | None = None
-        for dp in self._edges.values():
-            if dp.target is not target or dp.source not in dist:
-                continue
-            total = dist[dp.source] + dp.cycles(
-                stats, final_hop=True, throughput=throughput
-            )
-            if best is None or total < best[0]:
-                best = (total, dp)
-        if best is None:
-            raise ConversionError(
-                f"no MINT datapath from {source} to {target} "
-                f"({'tensor' if self.tensor else 'matrix'})"
-            )
-        path = [best[1]]
-        node = best[1].source
-        while node is not source:
-            dp = prev[node]
-            path.append(dp)
-            node = dp.source
-        return tuple(reversed(path))
+        return self.table(stats, throughput=throughput).route(source, target)
 
     def hub_heuristic_path(
         self, source: Format, target: Format
@@ -349,10 +334,7 @@ class ConversionGraph:
             second = self.direct(hub, target)
             if first is not None and second is not None:
                 return (first, second)
-        raise ConversionError(
-            f"no MINT datapath from {source} to {target} "
-            f"({'tensor' if self.tensor else 'matrix'})"
-        )
+        raise _no_route(source, target, tensor=self.tensor)
 
     def path_cycles(
         self,
@@ -375,15 +357,176 @@ class ConversionGraph:
         from repro.formats.registry import MATRIX_FORMATS, TENSOR_FORMATS
 
         catalog = TENSOR_FORMATS if self.tensor else MATRIX_FORMATS
+        table = self.table()
         pairs = []
         for s in catalog:
             for t in catalog:
                 try:
-                    self.find_path(s, t)
+                    table.route(s, t)
                 except ConversionError:
                     continue
                 pairs.append((s, t))
         return pairs
+
+
+def _no_route(source: Format, target: Format, *, tensor: bool) -> ConversionError:
+    return ConversionError(
+        f"no MINT datapath from {source} to {target} "
+        f"({'tensor' if tensor else 'matrix'})"
+    )
+
+
+def _is_generic(dp: Datapath) -> bool:
+    """Does *dp* price itself with the generic :func:`estimate_hop_cycles`?"""
+    est = dp.estimator
+    return est is None or (
+        isinstance(est, partial)
+        and est.func is estimate_hop_cycles
+        and est.args == dp.pair
+        and not est.keywords
+    )
+
+
+class _GraphIndex:
+    """A graph's formats and datapaths numbered for routing.
+
+    Nodes are numbered in ``Format.value`` order, the heap tie-break, so
+    equal-cost routes resolve the same way on integers as on formats.
+    Edges keep registration order, the order a route's final hop is
+    chosen in.
+    """
+
+    def __init__(self, graph: ConversionGraph) -> None:
+        self.tensor = graph.tensor
+        self.nodes = tuple(sorted(graph.formats(), key=lambda f: f.value))
+        self.node_of = {fmt: v for v, fmt in enumerate(self.nodes)}
+        self.edges = tuple(graph)
+        edge_of = {dp.pair: e for e, dp in enumerate(self.edges)}
+        self.src = tuple(self.node_of[dp.source] for dp in self.edges)
+        self.dst = tuple(self.node_of[dp.target] for dp in self.edges)
+        self.out = tuple(
+            tuple(edge_of[dp.pair] for dp in graph.edges_from(fmt))
+            for fmt in self.nodes
+        )
+        self.into = tuple(
+            tuple(e for e, dst in enumerate(self.dst) if dst == v)
+            for v in range(len(self.nodes))
+        )
+        self.generic = tuple(_is_generic(dp) for dp in self.edges)
+
+
+class RouteTable:
+    """Every MINT route for one operand: each edge priced once, one
+    shortest-path tree per source.
+
+    ``inter[e]`` and ``final[e]`` are edge ``e``'s cycles as an
+    intermediate and as the final hop, ``bits[v]`` node ``v``'s transit
+    footprint (see :class:`_GraphIndex` for the numbering).  A non-default
+    *throughput* reprices every edge with :func:`estimate_hop_cycles`,
+    overriding registered estimators as :meth:`Datapath.cycles` does.
+    """
+
+    def __init__(
+        self,
+        graph: ConversionGraph,
+        stats: HopStats,
+        throughput: MintThroughput | None = None,
+    ) -> None:
+        index = self.index = graph._indexed()
+        self.stats = stats
+        tp = self.throughput = throughput or DEFAULT_THROUGHPUT
+        bits = self.bits = [_footprint_bits(fmt, stats) for fmt in index.nodes]
+        self.inter: list[float] = []
+        self.final: list[float] = []
+        for e, dp in enumerate(index.edges):
+            if tp is not DEFAULT_THROUGHPUT or index.generic[e]:
+                inter, final = _hop_cycles(
+                    dp.source, dp.target, stats,
+                    bits[index.src[e]], bits[index.dst[e]], tp,
+                )
+            else:
+                inter = dp.estimator(stats, final_hop=False)
+                final = dp.estimator(stats, final_hop=True)
+            self.inter.append(float(inter))
+            self.final.append(float(final))
+        self._trees: dict[int, tuple[list[float], list[int]]] = {}
+
+    def _tree(self, source: int, stop: int = -1) -> tuple[list[float], list[int]]:
+        """Dijkstra from *source*, every hop charged as intermediate.
+
+        Returns each node's cheapest prefix cost and the edge reaching it
+        (``-1`` for the source and unreached nodes).  *stop* is reached
+        but never expanded.
+        """
+        index, inter = self.index, self.inter
+        dist = [math.inf] * len(index.nodes)
+        prev = [-1] * len(index.nodes)
+        settled = [False] * len(index.nodes)
+        dist[source] = 0.0
+        # (cost, hops, node): equal costs pop fewer hops first, then the
+        # lower node number.
+        pq = [(0.0, 0, source)]
+        while pq:
+            d, hops, node = heapq.heappop(pq)
+            if settled[node] or node == stop:
+                continue
+            settled[node] = True
+            for e in index.out[node]:
+                nd = d + inter[e]
+                v = index.dst[e]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = e
+                    heapq.heappush(pq, (nd, hops + 1, v))
+        return dist, prev
+
+    def _last_hop(self, dist: list[float], target: int) -> int:
+        """The edge into *target* minimizing prefix + final-priced hop."""
+        best, best_total = -1, math.inf
+        for e in self.index.into[target]:
+            total = dist[self.index.src[e]] + self.final[e]
+            if total < best_total:
+                best, best_total = e, total
+        return best
+
+    def edges(self, source: Format, target: Format) -> list[int]:
+        """Edge numbers of the cheapest source -> target route.
+
+        Raises :class:`~repro.errors.ConversionError` when *target* is
+        unreachable.
+        """
+        if source is target:
+            return []
+        index = self.index
+        s, t = index.node_of.get(source), index.node_of.get(target)
+        last = -1
+        if s is not None and t is not None:
+            tree = self._trees.get(s)
+            if tree is None:
+                tree = self._trees[s] = self._tree(s)
+            dist, prev = tree
+            last = self._last_hop(dist, t)
+            if last >= 0 and dist[index.src[last]] >= dist[t]:
+                # A prefix that settled before *target* is the one a
+                # search never expanding *target* finds.  This one may not
+                # have (possible only when an estimator prices a final hop
+                # above the same intermediate hop, or at zero): re-solve
+                # without expanding *target*.
+                dist, prev = self._tree(s, stop=t)
+                last = self._last_hop(dist, t)
+        if last < 0:
+            raise _no_route(source, target, tensor=index.tensor)
+        path = [last]
+        node = index.src[last]
+        while node != s:
+            path.append(prev[node])
+            node = index.src[prev[node]]
+        path.reverse()
+        return path
+
+    def route(self, source: Format, target: Format) -> tuple[Datapath, ...]:
+        """Cheapest hop sequence realizing source -> target."""
+        return tuple(self.index.edges[e] for e in self.edges(source, target))
 
 
 #: The process-wide registries the decorators populate.

@@ -55,7 +55,6 @@ from repro.formats.csc import CscMatrix
 from repro.formats.dense import DenseMatrix
 from repro.formats.registry import Format, matrix_class
 from repro.hardware.dram import DramChannel
-from repro.mint.cost import shared_planner
 from repro.obs import registry, span
 from repro.sage.calibrate import (
     CalibrationTable,
@@ -436,21 +435,17 @@ class Sage:
 
         Decisions are returned in input order.  The fan-out is the shared
         :func:`~repro.util.pool.fork_map` machinery (sequential degradation
-        on pool-less platforms, unpicklable inputs, daemonic callers); each
-        worker is seeded with a snapshot of the parent's conversion-route
-        cache (:meth:`~repro.mint.cost.PathPlanner.export_routes`), so
-        route planning already amortized in this process is not redone per
-        worker.  The full option set (search restrictions, ``top_k``)
-        applies to every workload in the batch; ``processes`` bounds the
-        pool width.
+        on pool-less platforms, unpicklable inputs, daemonic callers).
+        Conversion routes depend only on each operand's statistics, so a
+        worker answers exactly as this process would.  The full option set
+        (search restrictions, ``top_k``) applies to every workload in the
+        batch; ``processes`` bounds the pool width.
         """
         opts = resolve_options(options, processes=processes, fidelity=fidelity)
         return fork_map(
             _predict_one,
             [(self, wl, opts) for wl in workloads],
             processes=opts.processes,
-            initializer=_seed_worker_planner,
-            initargs=(shared_planner().export_routes(),),
         )
 
     # ------------------------------------------------------ cycle fidelity --
@@ -672,11 +667,6 @@ def _proxy_workload(wl: MatrixWorkload, cap_elements: int) -> MatrixWorkload:
         nnz_b=nnz_b,
         dtype_bits=wl.dtype_bits,
     )
-
-
-def _seed_worker_planner(routes: dict) -> None:
-    """Pool initializer: adopt the parent's route-cache snapshot."""
-    shared_planner().seed_routes(routes)
 
 
 def _predict_one(

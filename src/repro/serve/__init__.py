@@ -13,7 +13,7 @@ The serving subsystem (stdlib only) layered over the in-process predictor:
   protocol;
 * :mod:`repro.serve.server` — the async-front-end TCP
   :class:`~repro.serve.server.SageServer`: request coalescing, an
-  encoded-reply fast path, a shard pool of warm-seeded worker
+  encoded-reply fast path, a shard pool of persistent worker
   processes, outcome-split latency, and a ``stats`` RPC;
 * :mod:`repro.serve.warmer` — speculative
   :class:`~repro.serve.warmer.BandWarmer` pre-computing adjacent

@@ -12,10 +12,9 @@ Two key granularities are exposed:
 * :meth:`WorkloadFingerprint.exact_key` — every statistic verbatim; a hit
   is bit-for-bit the decision SAGE would have computed.
 * :meth:`WorkloadFingerprint.band_key` — nonzero counts replaced by their
-  power-of-two density band (the same bucketing the
-  :class:`~repro.mint.cost.PathPlanner` route cache uses).  Workloads in
-  the same band share DRAM-footprint ordering to within a factor of two,
-  so serving a banded neighbour's decision is the "near-hit" mode of
+  power-of-two density band.  Workloads in the same band share
+  DRAM-footprint ordering to within a factor of two, so serving a banded
+  neighbour's decision is the "near-hit" mode of
   :class:`~repro.serve.cache.DecisionCache`.
 
 Fingerprints also pin each workload to a shard: :meth:`shard` hashes the
@@ -32,7 +31,6 @@ from dataclasses import dataclass, fields
 from typing import Mapping
 
 from repro.accelerator.config import AcceleratorConfig
-from repro.mint.cost import _size_class
 from repro.workloads.spec import MatrixWorkload, TensorWorkload
 
 __all__ = [
@@ -46,11 +44,10 @@ __all__ = [
 def density_band(nnz: int) -> int:
     """Power-of-two nonzero bucket: operands within 2x share a band.
 
-    Deliberately the same bucketing as the
-    :class:`~repro.mint.cost.PathPlanner` route cache, so a near-hit in
-    this layer corresponds to a route-cache hit below it.
+    A band is the bit length of the count, so every count in
+    ``[2**(b-1), 2**b)`` lands in band ``b`` (and 0 shares band 1 with 1).
     """
-    return _size_class(nnz)
+    return max(1, int(nnz)).bit_length()
 
 
 @functools.lru_cache(maxsize=64)

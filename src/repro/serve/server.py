@@ -2,8 +2,7 @@
 
 The ROADMAP's north star is a system that serves sustained prediction
 traffic; this module is the layer that turns the in-process primitives
-(:class:`~repro.sage.predictor.Sage`, the memoized
-:class:`~repro.mint.cost.PathPlanner`, the
+(:class:`~repro.sage.predictor.Sage`, the
 :class:`~repro.serve.cache.DecisionCache`) into a long-lived service.
 Stdlib only — ``asyncio`` + ``multiprocessing`` + ``threading``.
 
@@ -31,12 +30,9 @@ Request path
    (:class:`~repro.serve.warmer.BandWarmer`, ``warm_bands > 0``), which
    pre-computes adjacent density bands in the background so the next
    cold request in the band becomes a hit.
-5. **Shards** are persistent worker processes, each warm-seeded at
-   spawn with the parent planner's :meth:`~repro.mint.cost.PathPlanner.
-   export_snapshot` (routes *and* exact-stats costs) and addressed by
-   the fingerprint's stable band-key hash — repeats of a workload always
-   hit the same worker, so every shard's planner caches stay hot.  A
-   shard only ever sees front-cache misses that survived coalescing, so
+5. **Shards** are persistent worker processes addressed by the
+   fingerprint's stable band-key hash, so repeats of a workload always
+   hit the same worker.  A shard only ever sees front-cache misses that survived coalescing, so
    it predicts directly; the front :class:`DecisionCache` is the one
    decision cache a request consults.  ``shards=0`` computes in-process
    instead (no extra processes; useful on platforms without ``fork``).
@@ -90,7 +86,6 @@ from repro.api.options import (
     SUPPORTED_WIRE_SCHEMAS,
     WIRE_SCHEMA_VERSION,
 )
-from repro.mint.cost import shared_planner
 from repro.obs import get_logger, registry, set_trace_id, span
 from repro.obs import metrics as obs_metrics
 from repro.sage.predictor import Sage, SageDecision
@@ -266,15 +261,13 @@ class _ReplyCache:
             return len(self._entries)
 
 
-def _shard_main(in_q, out_q, sage: Sage, snapshot: dict, fidelity: str) -> None:
+def _shard_main(in_q, out_q, sage: Sage, fidelity: str) -> None:
     """Shard worker loop: predict forever until the ``None`` sentinel.
 
-    Seeds this process's shared planner from the parent's snapshot.  No
-    decision cache lives here: the parent only dispatches front-cache
+    No decision cache lives here: the parent only dispatches front-cache
     misses, one per in-flight fingerprint, so a shard-local cache would
     never answer.
     """
-    shared_planner().seed_snapshot(snapshot)
     # The forked child inherits the parent's metric values; zero them so
     # the in-band snapshots this shard ships cover only its own work and
     # merging them into the parent never double-counts.
@@ -308,12 +301,12 @@ def _shard_main(in_q, out_q, sage: Sage, snapshot: dict, fidelity: str) -> None:
 class _Shard:
     """One worker process plus its request/response queues."""
 
-    def __init__(self, ctx, sage: Sage, snapshot: dict, fidelity: str) -> None:
+    def __init__(self, ctx, sage: Sage, fidelity: str) -> None:
         self.in_q = ctx.Queue()
         self.out_q = ctx.Queue()
         self.proc = ctx.Process(
             target=_shard_main,
-            args=(self.in_q, self.out_q, sage, snapshot, fidelity),
+            args=(self.in_q, self.out_q, sage, fidelity),
             daemon=True,
         )
         self.proc.start()
@@ -559,7 +552,6 @@ class SageServer:
         self._started = True
         self._t_start = time.monotonic()
         if self.serve.shards > 0:
-            snapshot = shared_planner().export_snapshot()
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -567,12 +559,7 @@ class SageServer:
             try:
                 for _ in range(self.serve.shards):
                     self._shards.append(
-                        _Shard(
-                            ctx,
-                            self._sage,
-                            snapshot,
-                            self.serve.fidelity,
-                        )
+                        _Shard(ctx, self._sage, self.serve.fidelity)
                     )
             except (OSError, PermissionError) as exc:  # pragma: no cover
                 # Platforms that cannot spawn processes at all degrade to

@@ -3,9 +3,9 @@
 Every batch frontend — :meth:`repro.sage.predictor.Sage.predict_many`,
 the xp grid runner and the tuner — needs the same shape of machinery:
 fan a list of picklable jobs across a fork-context process pool,
-preserve input order, optionally seed each worker (snapshot
-initializers), and degrade to in-process execution on any platform that
-cannot run a pool at all instead of failing.  This module is that machinery, factored once.
+preserve input order, and degrade to in-process execution on any
+platform that cannot run a pool at all instead of failing.  This module
+is that machinery, factored once.
 
 Each job crosses into a worker as one pickle: ``(fn, item)`` is
 serialized once in the parent, and the worker unpickles and calls it.
@@ -72,10 +72,8 @@ def _obs_worker_init(
     enabled: bool,
     trace_id: str | None,
     tracing: bool,
-    initializer: Callable | None,
-    initargs: tuple,
 ) -> None:
-    """Pool initializer: obs worker setup composed with the caller's.
+    """Pool initializer: obs worker setup.
 
     Resets the fork-inherited registry (its counts already live in the
     parent — merging them back would double-count), propagates the
@@ -88,8 +86,6 @@ def _obs_worker_init(
     obs_trace.resume_trace(obs_trace.TraceRecorder() if tracing else None)
     global _TASK_SEQ
     _TASK_SEQ = 0
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _run_job(payload: bytes):
@@ -115,15 +111,12 @@ def fork_map(
     items: Sequence[T] | Iterable[T],
     *,
     processes: int | None = None,
-    initializer: Callable | None = None,
-    initargs: tuple = (),
     consume: Callable[[R], None] | None = None,
 ) -> list[R]:
     """``[fn(item) for item in items]``, fanned across a fork pool.
 
     Results are returned in input order.  ``fn`` must be a module-level
-    callable (the pool pickles it); ``initializer(*initargs)`` runs once
-    per worker, e.g. to seed a process-global cache snapshot.
+    callable (the pool pickles it).
 
     ``consume(result)`` runs in the *calling* process as each result
     arrives (in input order, on every execution path) — callers that
@@ -174,8 +167,6 @@ def fork_map(
                 obs_metrics.enabled(),
                 obs_trace.current_trace_id(),
                 tracing,
-                initializer,
-                initargs,
             ),
         ) as pool:
             # Chunked submission: one pipe round-trip per chunk, not per

@@ -1,9 +1,8 @@
-"""``_footprint_bits`` is memoized on (format, operand stats), and bounded.
+"""MINT's transit footprints: one storage-model call per format per operand.
 
-A route search prices both ends of every hop twice (its cycle estimate
-and its cost) for one operand, so the transit footprint is memoized.  The
-memo must answer exactly what the storage model does, and must not grow
-with the number of distinct operands a long-lived process sees.
+A :class:`~repro.mint.graph.RouteTable` prices every datapath of one
+operand from the transit footprint of each format, computed once.  The
+footprint must answer exactly what the storage model does.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.compactness import storage_bits
 from repro.formats.registry import Format
+import repro.mint.graph as graph_module
 from repro.mint.graph import (
-    FOOTPRINT_CACHE_SIZE,
     HopStats,
     _dims_for,
     _footprint_bits,
@@ -63,34 +62,29 @@ def _storage_model(fmt: Format, stats: HopStats) -> float:
 
 @settings(max_examples=200, deadline=None)
 @given(_fmt_and_stats())
-def test_memoized_footprint_matches_storage_model(case):
+def test_footprint_matches_storage_model(case):
     fmt, stats = case
-    expected = _storage_model(fmt, stats)
-    first = _footprint_bits(fmt, stats)
-    # An equal-valued stats object is answered from the memo.
-    again = _footprint_bits(fmt, HopStats(**vars(stats)))
-    assert first == expected
-    assert again == expected
-    assert type(first) is float and type(again) is float
+    bits = _footprint_bits(fmt, stats)
+    assert bits == _storage_model(fmt, stats)
+    assert type(bits) is float
 
 
-def test_cache_stays_bounded():
-    info = _footprint_bits.cache_info()
-    assert info.maxsize == FOOTPRINT_CACHE_SIZE
-    for nnz in range(2 * FOOTPRINT_CACHE_SIZE):
-        _footprint_bits(
-            Format.CSR, HopStats(size=1 << 20, nnz=nnz, major_dim=1 << 10)
-        )
-    assert _footprint_bits.cache_info().currsize <= FOOTPRINT_CACHE_SIZE
+def test_route_table_reads_each_footprint_once(monkeypatch):
+    """Pricing every edge of an operand calls the storage model once per
+    format, and routing all pairs from that table calls it no more."""
+    calls = []
 
+    def counting(*args):
+        calls.append(args[0])
+        return storage_bits(*args)
 
-def test_route_search_reuses_footprints():
-    """Pricing one operand's hops twice hits the memo the second time."""
+    monkeypatch.setattr(graph_module, "storage_bits", counting)
     stats = HopStats(size=(1 << 20) + 3, nnz=12_345, major_dim=1 << 10)
-    _footprint_bits.cache_clear()
-    for _ in range(2):
-        for dp in conversion_graph(tensor=False):
-            dp.cycles(stats)
-    info = _footprint_bits.cache_info()
-    assert info.currsize == len(MATRIX_NODES)
-    assert info.hits >= info.misses
+    table = conversion_graph(tensor=False).table(stats)
+    for src in MATRIX_NODES:
+        for dst in MATRIX_NODES:
+            table.route(src, dst)
+    assert len(calls) == len(MATRIX_NODES)
+    assert table.bits == [
+        _storage_model(fmt, stats) for fmt in table.index.nodes
+    ]

@@ -1,21 +1,34 @@
-"""The conversion-graph registry and the memoized path/cost planner."""
+"""The conversion-graph registry and the exact-statistics planner."""
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
+from _class_route_oracle import ClassRoutedPlanner
+from _class_route_oracle import find_path as oracle_find_path
+from _class_route_oracle import price_path as oracle_price_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perfbench.inputs import _miss_bands, _miss_workload
 from repro.errors import ConversionError
 from repro.formats import MATRIX_FORMATS, TENSOR_FORMATS, matrix_class
 from repro.formats.registry import Format
 from repro.mint.cost import PathPlanner, estimate_conversion_cost, shared_planner
 from repro.mint.graph import (
+    DEFAULT_THROUGHPUT,
     ConversionGraph,
     Datapath,
     HopStats,
+    MintThroughput,
+    _dims_for,
     conversion_graph,
     register_conversion,
 )
+from repro.sage import Sage
 from tests.conftest import make_sparse
 
 STATS_GRID = [
@@ -66,6 +79,23 @@ class TestRegistry:
 
         assert scratch.direct(Format.CSR, Format.COO).fn is my_path2
         assert len(scratch.edges_from(Format.CSR)) == 1
+
+        # A registered estimator prices its own edge: two one-cycle hops
+        # via CSC beat the generically priced direct hop.
+        def one_cycle(stats, *, final_hop):
+            return 1.0
+
+        for src, dst in [(Format.CSR, Format.CSC), (Format.CSC, Format.COO)]:
+            register_conversion(
+                src, dst, graph=scratch, estimator=one_cycle
+            )(my_path2)
+        stats = HopStats.typical()
+        route = scratch.find_path(Format.CSR, Format.COO, stats)
+        assert [dp.pair for dp in route] == [
+            (Format.CSR, Format.CSC), (Format.CSC, Format.COO),
+        ]
+        assert scratch.path_cycles(route, stats) == 2.0
+        assert route == oracle_find_path(scratch, Format.CSR, Format.COO, stats)
 
     def test_datapath_call_filters_unknown_kwargs(self):
         graph = conversion_graph(tensor=False)
@@ -135,61 +165,26 @@ class TestPathPlanner:
         kwargs = dict(size=1 << 20, nnz=1 << 12, major_dim=1 << 10)
         first = planner.estimate(Format.CSR, Format.CSC, **kwargs)
         info = planner.cache_info()
-        assert info["cost"].misses == 1 and info["cost"].hits == 0
+        assert info.misses == 1 and info.hits == 0
         second = planner.estimate(Format.CSR, Format.CSC, **kwargs)
+        # Another pair of the same operand reads the same table.
+        planner.estimate(Format.RLC, Format.CSC, **kwargs)
         info = planner.cache_info()
-        assert info["cost"].hits == 1 and info["cost"].misses == 1
+        assert info.hits == 2 and info.misses == 1
         assert first == second
-
-    def test_route_cache_shared_within_size_class(self):
-        planner = PathPlanner()
-        planner.estimate(Format.RLC, Format.CSC, size=1000, nnz=100,
-                         major_dim=32)
-        # Same power-of-two buckets, different exact stats: route is reused,
-        # cost is recomputed exactly.
-        planner.estimate(Format.RLC, Format.CSC, size=1023, nnz=101,
-                         major_dim=33)
-        info = planner.cache_info()
-        assert info["route"].misses == 1 and info["route"].hits == 1
-        assert info["cost"].misses == 2
-
-    def test_cache_clear_resets(self):
-        planner = PathPlanner()
-        planner.estimate(Format.COO, Format.CSR, size=4096, nnz=64,
-                         major_dim=64)
-        planner.cache_clear()
-        info = planner.cache_info()
-        assert info["cost"].currsize == 0 and info["route"].currsize == 0
-        assert info["cost"].hits == 0 and info["cost"].misses == 0
 
     def test_identity_costs_nothing_and_skips_cache(self):
         planner = PathPlanner()
         cost = planner.estimate(Format.CSR, Format.CSR, size=100, nnz=10,
                                 major_dim=10)
-        assert cost.cycles == 0 and planner.cache_info()["cost"].currsize == 0
-
-    def test_export_seed_roundtrip(self):
-        donor = PathPlanner()
-        donor.estimate(Format.RLC, Format.CSR, size=1 << 18, nnz=1 << 10,
-                       major_dim=1 << 9)
-        snapshot = donor.export_routes()
-        assert snapshot  # at least one route, as picklable format pairs
-        for pairs in snapshot.values():
-            assert all(isinstance(s, Format) and isinstance(t, Format)
-                       for s, t in pairs)
-        receiver = PathPlanner()
-        receiver.seed_routes(snapshot)
-        receiver.estimate(Format.RLC, Format.CSR, size=1 << 18, nnz=1 << 10,
-                          major_dim=1 << 9)
-        info = receiver.cache_info()
-        assert info["route"].hits == 1 and info["route"].misses == 0
+        assert cost.cycles == 0 and planner.cache_info().currsize == 0
 
     def test_estimate_conversion_cost_uses_shared_planner(self):
-        before = shared_planner().cache_info()["cost"]
+        before = shared_planner().cache_info()
         kwargs = dict(size=1 << 16, nnz=1 << 9, major_dim=1 << 8)
         a = estimate_conversion_cost(Format.ZVC, Format.COO, **kwargs)
         b = estimate_conversion_cost(Format.ZVC, Format.COO, **kwargs)
-        after = shared_planner().cache_info()["cost"]
+        after = shared_planner().cache_info()
         assert a == b
         assert after.hits >= before.hits + 1
 
@@ -199,6 +194,135 @@ class TestPathPlanner:
         fresh = PathPlanner().estimate(Format.RLC, Format.COO, **kwargs)
         again = PathPlanner().estimate(Format.RLC, Format.COO, **kwargs)
         assert fresh == again and fresh.cycles > 0
+
+    def test_decision_is_history_independent(self):
+        """A workload's decision does not depend on what the process
+        predicted before it.
+
+        The probe shares every size class with the 22nd of 200 fresh-band
+        workloads (perfbench's serve misses).  The class-routed planner
+        routes the probe's conversions by whichever operand of its class
+        it saw first, so its ranking moves; the exact planner's cannot.
+        """
+        combos = _miss_bands(1)
+        rng = random.Random(1)
+        history = [_miss_workload(combos[i], rng, i) for i in range(200)]
+        probe = _miss_workload(combos[21], random.Random(2), 1000)
+
+        shared_planner().cache_clear()
+        cold = Sage().predict(probe).to_wire()
+        shared_planner().cache_clear()
+        sage = Sage()
+        for wl in history:
+            sage.predict(wl)
+        assert sage.predict(probe).to_wire() == cold
+
+        def class_routed(planner):
+            def price(src, dst, size, nnz, major_dim, dtype_bits, tensor):
+                return planner.estimate(
+                    src, dst, size=size, nnz=nnz, major_dim=major_dim,
+                    dtype_bits=dtype_bits, tensor=tensor,
+                )
+
+            return Sage(provider=price)
+
+        assert class_routed(ClassRoutedPlanner()).predict(probe).to_wire() == cold
+        warm = class_routed(ClassRoutedPlanner())
+        for wl in history:
+            warm.predict(wl)
+        assert warm.predict(probe).to_wire() != cold
+
+
+@st.composite
+def _stats(draw, tensor: bool) -> HopStats:
+    size = draw(st.integers(1, 1 << 24))
+    major_dim = draw(st.integers(1, size))
+    # Keep nnz within the dims the storage model rebuilds, as every real
+    # operand's is.
+    cells = math.prod(_dims_for(size, major_dim, tensor=tensor))
+    return HopStats(
+        size=size,
+        nnz=draw(st.integers(0, cells)),
+        major_dim=major_dim,
+        dtype_bits=draw(st.sampled_from((8, 16, 32, 64))),
+        tensor=tensor,
+    )
+
+
+_THROUGHPUTS = st.one_of(
+    st.just(DEFAULT_THROUGHPUT),
+    st.builds(
+        MintThroughput,
+        stream_bits=st.sampled_from((64, 128, 512, 1024)),
+        divmod_units=st.integers(1, 16),
+        scan_width=st.sampled_from((4, 8, 32, 64)),
+    ),
+)
+
+
+class TestExactRoutingOracle:
+    """One tree per source answers every target exactly as the
+    per-target Dijkstra of ``_class_route_oracle`` does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.booleans().flatmap(
+            lambda tensor: st.tuples(st.just(tensor), _stats(tensor))
+        ),
+        throughput=_THROUGHPUTS,
+    )
+    def test_routes_and_costs_match_oracle(self, case, throughput):
+        tensor, stats = case
+        graph = conversion_graph(tensor=tensor)
+        catalog = TENSOR_FORMATS if tensor else MATRIX_FORMATS
+        planner = PathPlanner(throughput=throughput)
+        kwargs = dict(
+            size=stats.size, nnz=stats.nnz, major_dim=stats.major_dim,
+            dtype_bits=stats.dtype_bits, tensor=tensor,
+        )
+        for src in catalog:
+            for dst in catalog:
+                route = graph.find_path(src, dst, stats, throughput=throughput)
+                expected = oracle_find_path(
+                    graph, src, dst, stats, throughput=throughput
+                )
+                assert route == expected, (src, dst)
+                cost = oracle_price_path(expected, stats, throughput)
+                assert planner.estimate(src, dst, **kwargs) == cost
+                assert estimate_conversion_cost(
+                    src, dst, throughput=throughput, **kwargs
+                ) == cost
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_custom_estimators_match_oracle(self, data):
+        """Registered estimators, ties and final hops priced above the
+        same intermediate hop: routes still equal the oracle's."""
+        graph = ConversionGraph(tensor=False)
+        formats = [Format.DENSE, Format.COO, Format.CSR, Format.CSC,
+                   Format.RLC]
+        weights = st.integers(1, 4)
+        for src in formats:
+            for dst in formats:
+                if src is dst or not data.draw(st.booleans()):
+                    continue
+                inter, final = data.draw(weights), data.draw(weights)
+
+                def est(stats, *, final_hop, inter=inter, final=final):
+                    return final if final_hop else inter
+
+                register_conversion(src, dst, graph=graph, estimator=est)(
+                    lambda obj, blocks: (obj, 0)
+                )
+        for src in formats:
+            for dst in formats:
+                try:
+                    expected = oracle_find_path(graph, src, dst)
+                except ConversionError:
+                    with pytest.raises(ConversionError):
+                        graph.find_path(src, dst)
+                    continue
+                assert graph.find_path(src, dst) == expected, (src, dst)
 
 
 class TestCustomThroughputRouting:
