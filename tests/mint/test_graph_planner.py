@@ -17,7 +17,12 @@ from perfbench.inputs import _miss_bands, _miss_workload
 from repro.errors import ConversionError
 from repro.formats import MATRIX_FORMATS, TENSOR_FORMATS, matrix_class
 from repro.formats.registry import Format
-from repro.mint.cost import PathPlanner, estimate_conversion_cost, shared_planner
+from repro.mint.cost import (
+    TABLE_CACHE_SIZE,
+    PathPlanner,
+    estimate_conversion_cost,
+    shared_planner,
+)
 from repro.mint.graph import (
     DEFAULT_THROUGHPUT,
     ConversionGraph,
@@ -172,6 +177,28 @@ class TestPathPlanner:
         info = planner.cache_info()
         assert info.hits == 2 and info.misses == 1
         assert first == second
+
+    def test_cache_clear_resets(self):
+        planner = PathPlanner()
+        kwargs = dict(size=4096, nnz=64, major_dim=64)
+        before = planner.estimate(Format.COO, Format.CSR, **kwargs)
+        planner.cache_clear()
+        info = planner.cache_info()
+        assert info.currsize == 0
+        assert info.hits == 0 and info.misses == 0
+        # A cleared planner rebuilds the table and answers the same cost.
+        assert planner.estimate(Format.COO, Format.CSR, **kwargs) == before
+        assert planner.cache_info().misses == 1
+
+    def test_table_cache_stays_bounded(self):
+        planner = PathPlanner()
+        assert planner.cache_info().maxsize == TABLE_CACHE_SIZE
+        for nnz in range(TABLE_CACHE_SIZE + 16):
+            planner.estimate(Format.CSR, Format.CSC, size=1 << 20, nnz=nnz,
+                             major_dim=1 << 10)
+        info = planner.cache_info()
+        assert info.currsize == TABLE_CACHE_SIZE
+        assert info.misses == TABLE_CACHE_SIZE + 16
 
     def test_identity_costs_nothing_and_skips_cache(self):
         planner = PathPlanner()
