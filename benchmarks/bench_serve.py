@@ -58,7 +58,7 @@ def measure() -> dict:
         Sage().predict(wl)
     naive_s = time.perf_counter() - t0
 
-    config = ServeConfig(port=0, shards=2, batch_window_ms=1.0)
+    config = ServeConfig(port=0, shards=2)
     with SageServer(serve=config) as server:
         with ServeClient(*server.address) as client:
             t0 = time.perf_counter()

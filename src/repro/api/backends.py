@@ -12,7 +12,7 @@ fronts many execution targets:
   :class:`~repro.serve.client.ServeClient`; options travel in the
   versioned wire schema (:data:`~repro.api.options.WIRE_SCHEMA_VERSION`)
   and batches coalesce into one ``predict_many`` round trip, riding the
-  server's own batcher.
+  server's caches and in-flight coalescing.
 
 Both return the same :class:`~repro.sage.predictor.SageDecision` objects,
 wire-identical for identical workloads and options.

@@ -12,7 +12,7 @@ Commands
     conversion along the planned route, cycle-level simulation — one
     :class:`~repro.api.result.RunResult` report.
 ``serve``
-    Run the batched, cached SAGE prediction server (``repro.serve``).
+    Run the cached SAGE prediction server (``repro.serve``).
 ``sweep``
     Print the Fig. 4-style compactness sweep for a matrix shape.
 ``walkthrough``
@@ -31,9 +31,9 @@ Commands
     over a named training grid (``--suite tiny|smoke|full``), persisted
     in the artifact store keyed on the accelerator-config digest.
 ``stats``
-    Pretty-print a running server's ``stats`` RPC — request/cache/batch
-    counters, latency percentiles, and the merged metrics registry
-    (front process plus every shard worker).
+    Pretty-print a running server's ``stats`` RPC — request, cache and
+    coalescing counters, latency percentiles, and the merged metrics
+    registry (front process plus every shard worker).
 ``paths``
     Print the registered conversion graph and the cost-aware route the
     planner chooses for a given operand size.
@@ -176,7 +176,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         shards=args.shards,
-        batch_window_ms=args.batch_window_ms,
         cache_size=args.cache_size,
         near_hit=not args.exact,
         ranking_top=args.top,
@@ -532,7 +531,6 @@ def _render_stats(stats: dict) -> str:
     req = stats.get("requests", {})
     cache = stats.get("cache", {})
     reply_cache = stats.get("reply_cache", {})
-    batches = stats.get("batches", {})
     latency = stats.get("latency_ms", {})
     lines = [
         f"uptime {stats.get('uptime_s', 0.0):.1f}s, "
@@ -550,9 +548,7 @@ def _render_stats(stats: dict) -> str:
         f"reply cache: {reply_cache.get('hits', 0)} hits, "
         f"{reply_cache.get('currsize', 0)}/{reply_cache.get('maxsize', 0)} "
         f"frame(s)",
-        f"batches: {batches.get('count', 0)} dispatched, "
-        f"max size {batches.get('max_size', 0)}, "
-        f"{batches.get('coalesced', 0)} coalesced",
+        f"coalesced misses: {stats.get('batches', {}).get('coalesced', 0)}",
     ]
     warming = stats.get("warming")
     if warming:
@@ -779,14 +775,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
-        "serve", help="run the batched, cached SAGE prediction server"
+        "serve", help="run the cached SAGE prediction server"
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7342,
                    help="TCP port (0 picks an ephemeral one)")
     p.add_argument("--shards", type=int, default=2,
                    help="warm worker processes (0 = in-process)")
-    p.add_argument("--batch-window-ms", type=float, default=2.0)
     p.add_argument("--cache-size", type=int, default=4096)
     p.add_argument("--exact", action="store_true",
                    help="disable density-band near-hit cache answers")

@@ -1,4 +1,4 @@
-"""``repro.serve`` — SAGE as a batched, cached, sharded prediction server.
+"""``repro.serve`` — SAGE as a cached, sharded prediction server.
 
 The serving subsystem (stdlib only) layered over the in-process predictor:
 

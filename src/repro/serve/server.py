@@ -1,4 +1,4 @@
-"""SAGE-as-a-service: an async, batched, cached TCP prediction server.
+"""SAGE-as-a-service: an async, cached TCP prediction server.
 
 The ROADMAP's north star is a system that serves sustained prediction
 traffic; this module is the layer that turns the in-process primitives
@@ -22,20 +22,21 @@ Request path
 3. Everything else dispatches to a bounded worker pool where the
    request parses once and consults the :class:`DecisionCache` — hits
    (exact or density-band near-hits) are answered immediately.
-4. Misses enter the **coalescing batcher**: requests arriving within
-   one batch window are collected, duplicates of an already-in-flight
-   fingerprint attach to the pending computation instead of dispatching
-   again, and the rest fan out to the shard pool.  Each miss (and
-   near-hit) also feeds the **speculative warmer**
-   (:class:`~repro.serve.warmer.BandWarmer`, ``warm_bands > 0``), which
-   pre-computes adjacent density bands in the background so the next
-   cold request in the band becomes a hit.
+4. Misses dispatch at once from the worker thread that waits on them.
+   A miss whose fingerprint is already being computed **coalesces**:
+   it attaches to the pending computation instead of dispatching
+   again.  Each miss (and near-hit) also feeds the **speculative
+   warmer** (:class:`~repro.serve.warmer.BandWarmer`,
+   ``warm_bands > 0``), which pre-computes adjacent density bands in
+   the background so the next cold request in the band becomes a hit.
 5. **Shards** are persistent worker processes addressed by the
    fingerprint's stable band-key hash, so repeats of a workload always
-   hit the same worker.  A shard only ever sees front-cache misses that survived coalescing, so
-   it predicts directly; the front :class:`DecisionCache` is the one
-   decision cache a request consults.  ``shards=0`` computes in-process
-   instead (no extra processes; useful on platforms without ``fork``).
+   hit the same worker.  A shard only ever sees front-cache misses that
+   survived coalescing, so it predicts directly; the front
+   :class:`DecisionCache` is the one decision cache a request consults.
+   With ``shards=0`` (or a dead shard) the worker thread computes the
+   miss itself (no extra processes; useful on platforms without
+   ``fork``).
 6. Results flow back through per-shard collector threads, populate the
    front cache, and release every waiter that coalesced onto them.
 
@@ -59,7 +60,7 @@ requests without a ``schema_version`` are the PR-2-era legacy shape
 Unknown versions are rejected with an error naming what this server
 speaks.  Requests whose options restrict the search space (or ask for a
 different fidelity tier than the server's) bypass the decision cache and
-the coalescing batcher — restricted decisions are workload-specific in a
+coalescing — restricted decisions are workload-specific in a
 way fingerprints do not capture — and are computed directly on the
 worker-pool thread handling them.
 """
@@ -72,7 +73,6 @@ import json
 import math
 import multiprocessing
 import os
-import queue
 import threading
 import time
 import uuid
@@ -97,8 +97,6 @@ from repro.workloads.spec import workload_from_dict
 
 __all__ = ["OUTCOMES", "SageServer", "ServeConfig"]
 
-_STOP = object()
-
 _LOG = get_logger("serve")
 
 #: Sentinel key prefix for in-band shard metric collection.  Prediction
@@ -108,17 +106,26 @@ _METRICS_KEY = "__metrics__:"
 #: Cache outcomes a request can resolve with (the latency label set).
 OUTCOMES = ("hit", "near_hit", "miss", "bypassed")
 
+#: Most-recent request latencies kept for the stats percentiles (overall
+#: and per cache outcome).
+_LATENCY_WINDOW = 4096
+#: Worker-pool width: how many requests may be *processing* at once.
+#: Idle connections are free (the async front end holds them on one
+#: event loop); this bounds active work only.
+_MAX_INFLIGHT = 16
+#: Encoded-reply frames kept for the framed fast path.
+_REPLY_CACHE_SIZE = 2048
+#: Bound on the speculative warm queue (drop-new beyond it).
+_WARM_QUEUE = 256
+
 _REQUESTS = registry().counter(
     "repro_serve_requests_total",
     "Serve request lifecycle events (submitted/served/error/bypassed/"
     "coalesced/fast_path)",
 )
-_BATCHES = registry().counter(
-    "repro_serve_batches_total", "Coalescing-batcher dispatch rounds"
-)
 _STAGE_SECONDS = registry().histogram(
     "repro_serve_stage_seconds",
-    "Per-request wall-seconds by serve stage (queue/compute/total)",
+    "Per-request wall-seconds by serve stage (compute/total)",
 )
 _LATENCY = registry().histogram(
     "repro_serve_latency_seconds",
@@ -129,7 +136,7 @@ _LATENCY = registry().histogram(
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Tuning knobs of one :class:`SageServer`.
+    """Settings of one :class:`SageServer`.
 
     Attributes
     ----------
@@ -138,11 +145,6 @@ class ServeConfig:
         from :attr:`SageServer.address`).
     shards:
         Persistent worker processes; ``0`` computes misses in-process.
-    batch_window_ms:
-        How long the batcher waits to coalesce concurrently-arriving
-        misses into one dispatch round.
-    max_batch:
-        Upper bound on requests gathered per round.
     cache_size, near_hit:
         Front :class:`DecisionCache` capacity and whether same-density-
         band near-hits may be served (exactness off ↔ throughput up).
@@ -158,43 +160,27 @@ class ServeConfig:
         or ``"cycle"`` (the analytical top-k re-ranked on the cycle-level
         simulator).  Fidelity is a server-level property so the decision
         cache stays tier-consistent.
-    latency_window:
-        Number of most-recent request latencies kept for percentiles
-        (overall and per cache outcome).
     request_timeout_s:
-        Server-side cap on how long one request may stay in flight.
-    max_inflight:
-        Worker-pool width: how many requests may be *processing*
-        concurrently.  Idle connections are free (the async front end
-        holds them on one event loop); this bounds active work only.
-    reply_cache_size:
-        Encoded-reply entries kept for the framed fast path (``0``
-        disables it; legacy JSON-lines requests never use it).
+        Server-side cap on how long one request waits for a shard's (or
+        another request's) computation.  A search run on the request's
+        own worker thread (no live shard, or a bypass) is not cut short.
     warm_bands:
         Speculative warming depth: on a miss or near-hit, pre-compute
         this many adjacent density bands (each direction) plus the
         predicted-next problem size in the background.  ``0`` (default)
         disables speculation — embedded/test servers stay deterministic;
         ``repro serve`` turns it on.
-    warm_queue:
-        Bound on the speculative warm queue (drop-new beyond it).
     """
 
     host: str = "127.0.0.1"
     port: int = 0
     shards: int = 2
-    batch_window_ms: float = 2.0
-    max_batch: int = 64
     cache_size: int = 4096
     near_hit: bool = True
     ranking_top: int = 8
     fidelity: str = "analytical"
-    latency_window: int = 4096
     request_timeout_s: float = 120.0
-    max_inflight: int = 16
-    reply_cache_size: int = 2048
     warm_bands: int = 0
-    warm_queue: int = 256
 
 
 class _PendingRequest:
@@ -202,7 +188,7 @@ class _PendingRequest:
 
     __slots__ = (
         "workload", "parsed", "fp", "done", "decision", "error", "t_submit",
-        "t_dispatch", "outcome",
+        "outcome",
     )
 
     def __init__(self, workload: dict, parsed, fp: WorkloadFingerprint) -> None:
@@ -213,9 +199,6 @@ class _PendingRequest:
         self.decision: SageDecision | None = None
         self.error: str | None = None
         self.t_submit = time.perf_counter()
-        #: When the batcher handed the request onward (queue-stage end);
-        #: stays None on cache hits and bypasses.
-        self.t_dispatch: float | None = None
         #: Cache outcome label: hit / near_hit / miss / bypassed.
         self.outcome: str = "miss"
 
@@ -238,8 +221,6 @@ class _ReplyCache:
         self.hits = 0
 
     def get(self, key: bytes) -> bytes | None:
-        if self.maxsize <= 0:
-            return None
         with self._lock:
             reply = self._entries.get(key)
             if reply is not None:
@@ -248,8 +229,6 @@ class _ReplyCache:
             return reply
 
     def put(self, key: bytes, reply: bytes) -> None:
-        if self.maxsize <= 0:
-            return
         with self._lock:
             self._entries[key] = reply
             self._entries.move_to_end(key)
@@ -479,7 +458,7 @@ class _AsyncFrontEnd:
 
 
 class SageServer:
-    """The serving frontend: async listener, batcher, cache, shard pool.
+    """The serving frontend: async listener, caches, shard pool.
 
     Typical embedded use (tests, benchmarks, notebooks)::
 
@@ -511,20 +490,18 @@ class SageServer:
         self._cache = DecisionCache(
             self.serve.cache_size, near_hit=self.serve.near_hit, scope="front"
         )
-        self._reply_cache = _ReplyCache(self.serve.reply_cache_size)
-        self._queue: queue.Queue = queue.Queue()
+        self._reply_cache = _ReplyCache(_REPLY_CACHE_SIZE)
         self._lock = threading.Lock()
         self._inflight: dict[tuple, list[_PendingRequest]] = {}
-        self._latencies: deque[float] = deque(maxlen=self.serve.latency_window)
+        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._latencies_by_outcome: dict[str, deque[float]] = {
-            outcome: deque(maxlen=self.serve.latency_window)
+            outcome: deque(maxlen=_LATENCY_WINDOW)
             for outcome in OUTCOMES
         }
         self._shards: list[_Shard] = []
         self._collectors: list[threading.Thread] = []
         self._frontend: _AsyncFrontEnd | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._batcher: threading.Thread | None = None
         self._warmer: BandWarmer | None = None
         self._closed = threading.Event()
         self._shutdown_flushed = threading.Event()
@@ -538,15 +515,13 @@ class SageServer:
         self._submitted = 0
         self._served = 0
         self._errors = 0
-        self._batches = 0
-        self._max_batch_seen = 0
         self._coalesced = 0
         self._bypassed = 0  # restricted-options requests computed inline
         self._fast_path = 0  # framed repeats answered from the reply cache
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> tuple[str, int]:
-        """Spin up shards, batcher, and listener; return ``(host, port)``."""
+        """Spin up shards and listener; return ``(host, port)``."""
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
@@ -587,14 +562,10 @@ class SageServer:
                 self._cache,
                 config=self._sage.config,
                 bands=self.serve.warm_bands,
-                maxsize=self.serve.warm_queue,
+                maxsize=_WARM_QUEUE,
             )
-        self._batcher = threading.Thread(
-            target=self._batch_loop, name="serve-batcher", daemon=True
-        )
-        self._batcher.start()
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, self.serve.max_inflight),
+            max_workers=_MAX_INFLIGHT,
             thread_name_prefix="serve-worker",
         )
         self._frontend = _AsyncFrontEnd(
@@ -634,17 +605,6 @@ class SageServer:
             self._frontend.stop()
         if self._warmer is not None:
             self._warmer.close()
-        self._queue.put(_STOP)
-        if self._batcher is not None:
-            self._batcher.join(timeout=5)
-        while True:  # requests that raced past the batcher's stop
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _STOP:
-                item.error = "server shutting down"
-                item.done.set()
         with self._lock:
             pending = list(self._inflight.values())
             self._inflight.clear()
@@ -860,7 +820,7 @@ class SageServer:
         Fingerprints ignore search restrictions, and the decision cache is
         tier-consistent at the server's configured fidelity — so only
         unrestricted requests at that fidelity (or with no tier named,
-        which defers to the server's) may ride the cache/batcher.
+        which defers to the server's) may ride the cache and coalescing.
         Hardware-override requests (``options.config`` / ``dram_gbps``,
         the tuner's remote-evaluation path) answer for a different
         accelerator than the resident fingerprints name, so they bypass
@@ -928,7 +888,11 @@ class SageServer:
     def _submit(
         self, workload: dict, options: PredictOptions | None = None
     ) -> _PendingRequest:
-        """Cache-or-enqueue one workload dict; returns its pending handle."""
+        """Answer one workload dict from cache or dispatch its miss.
+
+        Returns the pending handle, which the calling worker thread then
+        waits on in :meth:`_reply_one`.
+        """
         parsed = workload_from_dict(workload)
         fp = fingerprint_of(parsed, self._sage.config)
         req = _PendingRequest(workload, parsed, fp)
@@ -936,7 +900,7 @@ class SageServer:
             self._submitted += 1
         _REQUESTS.inc(event="submitted")
         if self._closed.is_set():
-            # The batcher is gone; fail fast instead of timing out.
+            # Shutting down: fail fast instead of timing out.
             req.error = "server shutting down"
             req.done.set()
             return req
@@ -975,74 +939,36 @@ class SageServer:
         req.outcome = "miss"
         if self._warmer is not None:
             self._warmer.enqueue(fp)
-        self._queue.put(req)
-        if self._closed.is_set() and not req.done.is_set():
-            # close() may have drained the queue between the check above
-            # and the put; fail the straggler rather than letting the
-            # client wait out the full request timeout.
-            req.error = "server shutting down"
-            req.done.set()
-        return req
-
-    def _batch_loop(self) -> None:
-        """Coalesce misses arriving within one window, then dispatch."""
-        window_s = self.serve.batch_window_ms / 1000.0
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            batch = [item]
-            deadline = time.monotonic() + window_s
-            while len(batch) < self.serve.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    nxt = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
-                if nxt is _STOP:
-                    self._dispatch(batch)
-                    return
-                batch.append(nxt)
-            self._dispatch(batch)
-
-    def _dispatch(self, batch: list[_PendingRequest]) -> None:
+        key = fp.exact_key()
         with self._lock:
-            self._batches += 1
-            self._max_batch_seen = max(self._max_batch_seen, len(batch))
-        _BATCHES.inc()
-        now = time.perf_counter()
-        for req in batch:
-            req.t_dispatch = now
-            key = req.fp.exact_key()
-            with self._lock:
-                waiters = self._inflight.get(key)
-                if waiters is not None:
-                    # Same fingerprint already being computed: attach.
-                    waiters.append(req)
-                    self._coalesced += 1
-                    _REQUESTS.inc(event="coalesced")
-                    continue
+            # close() sets the flag before it fails the in-flight map under
+            # this lock, so a miss registered here is either failed by
+            # close() or sees the flag now: it never waits out the timeout.
+            if self._closed.is_set():
+                req.error = "server shutting down"
+                req.done.set()
+                return req
+            waiters = self._inflight.get(key)
+            if waiters is None:
                 self._inflight[key] = [req]
-            shard = (
-                self._shards[req.fp.shard(len(self._shards))]
-                if self._shards
-                else None
-            )
-            if shard is not None and shard.proc.is_alive():
-                shard.in_q.put((key, req.workload))
             else:
-                # No shards configured, or this one died (OOM, kill):
-                # don't blackhole its fingerprint partition — compute on a
-                # worker thread so the request completes without stalling
-                # dispatch to the healthy shards behind the search.
-                threading.Thread(
-                    target=self._compute_inline,
-                    args=(key, req.parsed),
-                    name="serve-inline",
-                    daemon=True,
-                ).start()
+                # Same fingerprint already being computed: attach.
+                waiters.append(req)
+                self._coalesced += 1
+        if waiters is not None:
+            _REQUESTS.inc(event="coalesced")
+            return req
+        shard = (
+            self._shards[fp.shard(len(self._shards))] if self._shards else None
+        )
+        if shard is not None and shard.proc.is_alive():
+            shard.in_q.put((key, workload))
+        else:
+            # No shards configured, or this one died (OOM, kill): compute
+            # on this worker thread, which would block in _reply_one
+            # anyway, so the fingerprint's partition is not blackholed.
+            self._compute_inline(key, parsed)
+        return req
 
     def _compute_inline(self, key: tuple, workload) -> None:
         """Shardless fallback: run the search in this (worker) thread."""
@@ -1093,17 +1019,15 @@ class SageServer:
             req.done.set()
 
     def _record_latency(self, req: _PendingRequest) -> None:
-        now = time.perf_counter()
-        elapsed = now - req.t_submit
+        elapsed = time.perf_counter() - req.t_submit
         outcome = req.outcome
         with self._lock:
             self._latencies.append(elapsed)
             self._latencies_by_outcome[outcome].append(elapsed)
         _STAGE_SECONDS.observe(elapsed, stage="total")
         _LATENCY.observe(elapsed, outcome=outcome)
-        if req.t_dispatch is not None:
-            _STAGE_SECONDS.observe(req.t_dispatch - req.t_submit, stage="queue")
-            _STAGE_SECONDS.observe(now - req.t_dispatch, stage="compute")
+        if outcome == "miss":
+            _STAGE_SECONDS.observe(elapsed, stage="compute")
 
     # --------------------------------------------------------------- stats
     def collect_metrics(self, timeout_s: float = 1.0) -> dict:
@@ -1146,7 +1070,7 @@ class SageServer:
         }
 
     def stats(self) -> dict:
-        """The ``stats`` RPC payload: cache, batching, shard, latency
+        """The ``stats`` RPC payload: cache, coalescing, shard, latency
         (overall and split by cache outcome), the speculative-warming
         counters, and the merged metrics registry (``metrics`` section)."""
         with self._lock:
@@ -1162,11 +1086,7 @@ class SageServer:
                 "bypassed": self._bypassed,
                 "fast_path": self._fast_path,
             }
-            batches = {
-                "count": self._batches,
-                "max_size": self._max_batch_seen,
-                "coalesced": self._coalesced,
-            }
+            coalesced = self._coalesced
         return {
             "uptime_s": time.monotonic() - self._t_start,
             "schema_versions": list(SUPPORTED_WIRE_SCHEMAS),
@@ -1182,7 +1102,9 @@ class SageServer:
             "warming": (
                 self._warmer.stats() if self._warmer is not None else None
             ),
-            "batches": batches,
+            # Misses that attached to an in-flight computation; the
+            # section keeps its historical name for stats readers.
+            "batches": {"coalesced": coalesced},
             "shards": [
                 {
                     "shard": index,

@@ -205,9 +205,7 @@ class TestLocalRemoteParity:
         # near-hit tier deliberately answers from a same-band neighbour
         # (accuracy-for-latency) and is covered by tests/serve/.
         with SageServer(
-            serve=ServeConfig(
-                port=0, shards=1, batch_window_ms=1.0, near_hit=False
-            )
+            serve=ServeConfig(port=0, shards=1, near_hit=False)
         ) as srv:
             yield srv
 
@@ -268,9 +266,7 @@ class TestCalibratedParity:
 
         with SageServer(
             sage=Sage(calibration=table),
-            serve=ServeConfig(
-                port=0, shards=1, batch_window_ms=1.0, near_hit=False
-            ),
+            serve=ServeConfig(port=0, shards=1, near_hit=False),
         ) as srv:
             yield srv
 

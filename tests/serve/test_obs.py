@@ -57,7 +57,7 @@ def _wl(m: int) -> MatrixWorkload:
 @pytest.fixture(scope="module")
 def server():
     with SageServer(
-        serve=ServeConfig(port=0, shards=1, batch_window_ms=1.0)
+        serve=ServeConfig(port=0, shards=1)
     ) as srv:
         yield srv
 

@@ -23,7 +23,7 @@ def _wl(m: int = 200, nnz_a: int = 1_600) -> MatrixWorkload:
 @pytest.fixture(scope="module")
 def server():
     with SageServer(
-        serve=ServeConfig(port=0, shards=0, batch_window_ms=1.0)
+        serve=ServeConfig(port=0, shards=0)
     ) as srv:
         yield srv
 

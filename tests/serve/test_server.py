@@ -6,6 +6,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -25,7 +26,7 @@ def _wl(m: int = 256, nnz_a: int = 2_000) -> MatrixWorkload:
 @pytest.fixture(scope="module")
 def server():
     with SageServer(
-        serve=ServeConfig(port=0, shards=1, batch_window_ms=1.0)
+        serve=ServeConfig(port=0, shards=1)
     ) as srv:
         yield srv
 
@@ -46,10 +47,34 @@ def exact_server():
     # No near hits: every answer is this workload's own decision, so it
     # must equal the local Session's whatever the other tests asked.
     with SageServer(
-        serve=ServeConfig(port=0, shards=1, batch_window_ms=1.0,
-                          near_hit=False)
+        serve=ServeConfig(port=0, shards=1, near_hit=False)
     ) as srv:
         yield srv
+
+
+class _GatedSage(Sage):
+    """A predictor whose searches wait for :attr:`gate` and are counted."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+        self.calls = 0
+        self._calls_lock = threading.Lock()
+
+    def predict(self, *args, **kwargs):
+        with self._calls_lock:
+            self.calls += 1
+        self.gate.wait(timeout=30)
+        return super().predict(*args, **kwargs)
+
+
+def _wait_until(condition, timeout_s: float = 30.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 @pytest.fixture()
@@ -122,7 +147,7 @@ class TestRoundTrip:
         assert len(stats["shards"]) == 1
         assert stats["shards"][0]["alive"]
         assert stats["latency_ms"]["p50"] is not None
-        assert stats["batches"]["count"] >= 1
+        assert set(stats["batches"]) == {"coalesced"}
 
     def test_malformed_workload_reports_in_band(self, client):
         with pytest.raises(ServeError, match="kind"):
@@ -210,31 +235,46 @@ class TestWireParity:
 
 
 class TestConcurrency:
-    def test_concurrent_clients_coalesce_identical_requests(self, server):
-        wl = _wl(m=384, nnz_a=3_000)  # not seen by other tests
+    def test_concurrent_clients_coalesce_identical_requests(self):
+        # The search is held open until all six requests are in flight,
+        # so none of them can be a cache hit: five must attach to the
+        # first one's computation.
+        sage = _GatedSage()
+        wl = _wl(m=384, nnz_a=3_000)
         results: list = []
         errors: list = []
         barrier = threading.Barrier(6)
+        with SageServer(
+            sage=sage, serve=ServeConfig(port=0, shards=0)
+        ) as srv:
 
-        def hit() -> None:
-            try:
-                with ServeClient(*server.address) as c:
-                    barrier.wait()
-                    results.append(c.predict(wl))
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
+            def ask() -> None:
+                try:
+                    with ServeClient(*srv.address) as c:
+                        barrier.wait()
+                        results.append(c.predict(wl))
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
 
-        threads = [threading.Thread(target=hit) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            threads = [threading.Thread(target=ask) for _ in range(6)]
+            for t in threads:
+                t.start()
+            attached = _wait_until(
+                lambda: srv.stats()["batches"]["coalesced"] == 5
+            )
+            sage.gate.set()
+            for t in threads:
+                t.join(timeout=60)
+            stats = srv.stats()
+        assert attached
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert len({d.best.mcf for d in results}) == 1
-        stats = ServeClient(*server.address).stats()
-        # At least some of the 6 identical in-flight requests coalesced
-        # (cache hits absorb the rest).
-        assert stats["batches"]["coalesced"] + stats["cache"]["hits"] >= 1
+        assert sage.calls == 1
+        assert len(results) == 6
+        assert len({json.dumps(d.to_wire(), sort_keys=True)
+                    for d in results}) == 1
+        assert stats["batches"]["coalesced"] == 5
+        assert stats["cache"]["misses"] == 6
 
     def test_many_distinct_requests_across_clients(self, server):
         errors: list = []
@@ -404,6 +444,43 @@ class TestModes:
         req = srv._submit(_wl().to_dict())
         assert req.done.is_set()
         assert req.error == "server shutting down"
+
+    def test_close_fails_a_miss_in_flight(self):
+        # One request owns a search held open by the gate; a second,
+        # identical one waits on it.  close() must release the waiter
+        # with an error long before its request timeout.
+        sage = _GatedSage()
+        srv = SageServer(
+            sage=sage,
+            serve=ServeConfig(port=0, shards=0, request_timeout_s=60.0),
+        )
+        srv.start()
+        message = {"op": "predict", "workload": _wl(m=392).to_dict()}
+        replies: dict = {}
+
+        def ask(role: str) -> None:
+            replies[role] = srv.handle_message(dict(message))
+
+        owner = threading.Thread(target=ask, args=("owner",))
+        waiter = threading.Thread(target=ask, args=("waiter",))
+        try:
+            owner.start()
+            assert _wait_until(lambda: sage.calls == 1)
+            waiter.start()
+            assert _wait_until(lambda: srv._coalesced == 1)
+            t0 = time.monotonic()
+            srv.close()
+            waiter.join(timeout=10)
+            elapsed = time.monotonic() - t0
+        finally:
+            sage.gate.set()
+            srv.close()
+        owner.join(timeout=30)
+        assert not waiter.is_alive()
+        assert not owner.is_alive()
+        assert elapsed < 10
+        shutting_down = {"ok": False, "error": "server shutting down"}
+        assert replies == {"waiter": shutting_down, "owner": shutting_down}
 
 
 class TestClientPool:

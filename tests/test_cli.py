@@ -42,6 +42,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--engine", engine])
 
+    def test_serve_has_no_batch_window_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--batch-window-ms", "1"])
+
     def test_version_flag_prints_and_exits(self, capsys):
         import repro
 
