@@ -11,11 +11,13 @@ registry (Dense / CSR / CSC / COO / ELL) against both stationary layouts
 * **vectorized** — ``WeightStationarySimulator.run_gemm``, the
   array-resident ``BeatPlan`` engine, sequentially per job;
 * **batch** — ``WeightStationarySimulator.simulate_many``, the batch API
-  over the same engine, which simulates each distinct job once and
-  prepares each stationary operand once.
+  over the same engine, which simulates each distinct job once, prepares
+  each stationary operand once and returns reports only (no output
+  matrix).
 
-The simulator is asserted report-identical to the oracle per job (the
-differential check that keeps the vectorized path honest), the acceptance
+Job by job, the batch report is asserted equal to both ``run_gemm``'s and
+the oracle's (the differential check that keeps the vectorized path
+honest), the acceptance
 bar is a >= 5x vectorized-vs-reference speedup, and the headline numbers
 land in ``benchmarks/out/simulate_many.json``.  ``batch_gemms`` there is the
 ``repro_accel_gemms_total`` delta over the batch phase, asserted equal to
@@ -92,9 +94,10 @@ def measure() -> dict:
     distinct = {(id(a), acf_a, id(b), acf_b) for a, acf_a, b, acf_b in jobs}
     assert batch_gemms == len(distinct), (batch_gemms, len(distinct))
 
-    for (_, ref), (_, vec), (_, bat) in zip(reference, vectorized, batched):
-        assert vec.cycles == ref.cycles and bat.cycles == ref.cycles
-        assert vec.energy == ref.energy and bat.energy == ref.energy
+    assert len(batched) == len(jobs)
+    for (_, ref), (_, vec), bat in zip(reference, vectorized, batched):
+        assert bat == vec
+        assert bat.cycles == ref.cycles and bat.energy == ref.energy
 
     result = {
         "jobs": len(jobs),

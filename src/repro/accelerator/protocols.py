@@ -13,6 +13,10 @@ lives in two registries, mirroring the conversion-graph registry of
   ``(i, k, v, group_sizes)`` arrays the beat packer consumes.  Protocols
   self-register through :func:`register_stream_protocol`; tensor ACFs that
   only the analytical model streams register spec-only (no extractor).
+  Formats whose kernel scans the whole operand whatever the K tile (COO,
+  ELL) also register a **splitter**, so a K-tiled GEMM extracts them once
+  and derives every tile's entries from that one extraction
+  (:meth:`StreamProtocol.tile_entries`).
 * :class:`StationaryLayout` — how one ACF occupies the PE buffers: entries
   consumed per stored element, direct-index vs metadata matching, and a
   ``prepare`` hook materializing the array-resident view
@@ -27,7 +31,7 @@ CLI pick it up automatically.  Unsupported lookups raise
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +65,17 @@ ExtractFn = Callable[
     tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ]
 
+#: Tile splitter: ``fn(entries, k_tiles)`` yields, per K tile in order, the
+#: ``(i, k, v, group_sizes)`` the extraction kernel returns for that tile,
+#: derived from the kernel's whole-operand ``entries``.
+SplitFn = Callable[
+    [
+        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        Sequence[tuple[int, int]],
+    ],
+    Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+]
+
 
 @dataclass(frozen=True)
 class StreamProtocol:
@@ -72,6 +87,7 @@ class StreamProtocol:
     extract: ExtractFn | None = None  # None: spec-only (analytical model)
     operand_cls: type | None = None  # required encoding class, if any
     row_grouped: bool = True  # entries arrive grouped by output row
+    split: SplitFn | None = None  # None: extract each K tile on its own
 
     @property
     def streamable(self) -> bool:
@@ -94,6 +110,21 @@ class StreamProtocol:
                 f"{self.operand_cls.__name__} operand, got {type(a).__name__}"
             )
         return self.extract(a, int(k_lo), int(k_hi))
+
+    def tile_entries(
+        self, a: MatrixFormat, k_tiles: Sequence[tuple[int, int]]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Each K tile's entries, in tile order, equal to
+        ``extract_entries(a, lo, hi)`` per tile.
+
+        With a splitter and several tiles the operand is extracted once and
+        every tile is derived from it; otherwise each tile runs the kernel
+        on its own range (cheaper for kernels that slice their tile
+        directly).
+        """
+        if self.split is None or len(k_tiles) == 1:
+            return (self.extract_entries(a, lo, hi) for lo, hi in k_tiles)
+        return self.split(self.extract_entries(a, 0, a.ncols), k_tiles)
 
 
 class _ProtocolRegistry:
@@ -157,6 +188,7 @@ def register_stream_protocol(
     tensor: bool = False,
     operand_cls: type | None = None,
     row_grouped: bool = True,
+    split: SplitFn | None = None,
 ) -> Callable[[ExtractFn], ExtractFn]:
     """Decorator: self-register an extraction kernel as a stream protocol."""
 
@@ -170,6 +202,7 @@ def register_stream_protocol(
                 extract=fn,
                 operand_cls=operand_cls,
                 row_grouped=row_grouped,
+                split=split,
             )
         )
         return fn
@@ -224,10 +257,21 @@ def _extract_csc(a: CscMatrix, lo: int, hi: int):
     return a.row_ids[plo:phi], k, a.values[plo:phi], sizes
 
 
+def _split_coo(entries, k_tiles):
+    """A tile's COO run is the whole run's entries in the tile, in order."""
+    i, k, v, _sizes = entries
+    for lo, hi in k_tiles:
+        sel = (k >= lo) & (k < hi)
+        yield i[sel], k[sel], v[sel], np.asarray(
+            [np.count_nonzero(sel)], dtype=np.int64
+        )
+
+
 @register_stream_protocol(
     Format.COO,
     spec=StreamSpec(entry_slots=3, shared_slots=0, grouped=False),
     operand_cls=CooMatrix,
+    split=_split_coo,
 )
 def _extract_coo(a: CooMatrix, lo: int, hi: int):
     """Row-major sorted coordinates, one ungrouped run (Fig. 6c)."""
@@ -238,10 +282,38 @@ def _extract_coo(a: CooMatrix, lo: int, hi: int):
     return i, k, v, np.asarray([len(v)], dtype=np.int64)
 
 
+def _split_ell(entries, k_tiles):
+    """A tile's ELL rows: each row's real entries in the tile, in row
+    order, re-padded with ``(0, PAD_K)`` to the tile-local width."""
+    i, k, v, sizes = entries
+    m = len(sizes)
+    for lo, hi in k_tiles:
+        sel = (k >= lo) & (k < hi)  # PAD_K < 0 <= lo drops the padding
+        i_t = i[sel]
+        counts = np.bincount(i_t, minlength=m)
+        width = int(counts.max()) if m else 0
+        if width == 0:
+            empty = np.empty(0, dtype=np.int64)
+            yield empty, empty.copy(), np.empty(0), np.zeros(m, dtype=np.int64)
+            continue
+        # Row-major entries: slot = row * width + rank within the row.
+        row_start = np.cumsum(counts) - counts
+        slot = i_t * width + (np.arange(len(i_t)) - row_start[i_t])
+        k_t = np.full(m * width, PAD_K, dtype=np.int64)
+        v_t = np.zeros(m * width, dtype=np.float64)
+        k_t[slot] = k[sel]
+        v_t[slot] = v[sel]
+        yield (
+            np.repeat(np.arange(m, dtype=np.int64), width), k_t, v_t,
+            np.full(m, width, dtype=np.int64),
+        )
+
+
 @register_stream_protocol(
     Format.ELL,
     spec=StreamSpec(entry_slots=2, shared_slots=1, grouped=True),
     operand_cls=EllMatrix,
+    split=_split_ell,
 )
 def _extract_ell(a: EllMatrix, lo: int, hi: int):
     """Fixed-width rows: every row streams the tile's max row occupancy.

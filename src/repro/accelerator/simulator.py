@@ -2,7 +2,8 @@
 
 Executes ``O = A @ B`` (GEMM / SpMM / SpGEMM / SpMV are all this, per
 Fig. 2) under any registered ACF pair, producing both the numerical output
-and a :class:`~repro.accelerator.report.RunReport`.
+and a :class:`~repro.accelerator.report.RunReport` (:meth:`run_gemm`), or
+the reports alone for a batch (:meth:`simulate_many`).
 
 The simulator is the operational ground truth: it packs real bus beats
 (:mod:`repro.accelerator.stream`), matches streamed elements against the
@@ -13,11 +14,14 @@ stationary is decided by the protocol registries of
 it to run here.
 
 It consumes array-resident :class:`~repro.accelerator.stream.BeatPlan`
-objects and computes every per-PE statistic with numpy segment ops; no
-per-entry Python loops.  Its cycle/energy reports are pinned by the test
-suite against a per-beat PE model kept there as an oracle, along with the
-Fig. 6 walkthrough's 8 / 3 / 4 streaming cycles and the closed-form
-analytical cross-check.
+objects, one per K tile, and computes every per-PE statistic with numpy
+segment ops; no per-entry Python loops.  Streamed ACFs whose extraction
+scans the whole operand (COO, ELL) are extracted once per GEMM and split
+into tiles (:meth:`~repro.accelerator.protocols.StreamProtocol.
+tile_entries`); the others extract each tile directly.  Its cycle/energy
+reports are pinned by the test suite against a per-beat PE model kept
+there as an oracle, along with the Fig. 6 walkthrough's 8 / 3 / 4
+streaming cycles and the closed-form analytical cross-check.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from repro.accelerator.scheduler import (
     compute_k_tiles,
     compute_rounds,
 )
-from repro.accelerator.stream import build_beat_plan
+from repro.accelerator.stream import build_beat_plan, pack_entries
 from repro.errors import SimulationError
 from repro.formats.base import MatrixFormat
 from repro.formats.registry import Format
@@ -83,7 +87,7 @@ class WeightStationarySimulator:
         ``a`` must be encoded in ``acf_a`` (its class must match) and ``b``
         is re-encoded to the stationary layout internally if needed.
         """
-        return self._gemm(a, acf_a, b, acf_b, {})
+        return self._gemm(a, acf_a, b, acf_b, {}, output=True)
 
     def _gemm(
         self,
@@ -92,9 +96,13 @@ class WeightStationarySimulator:
         b: MatrixFormat,
         acf_b: Format,
         prepared: _Prepared,
-    ) -> tuple[np.ndarray, RunReport]:
+        *,
+        output: bool,
+    ) -> tuple[np.ndarray | None, RunReport]:
         """Validate, prepare the stationary side unless *prepared* already
-        holds it (keyed by ``(id(b), acf_b)``), then execute."""
+        holds it (keyed by ``(id(b), acf_b)``), then execute.  The output
+        is computed only when *output* is set (``None`` otherwise); the
+        report does not depend on it."""
         proto = stream_protocol_for(acf_a)
         if not proto.streamable:
             raise SimulationError(
@@ -125,7 +133,7 @@ class WeightStationarySimulator:
                     )
             stationary, schedule = prepared[key]
             out, report = self._run_vectorized(
-                a, proto, layout, stationary, schedule
+                a, proto, layout, stationary, schedule, output
             )
         _GEMMS.inc()
         cycles = report.cycles
@@ -142,21 +150,22 @@ class WeightStationarySimulator:
     # ------------------------------------------------- vectorized engine --
     def _run_vectorized(
         self, a, proto: StreamProtocol, layout: StationaryLayout,
-        stationary, schedule,
-    ) -> tuple[np.ndarray, RunReport]:
+        stationary, schedule, output: bool,
+    ) -> tuple[np.ndarray | None, RunReport]:
         cfg = self.config
         w = cfg.bus_slots
         m, n = a.nrows, stationary.values.shape[1]
         bd, smask = stationary.values, stationary.stored
-        out = np.zeros((m, n), dtype=np.float64)
+        out = np.zeros((m, n), dtype=np.float64) if output else None
         load_cycles = stream_cycles = 0
         issued = matched = compares = spills = 0
         entries_loaded_total = 0
         cam_grouped = layout.matcher != "direct" and proto.row_grouped
 
-        for k_lo, k_hi in schedule.k_tiles:
+        tiles = proto.tile_entries(a, schedule.k_tiles)
+        for (k_lo, k_hi), entries in zip(schedule.k_tiles, tiles):
             kt = k_hi - k_lo
-            plan = build_beat_plan(a, proto.format, w, (k_lo, k_hi))
+            plan = pack_entries(*entries, proto.spec, w)
             tile_cycles = plan.total_cycles
             valid = plan.k >= 0  # padding slots never reach the datapath
             i_e = plan.i[valid]
@@ -170,14 +179,14 @@ class WeightStationarySimulator:
                 c_nz = np.bincount(
                     k_e[v_e != 0.0], minlength=kt
                 )
-                s_vals = np.zeros((m, kt), dtype=np.float64)
-                s_vals[i_e, k_e] = v_e
+                if output:
+                    s_vals = np.zeros((m, kt), dtype=np.float64)
+                    s_vals[i_e, k_e] = v_e
                 if cam_grouped:
                     pattern, active_k = _streamed_pattern(i_e, k_e, m, c_all)
                 runs_all = 1 + int(np.count_nonzero(i_e[1:] != i_e[:-1]))
             else:
                 c_all = c_nz = np.zeros(kt, dtype=np.int64)
-                s_vals = None
                 runs_all = 0
 
             for col_lo, col_hi in schedule.rounds:
@@ -191,7 +200,8 @@ class WeightStationarySimulator:
                 if not num:
                     continue
                 bd_t = bd[k_lo:k_hi, col_lo:col_hi]
-                out[:, col_lo:col_hi] += s_vals @ bd_t
+                if output:
+                    out[:, col_lo:col_hi] += s_vals @ bd_t
                 if layout.matcher == "direct":
                     # Indexable buffers answer every streamed element.
                     issued += num * ncols
@@ -232,20 +242,25 @@ class WeightStationarySimulator:
         return out, RunReport(cycles=cycles, energy=energy)
 
     # ------------------------------------------------------------- batch --
-    def simulate_many(
-        self, jobs: Sequence[SimJob]
-    ) -> list[tuple[np.ndarray, RunReport]]:
-        """Run a batch of GEMMs in this process, in input order.
+    def simulate_many(self, jobs: Sequence[SimJob]) -> list[RunReport]:
+        """Simulate a batch of GEMMs in this process; one report per job,
+        in input order.
+
+        The batch returns reports only: its callers rank and calibrate on
+        cycles and energy, so no output matrix is computed (use
+        :meth:`run_gemm` for the product).  Each report equals
+        ``run_gemm(*job)[1]``.  As in :meth:`run_gemm`, a COO or ELL
+        streamed operand is extracted once per GEMM and split into its K
+        tiles.
 
         Each piece of work is done once per batch.  Jobs are keyed by
         operand identity, ``(id(a), acf_a, id(b), acf_b)``: a repeated job
-        simulates once and every repeat gets the first run's
-        ``(out, report)`` tuple back (the same objects, not copies).  Two
-        equal-valued operands that are separate objects still simulate
-        separately.  Each distinct stationary operand, ``(id(b), acf_b)``,
-        is prepared and scheduled once and shared by every job that holds
-        it.  *jobs* keeps the operands alive for the whole call, so their
-        ids stay stable.
+        simulates once and every repeat gets the first run's report back
+        (the same object, not a copy).  Two equal-valued operands that are
+        separate objects still simulate separately.  Each distinct
+        stationary operand, ``(id(b), acf_b)``, is prepared and scheduled
+        once and shared by every job that holds it.  *jobs* keeps the
+        operands alive for the whole call, so their ids stay stable.
 
         The batches SAGE's cycle tier and the calibration build submit are
         a handful of GEMMs on small proxies, which a process pool would
@@ -253,15 +268,17 @@ class WeightStationarySimulator:
         Callers that need fan-out parallelize whole predictions or grid
         cells instead (:func:`~repro.util.pool.fork_map`).
         """
-        done: dict[tuple, tuple[np.ndarray, RunReport]] = {}
+        done: dict[tuple, RunReport] = {}
         prepared: _Prepared = {}
-        results = []
+        reports = []
         for a, acf_a, b, acf_b in jobs:
             key = (id(a), acf_a, id(b), acf_b)
             if key not in done:
-                done[key] = self._gemm(a, acf_a, b, acf_b, prepared)
-            results.append(done[key])
-        return results
+                done[key] = self._gemm(
+                    a, acf_a, b, acf_b, prepared, output=False
+                )[1]
+            reports.append(done[key])
+        return reports
 
     # ----------------------------------------------------------- accounting
     def _energy(

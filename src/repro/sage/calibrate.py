@@ -16,7 +16,9 @@ A **training grid** of synthetic workloads (sizes x densities x kernels,
 ACF) pair: once by :func:`~repro.accelerator.perf_model.
 analytical_gemm_stats` and once by the vectorized cycle simulator
 (:meth:`~repro.accelerator.simulator.WeightStationarySimulator.
-simulate_many` — the ~139x engine makes the grid cheap).  Each sample's
+simulate_many`, which returns cycle/energy reports only — no output
+matrix — and extracts a COO or ELL streamed operand once per GEMM, not
+once per K tile).  Each sample's
 cycle and energy ratios are grouped by **(kernel, ACF pair, density
 band)** — a power-of-two bucket of the streamed operand's density — and
 aggregated into one :class:`CellStats` per cell: the geometric-mean
@@ -505,9 +507,9 @@ def _measure_workload(
                 "analytical_energy_j": run.energy.total_j,
             }
         )
-    results = WeightStationarySimulator(config).simulate_many(jobs)
+    reports = WeightStationarySimulator(config).simulate_many(jobs)
     samples = []
-    for meta, (_out, run) in zip(metas, results):
+    for meta, run in zip(metas, reports):
         samples.append(
             {
                 **meta,

@@ -26,11 +26,12 @@ Three **fidelity tiers** are exposed through ``fidelity=``:
   once per distinct ACF, and batch-simulated via
   :meth:`~repro.accelerator.simulator.WeightStationarySimulator.
   simulate_many`, which simulates each distinct (operand, ACF) job once —
-  candidates that differ only in their MCFs share one simulation.  Any extra streamable ACF registered in the
-  streaming-protocol registry but absent from the analytical search space
-  (e.g. ELL) joins the candidate set here — the cycle tier is how newly
-  registered protocols enter SAGE decisions before anyone writes a
-  closed-form model for them.  Very large workloads are simulated through
+  candidates that differ only in their MCFs share one simulation — and
+  returns cycle/energy reports only, computing no output matrix.  Any
+  extra streamable ACF registered in the streaming-protocol registry but
+  absent from the analytical search space (e.g. ELL) joins the candidate
+  set here — the cycle tier is how newly registered protocols enter SAGE
+  decisions before anyone writes a closed-form model for them.  Very large workloads are simulated through
   a density-preserving proxy capped at :data:`SIM_CAP_ELEMENTS` elements
   per operand, so the tier stays interactive; all candidates are priced at
   the same scale, keeping the ranking meaningful, and the scaling is
@@ -464,8 +465,9 @@ class Sage:
         batch-simulated.  Because candidates reuse one encoded object per
         ACF, ``simulate_many`` (which keys jobs on operand identity) runs
         each distinct ACF pair once, hands every candidate on that pair the
-        same ``(out, report)`` tuple, and prepares each stationary operand
-        once for the whole batch.  Extra streamable ACFs outside the
+        same report, and prepares each stationary operand once for the
+        whole batch.  The batch computes reports only (no output matrix),
+        and extracts a COO or ELL streamed operand once per GEMM.  Extra streamable ACFs outside the
         analytical space join paired with the analytical winner's
         stationary ACF and MCFs.  All candidates share DRAM/conversion pricing from
         :func:`~repro.sage.cost_model.price_matrix_io` at the simulated
@@ -513,10 +515,10 @@ class Sage:
                 f"no cycle-simulatable candidate for {workload.name}"
             )
         sim = WeightStationarySimulator(self.config)
-        results = sim.simulate_many(jobs)
+        reports = sim.simulate_many(jobs)
         measured = [
             io.complete(run.cycles.total_cycles, run.energy.total_j)
-            for io, (_out, run) in zip(plans, results)
+            for io, run in zip(plans, reports)
         ]
         ranking = tuple(sorted(measured, key=lambda c: c.edp))
         return SageDecision(

@@ -3,14 +3,17 @@
 Covers the pluggable dispatch that replaced the seed's hard-coded format
 tuples: registry lookups and their error messages, the ELL protocol
 end-to-end, equivalence of the vectorized simulator with the per-beat
-oracle of ``_reference_engine``, the ``simulate_many`` batch API, and
-dynamic registration of a new protocol.
+oracle of ``_reference_engine``, the ``simulate_many`` batch API, the
+COO/ELL tile splitters against per-tile extraction, and dynamic
+registration of a new protocol.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _reference_engine import reference_gemm
 from repro.accelerator import AcceleratorConfig, WeightStationarySimulator
@@ -26,9 +29,17 @@ from repro.accelerator.protocols import (
     stream_protocol_for,
     streamable_formats,
 )
-from repro.accelerator.stream import StreamSpec
+from repro.accelerator.scheduler import compute_k_tiles
+from repro.accelerator.stream import StreamSpec, pack_entries
 from repro.errors import SimulationError
-from repro.formats import CscMatrix, CsrMatrix, DenseMatrix, EllMatrix
+from repro.formats import (
+    CooMatrix,
+    CscMatrix,
+    CsrMatrix,
+    DenseMatrix,
+    EllMatrix,
+)
+from repro.formats.ell import PAD_COL
 from repro.formats.registry import Format, matrix_class
 from repro.obs import collect_spans, registry
 from repro.sage import calibrate
@@ -200,10 +211,8 @@ class TestSimulateMany:
         jobs = self._jobs(rng)
         batch = sim.simulate_many(jobs)
         assert len(batch) == len(jobs)
-        for job, (out, report) in zip(jobs, batch):
-            out_seq, rep_seq = sim.run_gemm(*job)
-            assert np.array_equal(out, out_seq)
-            assert report == rep_seq
+        for job, report in zip(jobs, batch):
+            assert report == sim.run_gemm(*job)[1]
 
     @staticmethod
     def _tiled_sim():
@@ -244,11 +253,9 @@ class TestSimulateMany:
         assert spans.summary()["accel.prepare"]["count"] == 2
         assert spans.summary()["accel.gemm"]["count"] == len(distinct)
         assert len(batch) == len(jobs)
-        assert any(report.cycles.k_tiles > 1 for _out, report in batch)
-        for job, result in zip(jobs, batch):
-            out_seq, rep_seq = sim.run_gemm(*job)
-            assert np.array_equal(result[0], out_seq)
-            assert result[1] == rep_seq
+        assert any(report.cycles.k_tiles > 1 for report in batch)
+        for job, report in zip(jobs, batch):
+            assert report == sim.run_gemm(*job)[1]
 
     def test_repeated_job_shares_the_first_result(self, rng):
         distinct, jobs = self._shared_batch(rng)
@@ -276,7 +283,7 @@ class TestSimulateMany:
         assert self._gemms() - before == 3
         assert batch[3] is batch[0]
         assert batch[1] is not batch[0] and batch[2] is not batch[0]
-        assert batch[1][1] == batch[0][1] == batch[2][1]
+        assert batch[1] == batch[0] == batch[2]
 
     def test_calibration_samples_match_per_job_oracle(self):
         cfg = AcceleratorConfig.paper_default()
@@ -304,6 +311,96 @@ class TestSimulateMany:
                 (s["acf_a"], s["acf_b"], s["sim_cycles"], s["sim_energy_j"])
                 for s in samples
             ] == expected
+
+
+@st.composite
+def _stored_cells(draw):
+    """(m, k, cells, values, pad, seed): an operand's stored (row, col)
+    cells in storage order, their values (explicit zeros included), extra
+    ELL padding slots per row and a seed for the in-row slot order."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 12))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, k - 1)),
+        unique=True, max_size=m * k,
+    ))
+    values = draw(st.lists(
+        st.sampled_from((0.0, -0.0, 1.0, -2.5, 0.125)),
+        min_size=len(cells), max_size=len(cells),
+    ))
+    return m, k, cells, values, draw(st.integers(0, 2)), draw(
+        st.integers(0, 2**16)
+    )
+
+
+def _coo_and_ell(m, k, cells, values, pad, seed):
+    """The cells as an unsorted COO and as an ELL whose rows keep their
+    entries in storage order, with padding slots shuffled among them."""
+    rows = np.asarray([r for r, _ in cells], dtype=np.int64)
+    cols = np.asarray([c for _, c in cells], dtype=np.int64)
+    vals = np.asarray(values, dtype=np.float64)
+    coo = CooMatrix((m, k), vals, rows, cols)
+    counts = np.bincount(rows, minlength=m)
+    width = int(counts.max()) + pad
+    col_ids = np.full((m, width), PAD_COL, dtype=np.int64)
+    ell_vals = np.zeros((m, width))
+    rng = np.random.default_rng(seed)
+    for r in range(m):
+        slots = np.sort(rng.permutation(width)[: counts[r]])
+        col_ids[r, slots] = cols[rows == r]
+        ell_vals[r, slots] = vals[rows == r]
+    return coo, EllMatrix((m, k), ell_vals, col_ids)
+
+
+class TestTileSplit:
+    """COO and ELL extract once per GEMM and split into K tiles; each tile
+    must equal what the kernel extracts for that tile on its own."""
+
+    @staticmethod
+    def _tilings(k):
+        """Every distinct tiling compute_k_tiles yields for a K-row
+        Dense stationary column (buffer capacities 1..K)."""
+        column = DenseMatrix.from_dense(np.ones((k, 1)))
+        return {
+            compute_k_tiles(column, Format.DENSE, capacity)
+            for capacity in range(1, k + 1)
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stored_cells(), st.sampled_from((2, 5, 8)))
+    @example((1, 5, [(0, 3), (0, 0)], [0.0, 2.0], 1, 0), 5)  # m=1, zero
+    @example((3, 6, [(1, 5), (1, 4)], [1.0, -2.5], 0, 1), 5)  # empty rows
+    @example((2, 8, [], [], 0, 0), 5)  # no entries: width-0 ELL
+    @example((2, 8, [], [], 2, 3), 5)  # padding only
+    def test_split_tiles_match_per_tile_extraction(self, operand, bus):
+        coo, ell = _coo_and_ell(*operand)
+        k = operand[1]
+        for fmt, a in ((Format.COO, coo), (Format.ELL, ell)):
+            proto = stream_protocol_for(fmt)
+            whole = proto.extract_entries(a, 0, k)
+            for tiles in self._tilings(k):
+                for derived in (
+                    list(proto.tile_entries(a, tiles)),
+                    list(proto.split(whole, tiles)),
+                ):
+                    assert len(derived) == len(tiles)
+                    for (lo, hi), got in zip(tiles, derived):
+                        want = proto.extract_entries(a, lo, hi)
+                        for x, y in zip(got, want):
+                            assert np.array_equal(x, y), (fmt, tiles, lo)
+                        p_got = pack_entries(*got, proto.spec, bus)
+                        p_want = pack_entries(*want, proto.spec, bus)
+                        for field in ("i", "k", "v", "entry_beat",
+                                      "beat_cycles"):
+                            assert np.array_equal(
+                                getattr(p_got, field), getattr(p_want, field)
+                            ), (fmt, tiles, lo, field)
+
+    def test_only_coo_and_ell_split(self):
+        assert {
+            fmt for fmt in streamable_formats()
+            if stream_protocol_for(fmt).split is not None
+        } == {Format.COO, Format.ELL}
 
 
 class TestDynamicRegistration:
