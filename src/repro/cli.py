@@ -531,7 +531,6 @@ def _render_stats(stats: dict) -> str:
     req = stats.get("requests", {})
     cache = stats.get("cache", {})
     reply_cache = stats.get("reply_cache", {})
-    latency = stats.get("latency_ms", {})
     lines = [
         f"uptime {stats.get('uptime_s', 0.0):.1f}s, "
         f"fidelity {stats.get('fidelity', '?')}"
@@ -545,9 +544,8 @@ def _render_stats(stats: dict) -> str:
         f"({100.0 * cache.get('hit_rate', 0.0):.1f}% hit rate, "
         f"{cache.get('currsize', 0)}/{cache.get('maxsize', 0)} entries, "
         f"{cache.get('evictions', 0)} evicted)",
-        f"reply cache: {reply_cache.get('hits', 0)} hits, "
-        f"{reply_cache.get('currsize', 0)}/{reply_cache.get('maxsize', 0)} "
-        f"frame(s)",
+        f"reply cache: {reply_cache.get('currsize', 0)}/"
+        f"{reply_cache.get('maxsize', 0)} frame(s)",
         f"coalesced misses: {stats.get('batches', {}).get('coalesced', 0)}",
     ]
     warming = stats.get("warming")
@@ -558,22 +556,17 @@ def _render_stats(stats: dict) -> str:
                         for k in ("queued", "warmed", "skipped", "dropped",
                                   "failed", "depth"))
         )
-    if latency.get("count"):
-        lines.append(
-            "latency: "
-            + ", ".join(
-                f"{k}={latency[k]:.2f}ms"
-                for k in ("p50", "p90", "p99")
-                if latency.get(k) is not None
-            )
-            + f" over {latency['count']} request(s)"
-        )
-    for outcome, pct in stats.get("latency_by_outcome_ms", {}).items():
+    latencies = [("latency", stats.get("latency_ms", {}))] + [
+        (f"latency[{outcome}]", pct)
+        for outcome, pct in stats.get("latency_by_outcome_ms", {}).items()
+    ]
+    for title, pct in latencies:
         if pct.get("count"):
+            # Log2-bucket estimates, hence the ``~`` of the metrics section.
             lines.append(
-                f"latency[{outcome}]: "
+                f"{title}: "
                 + ", ".join(
-                    f"{k}={pct[k]:.2f}ms"
+                    f"{k}~{pct[k]:.2f}ms"
                     for k in ("p50", "p90", "p99")
                     if pct.get(k) is not None
                 )

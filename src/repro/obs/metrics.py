@@ -1,9 +1,11 @@
 """Process-local metric registry whose snapshots merge exactly.
 
 Every layer of the stack (``Session``, SAGE, MINT, the simulator, the
-fork pool, the serve tier) records onto one
+fork pool) records onto one
 process-global :class:`MetricRegistry` of labeled :class:`Counter`,
-:class:`Gauge` and fixed-log-bucket :class:`Histogram` metrics.  The
+:class:`Gauge` and fixed-log-bucket :class:`Histogram` metrics; each
+serve ``SageServer`` keeps its request ledger on a registry of its own,
+which its ``stats`` RPC reads and merges in.  The
 design constraint — in the spirit of the paper's own per-phase cycle
 accounting — is that telemetry must survive the repo's fan-out shapes:
 fork-pool workers, serve shard processes, and remote servers all hold
@@ -315,8 +317,9 @@ class MetricRegistry:
     """A named collection of metrics with exact-merge snapshots.
 
     One process-global instance (:func:`registry`) backs the whole
-    stack; separate instances exist only in tests and inside the serve
-    ``stats`` merge path.
+    stack; separate instances hold each serve ``SageServer``'s ledger
+    (and the counts of a ``DecisionCache`` given none), and back tests
+    and the serve ``stats`` merge path.
     """
 
     def __init__(self) -> None:

@@ -14,7 +14,8 @@ The serving subsystem (stdlib only) layered over the in-process predictor:
 * :mod:`repro.serve.server` — the async-front-end TCP
   :class:`~repro.serve.server.SageServer`: request coalescing, an
   encoded-reply fast path, a shard pool of persistent worker
-  processes, outcome-split latency, and a ``stats`` RPC;
+  processes, outcome-split latency, and a ``stats`` RPC that reads the
+  server's own metric registry;
 * :mod:`repro.serve.warmer` — speculative
   :class:`~repro.serve.warmer.BandWarmer` pre-computing adjacent
   density bands on misses;

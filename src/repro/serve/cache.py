@@ -12,9 +12,11 @@ MCF/ACF search.  Two hit tiers exist:
   accuracy-for-latency trade a production service wants switchable.
 
 Eviction is LRU over *exact* entries; the band index tracks the
-most-recently-decided representative per band.  All counters are
-monotonic and exposed through :meth:`DecisionCache.stats` for the
-server's ``stats`` RPC.
+most-recently-decided representative per band.  Hits, near-hits, misses
+and evictions are counted only on ``repro_serve_cache_events_total``
+of the cache's :class:`~repro.obs.metrics.MetricRegistry` (the server's
+own registry, or a private one); :meth:`DecisionCache.stats` reads them
+back from there for the server's ``stats`` RPC.
 """
 
 from __future__ import annotations
@@ -24,22 +26,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.obs import registry
+from repro.obs.metrics import MetricRegistry
 from repro.serve.fingerprint import WorkloadFingerprint
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sage.predictor import SageDecision
 
 __all__ = ["CacheStats", "DecisionCache"]
-
-#: Per-instance counters stay (CacheStats is part of the stats RPC shape);
-#: every event is *also* mirrored onto the process-global metric registry
-#: so cache activity shows up in the merged serve metrics.
-_CACHE_EVENTS = registry().counter(
-    "repro_serve_cache_events_total",
-    "DecisionCache lookups/evictions, by cache scope and event",
-)
-
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -85,13 +78,16 @@ class DecisionCache:
         maxsize: int = 4096,
         *,
         near_hit: bool = False,
-        scope: str = "local",
+        metrics: MetricRegistry | None = None,
     ) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self.near_hit = near_hit
-        self.scope = scope
+        self._events = (metrics or MetricRegistry()).counter(
+            "repro_serve_cache_events_total",
+            "DecisionCache lookups/evictions, by event",
+        )
         self._lock = threading.Lock()
         #: exact key -> (decision, band key); the band rides along so
         #: eviction can clean its index entry in O(1).
@@ -100,10 +96,6 @@ class DecisionCache:
         )
         #: band key -> exact key of the band's latest decided representative
         self._bands: dict[tuple, tuple] = {}
-        self._hits = 0
-        self._near_hits = 0
-        self._misses = 0
-        self._evictions = 0
 
     def get(self, fp: WorkloadFingerprint) -> "SageDecision | None":
         """The cached decision for *fp*, or ``None`` on a miss.
@@ -128,18 +120,15 @@ class DecisionCache:
             entry = self._exact.get(exact)
             if entry is not None:
                 self._exact.move_to_end(exact)
-                self._hits += 1
-                _CACHE_EVENTS.inc(scope=self.scope, event="hit")
+                self._events.inc(event="hit")
                 return entry[0], "hit"
             if self.near_hit:
                 rep = self._bands.get(fp.band_key())
                 if rep is not None and rep in self._exact:
                     self._exact.move_to_end(rep)
-                    self._near_hits += 1
-                    _CACHE_EVENTS.inc(scope=self.scope, event="near_hit")
+                    self._events.inc(event="near_hit")
                     return self._exact[rep][0], "near_hit"
-            self._misses += 1
-            _CACHE_EVENTS.inc(scope=self.scope, event="miss")
+            self._events.inc(event="miss")
             return None, "miss"
 
     def has_band(self, band_key: tuple) -> bool:
@@ -164,32 +153,23 @@ class DecisionCache:
                 evicted_key, (_, evicted_band) = self._exact.popitem(
                     last=False
                 )
-                self._evictions += 1
-                _CACHE_EVENTS.inc(scope=self.scope, event="eviction")
+                self._events.inc(event="eviction")
                 # Drop the band pointer if the eviction left it dangling.
                 if self._bands.get(evicted_band) == evicted_key:
                     del self._bands[evicted_band]
-
-    def clear(self) -> None:
-        """Drop all entries and reset counters."""
-        with self._lock:
-            self._exact.clear()
-            self._bands.clear()
-            self._hits = self._near_hits = 0
-            self._misses = self._evictions = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._exact)
 
     def stats(self) -> CacheStats:
-        """Snapshot the counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                near_hits=self._near_hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                currsize=len(self._exact),
-                maxsize=self.maxsize,
-            )
+        """Read the event counters back from the registry, plus occupancy."""
+        count = self._events.value
+        return CacheStats(
+            hits=int(count(event="hit")),
+            near_hits=int(count(event="near_hit")),
+            misses=int(count(event="miss")),
+            evictions=int(count(event="eviction")),
+            currsize=len(self),
+            maxsize=self.maxsize,
+        )

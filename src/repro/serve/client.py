@@ -249,7 +249,8 @@ class ServeClient:
         return [SageDecision.from_wire(w) for w in reply["decisions"]]
 
     def stats(self) -> dict:
-        """The server's cache/batching/shard/latency counters."""
+        """The server's ``stats`` payload: request, coalescing, cache,
+        shard and latency figures plus its merged metric registry."""
         return self._rpc({"op": "stats"})["stats"]
 
     def shutdown_server(self) -> None:

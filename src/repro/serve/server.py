@@ -70,13 +70,12 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import math
 import multiprocessing
 import os
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -106,9 +105,6 @@ _METRICS_KEY = "__metrics__:"
 #: Cache outcomes a request can resolve with (the latency label set).
 OUTCOMES = ("hit", "near_hit", "miss", "bypassed")
 
-#: Most-recent request latencies kept for the stats percentiles (overall
-#: and per cache outcome).
-_LATENCY_WINDOW = 4096
 #: Worker-pool width: how many requests may be *processing* at once.
 #: Idle connections are free (the async front end holds them on one
 #: event loop); this bounds active work only.
@@ -118,20 +114,14 @@ _REPLY_CACHE_SIZE = 2048
 #: Bound on the speculative warm queue (drop-new beyond it).
 _WARM_QUEUE = 256
 
-_REQUESTS = registry().counter(
-    "repro_serve_requests_total",
-    "Serve request lifecycle events (submitted/served/error/bypassed/"
-    "coalesced/fast_path)",
-)
-_STAGE_SECONDS = registry().histogram(
-    "repro_serve_stage_seconds",
-    "Per-request wall-seconds by serve stage (compute/total)",
-)
-_LATENCY = registry().histogram(
-    "repro_serve_latency_seconds",
-    "Request wall-seconds split by cache outcome "
-    "(hit/near_hit/miss/bypassed)",
-)
+#: ``stats()["requests"]`` key -> ``repro_serve_requests_total`` event.
+_REQUEST_EVENTS = {
+    "submitted": "submitted",
+    "served": "served",
+    "errors": "error",
+    "bypassed": "bypassed",
+    "fast_path": "fast_path",
+}
 
 
 @dataclass(frozen=True)
@@ -218,14 +208,12 @@ class _ReplyCache:
         self.maxsize = maxsize
         self._lock = threading.Lock()
         self._entries: OrderedDict[bytes, bytes] = OrderedDict()
-        self.hits = 0
 
     def get(self, key: bytes) -> bytes | None:
         with self._lock:
             reply = self._entries.get(key)
             if reply is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
             return reply
 
     def put(self, key: bytes, reply: bytes) -> None:
@@ -487,17 +475,32 @@ class SageServer:
             # when no table exists for this config; loading here also
             # means forked shards inherit the parsed table for free.
             self._sage.ensure_calibration()
+        #: This server's ledger: every serve event is counted here once,
+        #: and the ``stats`` RPC reads it back (embedded servers sharing
+        #: a process keep separate books).
+        self._metrics = obs_metrics.MetricRegistry()
+        self._requests = self._metrics.counter(
+            "repro_serve_requests_total",
+            "Serve request lifecycle events (submitted/served/error/"
+            "bypassed/coalesced/fast_path)",
+        )
+        self._stage_seconds = self._metrics.histogram(
+            "repro_serve_stage_seconds",
+            "Per-request wall-seconds by serve stage (compute/total)",
+        )
+        self._latency = self._metrics.histogram(
+            "repro_serve_latency_seconds",
+            "Request wall-seconds split by cache outcome "
+            "(hit/near_hit/miss/bypassed)",
+        )
         self._cache = DecisionCache(
-            self.serve.cache_size, near_hit=self.serve.near_hit, scope="front"
+            self.serve.cache_size,
+            near_hit=self.serve.near_hit,
+            metrics=self._metrics,
         )
         self._reply_cache = _ReplyCache(_REPLY_CACHE_SIZE)
         self._lock = threading.Lock()
         self._inflight: dict[tuple, list[_PendingRequest]] = {}
-        self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
-        self._latencies_by_outcome: dict[str, deque[float]] = {
-            outcome: deque(maxlen=_LATENCY_WINDOW)
-            for outcome in OUTCOMES
-        }
         self._shards: list[_Shard] = []
         self._collectors: list[threading.Thread] = []
         self._frontend: _AsyncFrontEnd | None = None
@@ -511,13 +514,6 @@ class SageServer:
         #: In-band shard metric polls awaiting replies: sentinel key ->
         #: [event, snapshot-or-None] box filled by the collector thread.
         self._metric_boxes: dict[str, list] = {}
-        # Monotonic service counters (guarded by self._lock).
-        self._submitted = 0
-        self._served = 0
-        self._errors = 0
-        self._coalesced = 0
-        self._bypassed = 0  # restricted-options requests computed inline
-        self._fast_path = 0  # framed repeats answered from the reply cache
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> tuple[str, int]:
@@ -647,17 +643,11 @@ class SageServer:
         if reply is None:
             return None
         elapsed = time.perf_counter() - t_recv
-        with self._lock:
-            self._submitted += 1
-            self._served += 1
-            self._fast_path += 1
-            self._latencies.append(elapsed)
-            self._latencies_by_outcome["hit"].append(elapsed)
-        _REQUESTS.inc(event="submitted")
-        _REQUESTS.inc(event="served")
-        _REQUESTS.inc(event="fast_path")
-        _LATENCY.observe(elapsed, outcome="hit")
-        _STAGE_SECONDS.observe(elapsed, stage="total")
+        self._requests.inc(event="submitted")
+        self._requests.inc(event="served")
+        self._requests.inc(event="fast_path")
+        self._latency.observe(elapsed, outcome="hit")
+        self._stage_seconds.observe(elapsed, stage="total")
         return reply
 
     def _handle_raw(self, body: bytes, framed: bool) -> tuple[bytes, bool]:
@@ -794,9 +784,7 @@ class SageServer:
                         del self._inflight[key]
             return {"ok": False, "error": "request timed out"}
         if req.error is not None:
-            with self._lock:
-                self._errors += 1
-            _REQUESTS.inc(event="error")
+            self._requests.inc(event="error")
             return {"ok": False, "error": req.error}
         assert req.decision is not None
         decision = req.decision
@@ -808,9 +796,7 @@ class SageServer:
             )
         limit = self.serve.ranking_top if top is None else int(top)
         wire_decision = decision.to_wire(top=None if limit <= 0 else limit)
-        with self._lock:
-            self._served += 1
-        _REQUESTS.inc(event="served")
+        self._requests.inc(event="served")
         return {"ok": True, "decision": wire_decision, "outcome": req.outcome}
 
     # ------------------------------------------------------------ data path
@@ -852,11 +838,8 @@ class SageServer:
         cheap relative to the unrestricted cross-product).
         """
         t_submit = time.perf_counter()
-        with self._lock:
-            self._submitted += len(workloads)
-            self._bypassed += len(workloads)
-        _REQUESTS.inc(len(workloads), event="submitted")
-        _REQUESTS.inc(len(workloads), event="bypassed")
+        self._requests.inc(len(workloads), event="submitted")
+        self._requests.inc(len(workloads), event="bypassed")
         try:
             parsed = [workload_from_dict(wl) for wl in workloads]
             decisions = self._sage.predict_many(
@@ -864,19 +847,13 @@ class SageServer:
             )
         except Exception as exc:  # noqa: BLE001 - reported in-band
             _LOG.warning("restricted batch predict failed", exc_info=True)
-            with self._lock:
-                self._errors += 1
-            _REQUESTS.inc(event="error")
+            self._requests.inc(event="error")
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         elapsed = time.perf_counter() - t_submit
         limit = self.serve.ranking_top if top is None else int(top)
-        with self._lock:
-            self._served += len(decisions)
-            self._latencies.append(elapsed)
-            self._latencies_by_outcome["bypassed"].append(elapsed)
-        _REQUESTS.inc(len(decisions), event="served")
-        _STAGE_SECONDS.observe(elapsed, stage="total")
-        _LATENCY.observe(elapsed, outcome="bypassed")
+        self._requests.inc(len(decisions), event="served")
+        self._stage_seconds.observe(elapsed, stage="total")
+        self._latency.observe(elapsed, outcome="bypassed")
         return {
             "ok": True,
             "decisions": [
@@ -896,9 +873,7 @@ class SageServer:
         parsed = workload_from_dict(workload)
         fp = fingerprint_of(parsed, self._sage.config)
         req = _PendingRequest(workload, parsed, fp)
-        with self._lock:
-            self._submitted += 1
-        _REQUESTS.inc(event="submitted")
+        self._requests.inc(event="submitted")
         if self._closed.is_set():
             # Shutting down: fail fast instead of timing out.
             req.error = "server shutting down"
@@ -910,9 +885,7 @@ class SageServer:
             # worker would block in _reply_one anyway, so this costs no
             # extra latency and keeps the cache tier-consistent.
             req.outcome = "bypassed"
-            with self._lock:
-                self._bypassed += 1
-            _REQUESTS.inc(event="bypassed")
+            self._requests.inc(event="bypassed")
             try:
                 with span("serve.bypass_predict", workload=parsed.name):
                     req.decision = self._sage.predict(
@@ -954,9 +927,8 @@ class SageServer:
             else:
                 # Same fingerprint already being computed: attach.
                 waiters.append(req)
-                self._coalesced += 1
         if waiters is not None:
-            _REQUESTS.inc(event="coalesced")
+            self._requests.inc(event="coalesced")
             return req
         shard = (
             self._shards[fp.shard(len(self._shards))] if self._shards else None
@@ -1020,18 +992,15 @@ class SageServer:
 
     def _record_latency(self, req: _PendingRequest) -> None:
         elapsed = time.perf_counter() - req.t_submit
-        outcome = req.outcome
-        with self._lock:
-            self._latencies.append(elapsed)
-            self._latencies_by_outcome[outcome].append(elapsed)
-        _STAGE_SECONDS.observe(elapsed, stage="total")
-        _LATENCY.observe(elapsed, outcome=outcome)
-        if outcome == "miss":
-            _STAGE_SECONDS.observe(elapsed, stage="compute")
+        self._stage_seconds.observe(elapsed, stage="total")
+        self._latency.observe(elapsed, outcome=req.outcome)
+        if req.outcome == "miss":
+            self._stage_seconds.observe(elapsed, stage="compute")
 
     # --------------------------------------------------------------- stats
     def collect_metrics(self, timeout_s: float = 1.0) -> dict:
-        """Merged metrics (this process + live shards) with poll coverage.
+        """Merged metrics (process-global, this server's ledger, live
+        shards) with poll coverage.
 
         Each alive shard is polled in-band (a sentinel string key through
         its ordinary request queue — fingerprint keys are tuples, so the
@@ -1044,6 +1013,7 @@ class SageServer:
         """
         merged = obs_metrics.MetricRegistry()
         merged.merge_snapshot(registry().snapshot())
+        merged.merge_snapshot(self._metrics.snapshot())
         boxes: list[list] = []
         for shard in self._shards:
             if not shard.proc.is_alive():
@@ -1070,41 +1040,37 @@ class SageServer:
         }
 
     def stats(self) -> dict:
-        """The ``stats`` RPC payload: cache, coalescing, shard, latency
-        (overall and split by cache outcome), the speculative-warming
-        counters, and the merged metrics registry (``metrics`` section)."""
-        with self._lock:
-            latencies = sorted(self._latencies)
-            by_outcome = {
-                outcome: sorted(samples)
-                for outcome, samples in self._latencies_by_outcome.items()
-            }
-            counters = {
-                "submitted": self._submitted,
-                "served": self._served,
-                "errors": self._errors,
-                "bypassed": self._bypassed,
-                "fast_path": self._fast_path,
-            }
-            coalesced = self._coalesced
+        """The ``stats`` RPC payload, a read of this server's registry.
+
+        Request, coalescing and cache counters and the latency
+        percentiles (overall and per cache outcome) come from the
+        server's own :class:`~repro.obs.metrics.MetricRegistry`, so they
+        read 0 (and ``None``) under ``REPRO_OBS=off``.  Percentiles are
+        log2-bucket estimates over the server's lifetime.  Shard,
+        warming and reply-cache state ride along, and ``metrics`` holds
+        the merged registry view (:meth:`collect_metrics`).
+        """
+        count = self._requests.value
         return {
             "uptime_s": time.monotonic() - self._t_start,
             "schema_versions": list(SUPPORTED_WIRE_SCHEMAS),
             "fidelity": self.serve.fidelity,
             "degraded": self._degraded,
-            "requests": counters,
+            "requests": {
+                key: int(count(event=event))
+                for key, event in _REQUEST_EVENTS.items()
+            },
             "cache": self._cache.stats().to_dict(),
             "reply_cache": {
                 "currsize": len(self._reply_cache),
                 "maxsize": self._reply_cache.maxsize,
-                "hits": self._reply_cache.hits,
             },
             "warming": (
                 self._warmer.stats() if self._warmer is not None else None
             ),
             # Misses that attached to an in-flight computation; the
             # section keeps its historical name for stats readers.
-            "batches": {"coalesced": coalesced},
+            "batches": {"coalesced": int(count(event="coalesced"))},
             "shards": [
                 {
                     "shard": index,
@@ -1114,29 +1080,19 @@ class SageServer:
                 }
                 for index, shard in enumerate(self._shards)
             ],
-            "latency_ms": _percentiles_ms(latencies),
+            "latency_ms": _quantiles_ms(self._stage_seconds, stage="total"),
             "latency_by_outcome_ms": {
-                outcome: _percentiles_ms(samples)
-                for outcome, samples in by_outcome.items()
+                outcome: _quantiles_ms(self._latency, outcome=outcome)
+                for outcome in OUTCOMES
             },
             "metrics": self.collect_metrics(),
         }
 
 
-def _percentiles_ms(sorted_latencies_s: list[float]) -> dict:
-    """p50/p90/p99 (milliseconds) of an ascending latency sample.
-
-    Nearest-rank via ``ceil(q * n)``: the q-quantile is the smallest
-    sample with at least ``q*n`` samples at or below it.  (``round``
-    banker's-rounds half cases down and under-selects — p90 of 5 samples
-    picked index 3, the 80th percentile.)
-    """
-    out: dict = {"count": len(sorted_latencies_s)}
-    n = len(sorted_latencies_s)
+def _quantiles_ms(hist: obs_metrics.Histogram, **labels) -> dict:
+    """``count`` plus p50/p90/p99 bucket estimates (ms) of one series."""
+    out: dict = {"count": hist.count(**labels)}
     for label, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
-        if not n:
-            out[label] = None
-            continue
-        index = min(n - 1, max(0, math.ceil(q * n) - 1))
-        out[label] = sorted_latencies_s[index] * 1e3
+        value = hist.quantile(q, **labels)
+        out[label] = None if value is None else value * 1e3
     return out

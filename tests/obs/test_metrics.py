@@ -147,6 +147,64 @@ class TestHistogramQuantile:
             ).quantile(q)
 
 
+def _edge_samples(count: int) -> list[float]:
+    """*count* ascending millisecond-scale samples on log2 bucket edges.
+
+    A sample equal to a bucket's upper edge is estimated as that edge,
+    so these quantile estimates are exact and pin the nearest rank.
+    """
+    return [2.0 ** e for e in range(-12, -12 + count)]
+
+
+class TestNearestRank:
+    """``Histogram.quantile`` picks the ``ceil(q*n)``-th sample.
+
+    ``round(q * n)`` banker's-rounds half cases down and under-selects —
+    p90 of a 5-sample series would pick the 4th sample, the 80th
+    percentile.  These are the serve stats percentiles' rank cases.
+    """
+
+    @staticmethod
+    def _hist(samples: list[float]) -> Histogram:
+        hist = Histogram("h")
+        for value in samples:
+            hist.observe(value)
+        return hist
+
+    def test_odd_series(self):
+        samples = _edge_samples(5)
+        hist = self._hist(samples)
+        assert hist.count() == 5
+        assert hist.quantile(0.50) == samples[2]
+        assert hist.quantile(0.90) == samples[4]  # not samples[3]
+        assert hist.quantile(0.99) == samples[4]
+
+    def test_even_series(self):
+        samples = _edge_samples(4)
+        hist = self._hist(samples)
+        assert hist.quantile(0.50) == samples[1]
+        assert hist.quantile(0.90) == samples[3]
+        assert hist.quantile(0.99) == samples[3]
+
+    def test_ten_samples(self):
+        samples = _edge_samples(10)
+        hist = self._hist(samples)
+        assert hist.quantile(0.50) == samples[4]
+        assert hist.quantile(0.90) == samples[8]
+        assert hist.quantile(0.99) == samples[9]
+
+    def test_single_sample(self):
+        hist = self._hist([2.0 ** -7])
+        for q in (0.50, 0.90, 0.99):
+            assert hist.quantile(q) == 2.0 ** -7
+
+    def test_empty_series(self):
+        hist = self._hist([])
+        assert hist.count() == 0
+        for q in (0.50, 0.90, 0.99):
+            assert hist.quantile(q) is None
+
+
 class TestRegistry:
     def test_get_or_create_is_idempotent(self):
         reg = MetricRegistry()

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import MetricRegistry
 from repro.serve.cache import DecisionCache
 from repro.serve.fingerprint import fingerprint_of
 from repro.workloads.spec import Kernel, MatrixWorkload
@@ -38,13 +39,11 @@ class TestLru:
         assert cache.get(c) == "C"
         assert cache.stats().evictions == 1
 
-    def test_len_and_clear(self):
+    def test_len_counts_entries(self):
         cache = DecisionCache(maxsize=8)
         cache.put(_fp(m=100), "A")
         cache.put(_fp(m=200), "B")
         assert len(cache) == 2
-        cache.clear()
-        assert len(cache) == 0
         assert cache.stats().lookups == 0
 
     def test_maxsize_validated(self):
@@ -63,6 +62,29 @@ class TestCounters:
         stats = cache.stats()
         assert (stats.hits, stats.misses, stats.near_hits) == (2, 1, 0)
         assert stats.hit_rate == pytest.approx(2 / 3)
+
+    def test_stats_read_the_registry_counters(self):
+        metrics = MetricRegistry()
+        cache = DecisionCache(maxsize=1, near_hit=True, metrics=metrics)
+        cache.get(_fp(nnz_a=10_000))
+        cache.put(_fp(nnz_a=10_000), "A")
+        cache.get(_fp(nnz_a=10_000))
+        cache.get(_fp(nnz_a=11_000))
+        cache.put(_fp(m=2000), "B")  # evicts A
+        events = metrics.counter("repro_serve_cache_events_total")
+        stats = cache.stats()
+        assert (stats.hits, stats.near_hits, stats.misses, stats.evictions) == (
+            events.value(event="hit"),
+            events.value(event="near_hit"),
+            events.value(event="miss"),
+            events.value(event="eviction"),
+        ) == (1, 1, 1, 1)
+
+    def test_caches_without_a_registry_count_separately(self):
+        first, second = DecisionCache(maxsize=4), DecisionCache(maxsize=4)
+        first.get(_fp())
+        assert first.stats().misses == 1
+        assert second.stats().misses == 0
 
     def test_stats_to_dict_is_json_safe(self):
         import json

@@ -1,4 +1,4 @@
-"""Serve-tier observability: percentile fix, metrics RPC, stats CLI."""
+"""Serve-tier observability: the stats ledger, metrics RPC, stats CLI."""
 
 from __future__ import annotations
 
@@ -6,47 +6,14 @@ import json
 
 import pytest
 
+from repro.api import Session
+from repro.api.options import PredictOptions
+from repro.errors import ServeError
+from repro.formats.registry import Format
+from repro.obs import set_enabled
 from repro.serve import SageServer, ServeClient, ServeConfig
-from repro.serve.server import _percentiles_ms
+from repro.serve.server import OUTCOMES
 from repro.workloads.spec import Kernel, MatrixWorkload
-
-
-class TestPercentiles:
-    """Regression for the banker's-rounding nearest-rank bug.
-
-    ``round(q * n) - 1`` under-selects on half cases — p90 of a 5-sample
-    window picked ``round(4.5) - 1 = 3``, the 80th percentile.  Ceil-based
-    nearest rank picks the smallest sample with at least ``q*n`` samples
-    at or below it.
-    """
-
-    def test_odd_window(self):
-        out = _percentiles_ms([0.001, 0.002, 0.003, 0.004, 0.005])
-        assert out["count"] == 5
-        assert out["p50"] == pytest.approx(3.0)
-        assert out["p90"] == pytest.approx(5.0)  # was 4.0 pre-fix
-        assert out["p99"] == pytest.approx(5.0)
-
-    def test_even_window(self):
-        out = _percentiles_ms([0.001, 0.002, 0.003, 0.004])
-        assert out["p50"] == pytest.approx(2.0)
-        assert out["p90"] == pytest.approx(4.0)
-        assert out["p99"] == pytest.approx(4.0)
-
-    def test_ten_samples(self):
-        sample = [i / 1000 for i in range(1, 11)]
-        out = _percentiles_ms(sample)
-        assert out["p50"] == pytest.approx(5.0)
-        assert out["p90"] == pytest.approx(9.0)
-        assert out["p99"] == pytest.approx(10.0)
-
-    def test_single_sample(self):
-        out = _percentiles_ms([0.007])
-        assert out["p50"] == out["p90"] == out["p99"] == pytest.approx(7.0)
-
-    def test_empty_window(self):
-        out = _percentiles_ms([])
-        assert out == {"count": 0, "p50": None, "p90": None, "p99": None}
 
 
 def _wl(m: int) -> MatrixWorkload:
@@ -115,6 +82,93 @@ class TestMetricsRpc:
             assert c.ping()
 
 
+#: ``stats()["requests"]`` key -> ``repro_serve_requests_total`` event.
+_EVENTS = {
+    "submitted": "submitted",
+    "served": "served",
+    "errors": "error",
+    "bypassed": "bypassed",
+    "fast_path": "fast_path",
+}
+
+
+def _mixed_traffic(client: ServeClient) -> None:
+    """Miss, fast-path repeat, exact hit, near hit, bypass, failed bypass."""
+    client.predict(_wl(416))  # miss
+    client.predict(_wl(416))  # byte-identical frame: the fast path
+    client.predict(_wl(416), top=3)  # other bytes: a decision-cache hit
+    client.predict(_wl(480))  # same density band: a near hit
+    client.predict(
+        _wl(416), options=PredictOptions(fixed_mcf=(Format.COO, Format.DENSE))
+    )
+    with pytest.raises(ServeError, match="not a matrix format"):
+        client.predict(
+            _wl(416), options=PredictOptions(fixed_mcf=(Format.CSF, Format.CSF))
+        )
+
+
+class TestStatsLedger:
+    """``stats()`` is a read of the server's own metric registry."""
+
+    def test_stats_equal_the_registry_series(self):
+        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+            with ServeClient(*srv.address) as client:
+                _mixed_traffic(client)
+            stats = srv.stats()
+        snapshot = stats["metrics"]["registry"]
+        requests = snapshot["repro_serve_requests_total"]["values"]
+        for key, event in _EVENTS.items():
+            assert stats["requests"][key] == requests.get(f"event={event}", 0)
+        assert stats["batches"]["coalesced"] == requests.get(
+            "event=coalesced", 0
+        )
+        assert stats["requests"] == {
+            "submitted": 6, "served": 5, "errors": 1, "bypassed": 2,
+            "fast_path": 1,
+        }
+        total = snapshot["repro_serve_stage_seconds"]["values"]["stage=total"]
+        assert stats["latency_ms"]["count"] == total["count"] == 6
+        by_outcome = stats["latency_by_outcome_ms"]
+        assert set(by_outcome) == set(OUTCOMES)
+        assert sum(pct["count"] for pct in by_outcome.values()) == 6
+        cache_events = snapshot["repro_serve_cache_events_total"]["values"]
+        for key, event in (("hits", "hit"), ("near_hits", "near_hit"),
+                           ("misses", "miss")):
+            assert stats["cache"][key] == cache_events[f"event={event}"] == 1
+
+    def test_embedded_servers_keep_separate_ledgers(self, client):
+        client.predict(_wl(544))
+        with SageServer(serve=ServeConfig(port=0, shards=0)) as fresh:
+            stats = fresh.stats()
+        assert stats["requests"]["submitted"] == 0
+        assert stats["cache"]["misses"] == 0
+        assert stats["latency_ms"] == {
+            "count": 0, "p50": None, "p90": None, "p99": None,
+        }
+
+    def test_obs_off_replies_stay_correct_and_counters_read_zero(self):
+        wl = _wl(608)
+        with Session() as session:
+            expected = session.predict(wl).to_wire()
+        set_enabled(False)
+        try:
+            with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+                with ServeClient(*srv.address) as client:
+                    _mixed_traffic(client)
+                    served = client.predict(wl, top=0).to_wire()
+                    repeat = client.predict(wl, top=0).to_wire()
+                stats = srv.stats()
+        finally:
+            set_enabled(True)
+        assert served == repeat == expected
+        assert all(value == 0 for value in stats["requests"].values())
+        assert stats["batches"]["coalesced"] == 0
+        assert stats["cache"]["hits"] == stats["cache"]["misses"] == 0
+        assert stats["latency_ms"] == {
+            "count": 0, "p50": None, "p90": None, "p99": None,
+        }
+
+
 class TestStatsCli:
     def test_pretty_and_json_output(self, server, capsys):
         from repro.cli import main
@@ -127,6 +181,12 @@ class TestStatsCli:
         out = capsys.readouterr().out
         assert "requests:" in out
         assert "repro_serve_requests_total" in out
+        # Stats percentiles are bucket estimates, printed as such.
+        assert "latency: p50~" in out
+        reply_line = next(
+            line for line in out.splitlines() if line.startswith("reply cache")
+        )
+        assert "hits" not in reply_line
 
         assert main(["stats", f"tcp://{host}:{port}", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

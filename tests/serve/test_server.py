@@ -467,7 +467,9 @@ class TestModes:
             owner.start()
             assert _wait_until(lambda: sage.calls == 1)
             waiter.start()
-            assert _wait_until(lambda: srv._coalesced == 1)
+            assert _wait_until(
+                lambda: srv.stats()["batches"]["coalesced"] == 1
+            )
             t0 = time.monotonic()
             srv.close()
             waiter.join(timeout=10)

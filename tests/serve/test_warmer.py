@@ -63,7 +63,7 @@ class TestWarmCandidates:
 
 class TestBandWarmer:
     def test_misses_warm_adjacent_bands_into_the_cache(self):
-        cache = DecisionCache(near_hit=True, scope="test")
+        cache = DecisionCache(near_hit=True)
         calls: list[str] = []
         sentinel = object()
 
@@ -88,7 +88,7 @@ class TestBandWarmer:
             warmer.close()
 
     def test_enqueue_deduplicates_pending_bands(self):
-        cache = DecisionCache(near_hit=True, scope="test")
+        cache = DecisionCache(near_hit=True)
         release = threading.Event()
 
         def predict(wl):
@@ -109,7 +109,7 @@ class TestBandWarmer:
             warmer.close()
 
     def test_covered_bands_are_skipped(self):
-        cache = DecisionCache(near_hit=True, scope="test")
+        cache = DecisionCache(near_hit=True)
         warmer = BandWarmer(lambda wl: object(), cache, bands=1)
         try:
             fp = fingerprint_of(_wl())
@@ -124,7 +124,7 @@ class TestBandWarmer:
             warmer.close()
 
     def test_overload_drops_new_speculation(self):
-        cache = DecisionCache(near_hit=True, scope="test")
+        cache = DecisionCache(near_hit=True)
         release = threading.Event()
 
         def predict(wl):
@@ -145,7 +145,7 @@ class TestBandWarmer:
             warmer.close()
 
     def test_predict_failures_are_counted_not_raised(self):
-        cache = DecisionCache(near_hit=True, scope="test")
+        cache = DecisionCache(near_hit=True)
 
         def predict(wl):
             raise RuntimeError("synthetic failure")
