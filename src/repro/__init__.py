@@ -41,7 +41,6 @@ from repro.accelerator import (
     EnergyReport,
     RunReport,
     WeightStationarySimulator,
-    analytical_gemm,
     analytical_gemm_stats,
     analytical_mttkrp,
     analytical_spttm,
@@ -87,8 +86,6 @@ from repro.formats import (
     TensorFormat,
     ZvcMatrix,
     ZvcTensor,
-    convert_matrix,
-    convert_tensor,
     matrix_class,
     tensor_class,
 )
@@ -176,15 +173,12 @@ __all__ = [
     "ZvcTensor",
     "matrix_class",
     "tensor_class",
-    "convert_matrix",
-    "convert_tensor",
     # accelerator
     "AcceleratorConfig",
     "WeightStationarySimulator",
     "CycleReport",
     "EnergyReport",
     "RunReport",
-    "analytical_gemm",
     "analytical_gemm_stats",
     "analytical_spttm",
     "analytical_mttkrp",

@@ -1,23 +1,20 @@
 """Weight-stationary sparse-accelerator model (paper Sec. IV).
 
-Two coordinated implementations:
+Two coordinated models:
 
 * :mod:`repro.accelerator.simulator` — a cycle-level functional simulator
   that actually packs bus beats, performs metadata matching in each PE and
   accumulates outputs.  It reproduces the Fig. 6 walkthrough cycle-exactly
   and its output equals ``A @ B``.
 * :mod:`repro.accelerator.perf_model` — the closed-form analytical model
-  SAGE uses (Sec. VI), exact when given concrete operands and
-  expectation-based when given only summary statistics.
+  SAGE uses (Sec. VI): expectation-based, from summary statistics only.
 
 Both share the beat-packing rules of :mod:`repro.accelerator.stream` and the
-tiling rules of :mod:`repro.accelerator.scheduler`, and are cross-checked in
-the test suite.
+tiling rules of :mod:`repro.accelerator.scheduler`.
 """
 
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.perf_model import (
-    analytical_gemm,
     analytical_gemm_stats,
     analytical_mttkrp,
     analytical_spttm,
@@ -61,7 +58,6 @@ __all__ = [
     "stream_spec_for",
     "streamable_formats",
     "WeightStationarySimulator",
-    "analytical_gemm",
     "analytical_gemm_stats",
     "analytical_spttm",
     "analytical_mttkrp",

@@ -262,7 +262,7 @@ def stream_cycle_count(
     """Beat count for the given per-group entry counts.
 
     Runs the same greedy layout the simulator streams with, so the
-    analytical exact mode and the simulator agree beat-for-beat.  For
+    exact closed-form test oracle and the simulator agree beat-for-beat.  For
     ungrouped specs (COO) pass a single total as ``[total]``.
     """
     sizes = np.asarray(group_sizes, dtype=np.int64)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.kernels.ops import expected_output_nnz
+from repro.accelerator.perf_model import expected_output_nnz
 
 
 class MMAlgorithm(Enum):

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import Sequence
 
@@ -196,9 +197,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f'{{"op": "shutdown"}} request stops it)',
         flush=True,  # supervisors watching a pipe need the banner now
     )
+    # SIGTERM (``kill``, process supervisors) takes the Ctrl-C path, so
+    # close() reaps the shard workers instead of orphaning them.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
+    except KeyboardInterrupt:
         pass
     finally:
         server.close()

@@ -36,7 +36,6 @@ from repro.formats.tensor_coo import CooTensor
 from repro.formats.tensor_dense import DenseTensor
 from repro.formats.tensor_flat import RlcTensor, ZvcTensor
 from repro.formats.zvc import ZvcMatrix
-from repro.formats.convert import convert_matrix, convert_tensor
 
 __all__ = [
     "Format",
@@ -62,6 +61,4 @@ __all__ = [
     "ZvcTensor",
     "matrix_class",
     "tensor_class",
-    "convert_matrix",
-    "convert_tensor",
 ]

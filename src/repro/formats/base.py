@@ -3,8 +3,7 @@
 The two criteria the paper optimizes (Sec. I) are *compactness* (total bits of
 data + metadata, driving DRAM energy) and *compute efficiency* (how an
 algorithm walks the format).  The base classes fix the compactness interface;
-compute efficiency lives in :mod:`repro.kernels` and
-:mod:`repro.accelerator`.
+compute efficiency lives in :mod:`repro.accelerator`.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ first pass with streaming the source from memory (Sec. V-B: "MINT is
 pipelined to start conversion while streaming in data from memory"), which
 is why the first pass is costed as max(stream-in, compute) too.
 
-Each conversion is verified element-exact against the dense-oracle
-``repro.formats.convert`` in the test suite.
+Each conversion is verified element-exact against its dense input by the
+all-pairs ``MintEngine.convert`` tests (``tests/mint/test_engine_designs_cost.py``).
 """
 
 from __future__ import annotations

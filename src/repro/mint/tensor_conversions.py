@@ -1,7 +1,8 @@
 """Hardware-path 3-D tensor format conversions (Fig. 8f and generalizations).
 
 Same conventions as :mod:`repro.mint.conversions`: functional results,
-pipelined-pass cycle model, verified against the dense oracle.
+pipelined-pass cycle model, verified element-exact against the dense input
+by the all-pairs ``MintEngine.convert`` tests.
 """
 
 from __future__ import annotations

@@ -44,12 +44,12 @@ from repro.accelerator.perf_model import (
     analytical_gemm_stats,
     analytical_mttkrp,
     analytical_spttm,
+    expected_output_nnz,
 )
 from repro.analysis.compactness import storage_bits
 from repro.errors import PredictionError
 from repro.formats.registry import Format
 from repro.hardware.dram import DramChannel
-from repro.kernels.ops import expected_output_nnz
 from repro.mint.cost import ConversionCost, shared_planner
 from repro.sage.spaces import OUTPUT_MCF, FormatPair
 from repro.workloads.spec import Kernel, MatrixWorkload, TensorWorkload

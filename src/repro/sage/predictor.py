@@ -72,7 +72,12 @@ from repro.sage.cost_model import (
     price_matrix_menu,
     price_tensor_menu,
 )
-from repro.sage.spaces import MATRIX_ACF_STREAMED, matrix_grid, tensor_grid
+from repro.sage.spaces import (
+    MATRIX_ACF_STREAMED,
+    FormatPair,
+    matrix_grid,
+    tensor_grid,
+)
 from repro.util.pool import fork_map
 from repro.workloads.spec import MatrixWorkload, TensorWorkload
 from repro.workloads.synthetic import random_sparse_matrix
@@ -467,25 +472,15 @@ class Sage:
         each distinct ACF pair once, hands every candidate on that pair the
         same report, and prepares each stationary operand once for the
         whole batch.  The batch computes reports only (no output matrix),
-        and extracts a COO or ELL streamed operand once per GEMM.  Extra streamable ACFs outside the
-        analytical space join paired with the analytical winner's
-        stationary ACF and MCFs.  All candidates share DRAM/conversion pricing from
+        and extracts a COO or ELL streamed operand once per GEMM.  The
+        candidates are :func:`_rerank_menu`'s: extra streamable ACFs
+        outside the analytical space join paired with the analytical
+        winner's stationary ACF and MCFs.  All candidates share
+        DRAM/conversion pricing from
         :func:`~repro.sage.cost_model.price_matrix_io` at the simulated
         scale, so EDPs are comparable within the ranking.
         """
         sim_wl = _proxy_workload(workload, SIM_CAP_ELEMENTS)
-        combos: list[tuple[tuple[Format, Format], tuple[Format, Format]]] = []
-        for cand in analytical.ranking[:top]:
-            if (cand.mcf, cand.acf) not in combos:
-                combos.append((cand.mcf, cand.acf))
-        best = analytical.best
-        for fmt in streamable_formats():
-            if fmt in MATRIX_ACF_STREAMED:
-                continue  # already searched analytically
-            extra = (best.mcf, (fmt, best.acf[1]))
-            if extra not in combos:
-                combos.append(extra)
-
         a_dense = random_sparse_matrix(sim_wl.m, sim_wl.k, sim_wl.nnz_a, seed)
         b_dense = random_sparse_matrix(
             sim_wl.k, sim_wl.n, sim_wl.nnz_b, seed + 1
@@ -493,7 +488,7 @@ class Sage:
         encoded_a: dict[Format, object] = {}
         encoded_b: dict[Format, object] = {}
         jobs, plans = [], []
-        for mcf, acf in combos:
+        for (mcf, acf), _cand in _rerank_menu(analytical, top):
             try:
                 io = price_matrix_io(
                     sim_wl, mcf, acf,
@@ -543,10 +538,10 @@ class Sage:
         """Re-rank the cycle tier's candidate menu through the calibration
         table.
 
-        The menu mirrors :meth:`_cycle_rerank` exactly — the analytical
-        top-``top`` plus registry-only streamed ACFs paired with the
-        winner's stationary side — so the tier approximates what the
-        simulator *would* rank, at dict-lookup cost.  Each candidate's
+        The menu is :meth:`_cycle_rerank`'s (:func:`_rerank_menu`) — the
+        analytical top-``top`` plus registry-only streamed ACFs paired
+        with the winner's stationary side — so the tier approximates what
+        the simulator *would* rank, at dict-lookup cost.  Each candidate's
         compute stage is rescaled by its (kernel, ACF, density-band)
         correction factor; untrained analytical pairs keep their
         uncalibrated numbers (factor 1), while registry extras only join
@@ -558,27 +553,16 @@ class Sage:
         density = workload.density_a
         # (corrected breakdown, producing cell-or-None), same menu as cycle.
         corrected = []
-        seen_combo: set[tuple[tuple[Format, Format], tuple[Format, Format]]]
-        seen_combo = set()
-        for cand in analytical.ranking[:top]:
-            if (cand.mcf, cand.acf) in seen_combo:
-                continue
-            seen_combo.add((cand.mcf, cand.acf))
-            corrected.append(table.apply(cand, workload.kernel, density))
-        best = analytical.best
-        seen_acf = {cand.acf for cand in analytical.ranking[:top]}
-        for fmt in streamable_formats():
-            if fmt in MATRIX_ACF_STREAMED:
-                continue  # already searched analytically
-            acf = (fmt, best.acf[1])
-            if acf in seen_acf:
+        for (mcf, acf), cand in _rerank_menu(analytical, top):
+            if cand is not None:
+                corrected.append(table.apply(cand, workload.kernel, density))
                 continue
             cell = table.lookup(workload.kernel, acf, density)
             if cell is None:
                 continue  # never trained: stay out rather than guess
             try:
                 io = price_matrix_io(
-                    workload, best.mcf, acf,
+                    workload, mcf, acf,
                     config=self.config, dram=self.dram,
                     provider=self.provider,
                 )
@@ -590,7 +574,7 @@ class Sage:
                 run = analytical_gemm_stats(
                     workload.m, workload.k, workload.n,
                     workload.nnz_a, workload.nnz_b,
-                    analytical_base_acf(fmt), acf[1], self.config,
+                    analytical_base_acf(acf[0]), acf[1], self.config,
                 )
             except SimulationError:  # pragma: no cover - base is modelled
                 continue
@@ -628,6 +612,26 @@ class Sage:
             raise PredictionError(f"no feasible MCF/ACF candidate for {name}")
         ranking = menu.ranking()
         return SageDecision(workload_name=name, best=ranking[0], ranking=ranking)
+
+
+def _rerank_menu(
+    analytical: SageDecision, top: int
+) -> list[tuple[tuple[FormatPair, FormatPair], CostBreakdown | None]]:
+    """The candidate menu both re-ranking tiers score, in order.
+
+    The analytical top-``top`` deduplicated by (MCF, ACF), each with its
+    analytical breakdown, then every registry-only streamed ACF (outside
+    the analytical space) paired with the winner's stationary ACF and
+    MCFs, with ``None`` in place of a breakdown.
+    """
+    menu: dict[tuple[FormatPair, FormatPair], CostBreakdown | None] = {}
+    for cand in analytical.ranking[:top]:
+        menu.setdefault((cand.mcf, cand.acf), cand)
+    best = analytical.best
+    for fmt in streamable_formats():
+        if fmt not in MATRIX_ACF_STREAMED:
+            menu.setdefault((best.mcf, (fmt, best.acf[1])), None)
+    return list(menu.items())
 
 
 def _count_candidates(kind: str, menu: Menu) -> None:

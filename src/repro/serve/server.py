@@ -407,7 +407,7 @@ class _AsyncFrontEnd:
                 except wire.WireError as exc:
                     # Frame sync is gone: report in-band, then hang up.
                     writer.write(wire.encode_frame(
-                        {"ok": False, "error": f"WireError: {exc}"}
+                        self._owner._reject(f"WireError: {exc}")
                     ))
                     await writer.drain()
                     break
@@ -664,7 +664,7 @@ class SageServer:
             response, outcome = self._handle_traced(message, op)
         except Exception as exc:  # noqa: BLE001 - reported in-band
             _LOG.warning("handler failed on op %r", op, exc_info=True)
-            response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            response = self._reject(f"{type(exc).__name__}: {exc}")
         if not framed:
             return (json.dumps(response) + "\n").encode(), op == "shutdown"
         reply = wire.encode_frame(response)
@@ -682,6 +682,16 @@ class SageServer:
                 replay = reply
             self._reply_cache.put(body, replay)
         return reply, op == "shutdown"
+
+    def _reject(self, error: str) -> dict:
+        """``ok: false`` for a message that submitted no workload.
+
+        It counts as one submitted request and one error, so the ledger's
+        ``submitted == served + errors`` holds for rejected messages too.
+        """
+        self._requests.inc(event="submitted")
+        self._requests.inc(event="error")
+        return {"ok": False, "error": error}
 
     # ------------------------------------------------------------- protocol
     def handle_message(self, message: dict) -> dict:
@@ -708,54 +718,48 @@ class SageServer:
             return {"ok": True, "stopping": True}, None
         version = message.get("schema_version", 1)
         if version not in SUPPORTED_WIRE_SCHEMAS:
-            return {
-                "ok": False,
-                "error": (
-                    f"unsupported schema_version {version!r}; this server "
-                    f"speaks "
-                    f"{', '.join(str(v) for v in SUPPORTED_WIRE_SCHEMAS)} "
-                    f"(requests without a schema_version are treated as "
-                    f"the version-1 legacy schema)"
-                ),
-            }, None
+            return self._reject(
+                f"unsupported schema_version {version!r}; this server "
+                f"speaks "
+                f"{', '.join(str(v) for v in SUPPORTED_WIRE_SCHEMAS)} "
+                f"(requests without a schema_version are treated as "
+                f"the version-1 legacy schema)"
+            ), None
         options = None
         if message.get("options") is not None:
             if version < WIRE_SCHEMA_VERSION:
-                return {
-                    "ok": False,
-                    "error": (
-                        "request carries options but declares the legacy "
-                        f"schema; send schema_version {WIRE_SCHEMA_VERSION}"
-                    ),
-                }, None
+                return self._reject(
+                    "request carries options but declares the legacy "
+                    f"schema; send schema_version {WIRE_SCHEMA_VERSION}"
+                ), None
             options = PredictOptions.from_wire(message["options"])
         top = message.get("top")
         if top is None and options is not None:
             # Options speak their own ranking vocabulary: top_k=None means
             # the full ranking (the serve protocol spells that 0).
             top = 0 if options.top_k is None else options.top_k
+        # Parsed before any workload is submitted, so a bad ``top`` is a
+        # rejected message rather than a submitted request never answered.
+        limit = self.serve.ranking_top if top is None else int(top)
         if op == "predict":
             workload = message.get("workload")
             if not isinstance(workload, dict):
-                return {
-                    "ok": False, "error": "predict needs a workload dict",
-                }, None
+                return self._reject("predict needs a workload dict"), None
             req = self._submit(workload, options)
-            return self._reply_one(req, top), req.outcome
+            return self._reply_one(req, limit), req.outcome
         if op == "predict_many":
             workloads = message.get("workloads")
             if not isinstance(workloads, list):
-                return {
-                    "ok": False,
-                    "error": "predict_many needs a workloads list",
-                }, None
+                return self._reject("predict_many needs a workloads list"), None
             if not self._cacheable(options):
                 # Restricted batches skip cache/coalescing anyway; fan them
                 # across the predictor's process pool in one go instead of
                 # searching serially per workload on this handler thread.
-                return self._predict_many_bypass(workloads, options, top), None
+                return (
+                    self._predict_many_bypass(workloads, options, limit), None
+                )
             requests = [self._submit(wl, options) for wl in workloads]
-            replies = [self._reply_one(req, top) for req in requests]
+            replies = [self._reply_one(req, limit) for req in requests]
             failed = next((r for r in replies if not r["ok"]), None)
             if failed is not None:
                 # All-or-nothing reply; the siblings that did succeed are
@@ -765,9 +769,10 @@ class SageServer:
                 "ok": True,
                 "decisions": [r["decision"] for r in replies],
             }, None
-        return {"ok": False, "error": f"unknown op {op!r}"}, None
+        return self._reject(f"unknown op {op!r}"), None
 
-    def _reply_one(self, req: _PendingRequest, top) -> dict:
+    def _reply_one(self, req: _PendingRequest, limit: int) -> dict:
+        """One workload's reply; ``limit <= 0`` ships the full ranking."""
         if not req.done.wait(timeout=self.serve.request_timeout_s):
             # Un-wedge the fingerprint: without this, every future request
             # for the same workload would coalesce onto a computation that
@@ -775,13 +780,15 @@ class SageServer:
             key = req.fp.exact_key()
             with self._lock:
                 waiters = self._inflight.get(key)
-                if waiters is not None:
-                    try:
-                        waiters.remove(req)
-                    except ValueError:
-                        pass
+                stranded = waiters is not None and req in waiters
+                if stranded:
+                    waiters.remove(req)
                     if not waiters:
                         del self._inflight[key]
+            self._requests.inc(event="error")
+            if stranded:
+                # Otherwise a resolver popped it just now and records it.
+                self._record_latency(req)
             return {"ok": False, "error": "request timed out"}
         if req.error is not None:
             self._requests.inc(event="error")
@@ -794,7 +801,6 @@ class SageServer:
             decision = dataclasses.replace(
                 decision, workload_name=req.parsed.name
             )
-        limit = self.serve.ranking_top if top is None else int(top)
         wire_decision = decision.to_wire(top=None if limit <= 0 else limit)
         self._requests.inc(event="served")
         return {"ok": True, "decision": wire_decision, "outcome": req.outcome}
@@ -829,7 +835,7 @@ class SageServer:
         self,
         workloads: list,
         options: PredictOptions,
-        top,
+        limit: int,
     ) -> dict:
         """Restricted batch: one pooled ``predict_many``, no cache.
 
@@ -847,10 +853,10 @@ class SageServer:
             )
         except Exception as exc:  # noqa: BLE001 - reported in-band
             _LOG.warning("restricted batch predict failed", exc_info=True)
-            self._requests.inc(event="error")
+            # All-or-nothing: every workload of the batch failed.
+            self._requests.inc(len(workloads), event="error")
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         elapsed = time.perf_counter() - t_submit
-        limit = self.serve.ranking_top if top is None else int(top)
         self._requests.inc(len(decisions), event="served")
         self._stage_seconds.observe(elapsed, stage="total")
         self._latency.observe(elapsed, outcome="bypassed")
@@ -870,10 +876,17 @@ class SageServer:
         Returns the pending handle, which the calling worker thread then
         waits on in :meth:`_reply_one`.
         """
-        parsed = workload_from_dict(workload)
-        fp = fingerprint_of(parsed, self._sage.config)
-        req = _PendingRequest(workload, parsed, fp)
         self._requests.inc(event="submitted")
+        try:
+            parsed = workload_from_dict(workload)
+            fp = fingerprint_of(parsed, self._sage.config)
+        except Exception as exc:  # noqa: BLE001 - reported in-band
+            # A malformed workload fails alone: its reply counts the error.
+            req = _PendingRequest(workload, None, None)
+            req.error = f"{type(exc).__name__}: {exc}"
+            req.done.set()
+            return req
+        req = _PendingRequest(workload, parsed, fp)
         if self._closed.is_set():
             # Shutting down: fail fast instead of timing out.
             req.error = "server shutting down"

@@ -1,18 +1,19 @@
-"""Analytical model: exact agreement with the simulator + stats-mode sanity."""
+"""Analytical models: the exact oracle equals the simulator; stats-mode sanity."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from _analytical_oracle import analytical_gemm
 from repro.accelerator import (
     AcceleratorConfig,
     WeightStationarySimulator,
-    analytical_gemm,
     analytical_gemm_stats,
     analytical_mttkrp,
     analytical_spttm,
 )
+from repro.accelerator.perf_model import expected_output_nnz
 from repro.formats import CooMatrix, CscMatrix, CsrMatrix, DenseMatrix
 from repro.formats.registry import Format
 from tests.conftest import make_sparse
@@ -139,6 +140,22 @@ class TestStatsMode:
             100, 5000, 100, 50_000, 5000 * 100, Format.CSR, Format.DENSE, big_buf
         )
         assert rep_small.cycles.k_tiles > rep_big.cycles.k_tiles
+
+
+class TestExpectedOutputNnz:
+    def test_dense_times_dense_is_full(self):
+        assert expected_output_nnz(10, 10, 10, 100, 100) == pytest.approx(100.0)
+
+    def test_zero_operand(self):
+        assert expected_output_nnz(10, 10, 10, 0, 50) == pytest.approx(0.0)
+
+    def test_monotone_in_nnz(self):
+        lo = expected_output_nnz(50, 50, 50, 100, 100)
+        hi = expected_output_nnz(50, 50, 50, 500, 500)
+        assert hi > lo
+
+    def test_bounded_by_mn(self):
+        assert expected_output_nnz(7, 9, 100, 400, 500) <= 7 * 9
 
 
 class TestTensorKernels:

@@ -1,4 +1,4 @@
-"""Tensor matricization and the Khatri-Rao product.
+"""Test helpers: tensor matricization, the Khatri-Rao product, einsum oracles.
 
 These lower the 3-D kernels onto the 2-D accelerator, which is how the
 paper's WS template executes them (Sec. VI models tensors through the same
@@ -11,8 +11,8 @@ streaming machinery):
   ``X_(1) @ (B (kr) C)`` with ``X_(1)`` the mode-1 unfolding (I x (J*K))
   and ``(kr)`` the column-wise Khatri-Rao product.
 
-The integration tests run both lowerings through the cycle-level simulator
-and check them against the direct einsum oracles.
+``test_tensor_on_simulator.py`` runs both lowerings through the cycle-level
+simulator and checks them against the direct einsum oracles below.
 """
 
 from __future__ import annotations
@@ -59,3 +59,13 @@ def fold_mode3(y: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
     y = check_dense_matrix(y, "y")
     i, j, _k = shape
     return y.reshape(i, j, y.shape[1])
+
+
+def ref_spttm(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Mode-3 tensor-times-matrix oracle."""
+    return np.einsum("ijk,kr->ijr", x, u)
+
+
+def ref_mttkrp(x: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Mode-1 MTTKRP oracle."""
+    return np.einsum("ijk,jr,kr->ir", x, b, c)

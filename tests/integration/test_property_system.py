@@ -6,14 +6,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accelerator import (
-    AcceleratorConfig,
-    WeightStationarySimulator,
-    analytical_gemm,
-)
+from repro.accelerator import AcceleratorConfig, WeightStationarySimulator
 from repro.formats import CooMatrix, CscMatrix, CsrMatrix, DenseMatrix
 from repro.formats.registry import MATRIX_FORMATS, Format
 from repro.mint import MintEngine
+from tests.accelerator._analytical_oracle import analytical_gemm
 
 ENCODERS = {
     Format.DENSE: DenseMatrix,

@@ -12,16 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accelerator import AcceleratorConfig, WeightStationarySimulator
-from repro.formats import CsfTensor, CsrMatrix, DenseMatrix
-from repro.formats.registry import Format
-from repro.kernels.matricize import (
+from _tensor_lowering import (
     fold_mode3,
     khatri_rao,
     matricize_mode1,
     matricize_mode3,
+    ref_mttkrp,
+    ref_spttm,
 )
-from repro.kernels.reference import ref_mttkrp, ref_spttm
+from repro.accelerator import AcceleratorConfig, WeightStationarySimulator
+from repro.formats import CsfTensor, CsrMatrix, DenseMatrix
+from repro.formats.registry import Format
 from tests.conftest import make_sparse
 
 

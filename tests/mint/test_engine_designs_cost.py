@@ -44,6 +44,23 @@ class TestEngine:
         assert out.format is dst
         assert np.array_equal(out.to_dense(), dense)
 
+    @pytest.mark.parametrize(
+        "tensor, src, dst",
+        [(False, s, d) for s in MATRIX_FORMATS for d in MATRIX_FORMATS]
+        + [(True, s, d) for s in TENSOR_FORMATS for d in TENSOR_FORMATS],
+    )
+    def test_dtype_bits_preserved(self, tensor, src, dst, rng):
+        if tensor:
+            source = tensor_class(src).from_dense(
+                make_sparse(rng, (4, 5, 6), 0.25), dtype_bits=16
+            )
+        else:
+            source = matrix_class(src).from_dense(
+                make_sparse(rng, (6, 6), 0.3), dtype_bits=16
+            )
+        out, _ = MintEngine().convert(source, dst)
+        assert out.dtype_bits == 16
+
     def test_identity_is_free(self, rng):
         dense = make_sparse(rng, (6, 6), 0.4)
         src = matrix_class(Format.CSR).from_dense(dense)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.api.options import PredictOptions
 from repro.errors import ServeError
 from repro.formats.registry import Format
 from repro.obs import set_enabled
+from repro.sage import Sage
 from repro.serve import SageServer, ServeClient, ServeConfig
 from repro.serve.server import OUTCOMES
 from repro.workloads.spec import Kernel, MatrixWorkload
@@ -107,6 +109,20 @@ def _mixed_traffic(client: ServeClient) -> None:
         )
 
 
+class _HeldSage(Sage):
+    """A predictor whose searches wait for :attr:`gate`."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+
+    def predict(self, *args, **kwargs):
+        self.entered.set()
+        self.gate.wait(timeout=30)
+        return super().predict(*args, **kwargs)
+
+
 class TestStatsLedger:
     """``stats()`` is a read of the server's own metric registry."""
 
@@ -135,6 +151,59 @@ class TestStatsLedger:
         for key, event in (("hits", "hit"), ("near_hits", "near_hit"),
                            ("misses", "miss")):
             assert stats["cache"][key] == cache_events[f"event={event}"] == 1
+
+    def test_rejected_messages_count_one_error_each(self):
+        good, bad = _wl(672).to_dict(), {"kind": "graph"}
+        messages = [
+            {"op": "predict", "workload": bad},
+            {"op": "frobnicate"},
+            {"op": "predict", "workload": good, "schema_version": 99},
+            # One error per failed workload, not one per message.
+            {"op": "predict_many", "workloads": [good, bad, bad]},
+        ]
+        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+            replies = [
+                json.loads(srv._handle_raw(json.dumps(m).encode(), False)[0])
+                for m in messages
+            ]
+            requests = srv.stats()["requests"]
+        assert [r["ok"] for r in replies] == [False] * 4
+        assert "unknown workload kind 'graph'" in replies[0]["error"]
+        assert "unknown op" in replies[1]["error"]
+        assert "schema_version" in replies[2]["error"]
+        assert "unknown workload kind 'graph'" in replies[3]["error"]
+        assert requests["errors"] == 5
+        assert requests["served"] == 1
+        assert requests["submitted"] == requests["served"] + requests["errors"]
+
+    def test_timed_out_miss_counts_an_error_and_its_latency(self):
+        sage = _HeldSage()
+        message = {"op": "predict", "workload": _wl(736).to_dict()}
+        replies: dict = {}
+        with SageServer(
+            sage=sage,
+            serve=ServeConfig(port=0, shards=0, request_timeout_s=0.05),
+        ) as srv:
+            # The owner computes inline, held by the gate; an identical
+            # request attaches to it and waits past the request timeout.
+            owner = threading.Thread(
+                target=lambda: replies.update(owner=srv.handle_message(message))
+            )
+            owner.start()
+            try:
+                assert sage.entered.wait(timeout=30)
+                replies["waiter"] = srv.handle_message(message)
+            finally:
+                sage.gate.set()
+                owner.join(timeout=30)
+            stats = srv.stats()
+        assert not owner.is_alive()
+        assert replies["waiter"] == {"ok": False, "error": "request timed out"}
+        assert replies["owner"]["ok"] is True
+        requests = stats["requests"]
+        assert requests["errors"] == 1 and requests["served"] == 1
+        assert requests["submitted"] == requests["served"] + requests["errors"]
+        assert stats["latency_ms"]["count"] == 2
 
     def test_embedded_servers_keep_separate_ledgers(self, client):
         client.predict(_wl(544))

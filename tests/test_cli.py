@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParser:
@@ -217,3 +226,51 @@ class TestJsonOutput:
         for row in doc["rows"]:
             assert row["best"] in doc["formats"]
             assert set(row["relative_energy"]) == set(doc["formats"])
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestServeSignals:
+    def test_sigterm_closes_the_server_and_reaps_its_shard(self, capsys):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--shards", "1", "--warm-bands", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        shard_pid = None
+        try:
+            address = None
+            for line in proc.stdout:
+                address = re.search(r"listening on ([\d.]+):(\d+)", line)
+                if address:
+                    break
+            assert address, "repro serve exited before its banner"
+            spec = f"tcp://{address[1]}:{address[2]}"
+            assert main(["stats", spec, "--json"]) == 0
+            shard_pid = json.loads(capsys.readouterr().out)["shards"][0]["pid"]
+            assert _pid_alive(shard_pid)
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            deadline = time.monotonic() + 5
+            while _pid_alive(shard_pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _pid_alive(shard_pid)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+            if shard_pid is not None and _pid_alive(shard_pid):
+                os.kill(shard_pid, signal.SIGKILL)  # leaked: clean up
