@@ -97,6 +97,69 @@ class TestRandomizedCorrectness:
         assert np.allclose(out, a @ b)
 
 
+#: Edge shapes (M, K, N) with the streamed operand's density: a 1x1x1
+#: product, an all-zero operand, K above M and N, a product that tiles.
+SHAPE_CASES = [
+    ((1, 1, 1), 1.0),
+    ((5, 8, 3), 0.3),
+    ((12, 4, 9), 0.1),
+    ((7, 7, 7), 0.0),
+    ((3, 20, 6), 0.6),
+    ((16, 16, 16), 0.05),
+]
+
+
+@pytest.mark.parametrize("dims,density", SHAPE_CASES)
+class TestShapeSweep:
+    """SpMM (dense-ish B), SpGEMM (both sparse) and SpMV (N = 1) as GEMMs
+    on a small fabric, so K tiles and output rounds engage at 16^3."""
+
+    @pytest.fixture
+    def sim(self):
+        return WeightStationarySimulator(
+            AcceleratorConfig(
+                num_pes=3, vector_lanes=2, pe_buffer_bytes=6 * 4, bus_bits=7 * 32
+            )
+        )
+
+    @pytest.mark.parametrize("acf_a", list(ENCODERS))
+    @pytest.mark.parametrize("acf_b", [Format.DENSE, Format.CSC])
+    def test_spmm_matches_numpy(self, sim, dims, density, acf_a, acf_b, rng):
+        m, k, n = dims
+        a = make_sparse(rng, (m, k), density)
+        b = make_sparse(rng, (k, n), 0.8)
+        out, _ = run(sim, a, b, acf_a, acf_b)
+        assert np.allclose(out, a @ b)
+
+    @pytest.mark.parametrize("acf_a", list(ENCODERS))
+    def test_spgemm_matches_numpy(self, sim, dims, density, acf_a, rng):
+        m, k, n = dims
+        a = make_sparse(rng, (m, k), density)
+        b = make_sparse(rng, (k, n), density)
+        out, _ = run(sim, a, b, acf_a, Format.CSC)
+        assert np.allclose(out, a @ b)
+
+    @pytest.mark.parametrize("acf_a", list(ENCODERS))
+    def test_spmv_matches_numpy(self, sim, dims, density, acf_a, rng):
+        m, k, _ = dims
+        a = make_sparse(rng, (m, k), density)
+        x = rng.random((k, 1))
+        out, _ = run(sim, a, x, acf_a, Format.DENSE)
+        assert np.allclose(out, a @ x)
+
+    def test_matched_macs_equal_bruteforce(self, sim, dims, density, rng):
+        """CSR x CSC issues one MAC per (a[i,k], b[k,j]) nonzero pair."""
+        m, k, n = dims
+        a = make_sparse(rng, (m, k), density)
+        b = make_sparse(rng, (k, n), density)
+        brute = sum(
+            int(np.count_nonzero(a[:, kk])) * int(np.count_nonzero(b[kk, :]))
+            for kk in range(k)
+        )
+        _, rep = run(sim, a, b, Format.CSR, Format.CSC)
+        assert rep.cycles.matched_macs == brute
+
+
 class TestReportInvariants:
     def test_dense_dense_issues_mkn_macs(self, rng):
         a = make_sparse(rng, (4, 6), 0.3)

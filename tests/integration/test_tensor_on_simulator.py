@@ -21,7 +21,7 @@ from _tensor_lowering import (
     ref_spttm,
 )
 from repro.accelerator import AcceleratorConfig, WeightStationarySimulator
-from repro.formats import CsfTensor, CsrMatrix, DenseMatrix
+from repro.formats import CooMatrix, CsfTensor, CsrMatrix, DenseMatrix
 from repro.formats.registry import Format
 from tests.conftest import make_sparse
 
@@ -84,6 +84,46 @@ class TestSpttmOnSimulator:
         out, rep = sim.run_gemm(enc, acf_t, DenseMatrix.from_dense(u), Format.DENSE)
         assert np.allclose(fold_mode3(out, shape), ref_spttm(x, u))
         assert rep.cycles.total_cycles > 0
+
+
+#: (shape, rank, density): a 1x1x1 tensor, an all-zero tensor, a rank
+#: above the smallest mode, a mostly-full tensor.
+SHAPE_CASES = [
+    ((1, 1, 1), 2, 1.0),
+    ((4, 5, 6), 3, 0.2),
+    ((8, 3, 10), 4, 0.05),
+    ((3, 3, 3), 2, 0.0),
+    ((2, 7, 4), 5, 0.7),
+]
+
+UNFOLDING_ENCODERS = {
+    Format.CSR: CsrMatrix,
+    Format.COO: CooMatrix,
+    Format.DENSE: DenseMatrix,
+}
+
+
+@pytest.mark.parametrize("shape,rank,density", SHAPE_CASES)
+@pytest.mark.parametrize("acf", list(UNFOLDING_ENCODERS))
+class TestShapeSweep:
+    def test_spttm_matches_einsum(self, shape, rank, density, acf, fabric, rng):
+        x = make_sparse(rng, shape, density)
+        u = rng.random((shape[2], rank))
+        enc = UNFOLDING_ENCODERS[acf].from_dense(matricize_mode3(x))
+        out, _ = WeightStationarySimulator(fabric).run_gemm(
+            enc, acf, DenseMatrix.from_dense(u), Format.DENSE
+        )
+        assert np.allclose(fold_mode3(out, shape), ref_spttm(x, u))
+
+    def test_mttkrp_matches_einsum(self, shape, rank, density, acf, fabric, rng):
+        x = make_sparse(rng, shape, density)
+        b = rng.random((shape[1], rank))
+        c = rng.random((shape[2], rank))
+        enc = UNFOLDING_ENCODERS[acf].from_dense(matricize_mode1(x))
+        out, _ = WeightStationarySimulator(fabric).run_gemm(
+            enc, acf, DenseMatrix.from_dense(khatri_rao(b, c)), Format.DENSE
+        )
+        assert np.allclose(out, ref_mttkrp(x, b, c))
 
 
 class TestMttkrpOnSimulator:

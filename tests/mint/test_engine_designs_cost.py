@@ -82,6 +82,23 @@ class TestEngine:
         out, _ = MintEngine().convert(src, Format.BSR, block_shape=(4, 4))
         assert out.block_shape == (4, 4)
 
+    def test_kwargs_reach_final_hop_from_dense(self, rng):
+        dense = make_sparse(rng, (8, 8), 0.3)
+        src = matrix_class(Format.DENSE).from_dense(dense)
+        out, _ = MintEngine().convert(src, Format.BSR, block_shape=(4, 4))
+        assert out.block_shape == (4, 4)
+        assert np.array_equal(out.to_dense(), dense)
+
+    def test_matrix_rejects_tensor_format(self, small_matrix):
+        src = matrix_class(Format.CSR).from_dense(small_matrix)
+        with pytest.raises(ConversionError):
+            MintEngine().convert(src, Format.CSF)
+
+    def test_tensor_rejects_matrix_format(self, small_tensor):
+        src = tensor_class(Format.COO).from_dense(small_tensor)
+        with pytest.raises(ConversionError):
+            MintEngine().convert(src, Format.CSR)
+
     def test_supported_pairs_complete(self):
         eng = MintEngine()
         assert len(eng.supported_pairs(tensor=False)) == len(MATRIX_FORMATS) ** 2
