@@ -1,4 +1,4 @@
-"""Batched cycle simulation: vectorized beat plans vs the per-beat oracle.
+"""Batched cycle simulation: the one-statistics-pass engine vs the per-beat oracle.
 
 Runs one mixed batch of GEMMs — every streamable ACF in the protocol
 registry (Dense / CSR / CSC / COO / ELL) against both stationary layouts
@@ -8,8 +8,9 @@ registry (Dense / CSR / CSC / COO / ELL) against both stationary layouts
   (``tests/accelerator/_reference_engine.py``): materialized ``Beat``
   objects driving one Python ``PE`` object per column, sequentially per
   job;
-* **vectorized** — ``WeightStationarySimulator.run_gemm``, the
-  array-resident ``BeatPlan`` engine, sequentially per job;
+* **vectorized** — ``WeightStationarySimulator.run_gemm``, the engine
+  that reports each GEMM from one statistics pass per operand (plus the
+  output product), sequentially per job;
 * **batch** — ``WeightStationarySimulator.simulate_many``, the batch API
   over the same engine, which simulates each distinct job once, prepares
   each stationary operand once and returns reports only (no output

@@ -3,9 +3,10 @@
 Two coordinated models:
 
 * :mod:`repro.accelerator.simulator` — a cycle-level functional simulator
-  that actually packs bus beats, performs metadata matching in each PE and
-  accumulates outputs.  It reproduces the Fig. 6 walkthrough cycle-exactly
-  and its output equals ``A @ B``.
+  of the greedy bus packer, the metadata matching in each PE and the
+  output accumulation, computed from one statistics pass per operand.
+  It reproduces the Fig. 6 walkthrough cycle-exactly and its output
+  equals ``A @ B``.
 * :mod:`repro.accelerator.perf_model` — the closed-form analytical model
   SAGE uses (Sec. VI): expectation-based, from summary statistics only.
 

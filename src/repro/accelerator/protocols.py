@@ -14,9 +14,14 @@ lives in two registries, mirroring the conversion-graph registry of
   self-register through :func:`register_stream_protocol`; tensor ACFs that
   only the analytical model streams register spec-only (no extractor).
   Formats whose kernel scans the whole operand whatever the K tile (COO,
-  ELL) also register a **splitter**, so a K-tiled GEMM extracts them once
-  and derives every tile's entries from that one extraction
-  (:meth:`StreamProtocol.tile_entries`).
+  ELL) also register a **splitter**, so a K-tiled output product extracts
+  them once and derives every tile's entries from that one extraction
+  (:meth:`StreamProtocol.tile_entries`).  A protocol may register a
+  **statistics kernel** that reads a K tiling's
+  :class:`~repro.accelerator.stream.StreamStats` straight off the
+  operand's arrays (Dense, CSR, COO, ELL); without one the statistics
+  are derived from the extracted tile entries
+  (:meth:`StreamProtocol.stream_stats`).
 * :class:`StationaryLayout` — how one ACF occupies the PE buffers: entries
   consumed per stored element, direct-index vs metadata matching, and a
   ``prepare`` hook materializing the array-resident view
@@ -35,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.accelerator.stream import PAD_K, StreamSpec
+from repro.accelerator.stream import PAD_K, StreamSpec, StreamStats
 from repro.errors import SimulationError
 from repro.formats.base import MatrixFormat
 from repro.formats.coo import CooMatrix
@@ -65,6 +70,11 @@ ExtractFn = Callable[
     tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ]
 
+#: Statistics kernel: ``fn(a, k_tiles) -> StreamStats``, equal to what
+#: :meth:`StreamProtocol.stream_stats` derives from the extracted entries,
+#: taken straight from the operand's own arrays.
+StatsFn = Callable[[MatrixFormat, Sequence[tuple[int, int]]], StreamStats]
+
 #: Tile splitter: ``fn(entries, k_tiles)`` yields, per K tile in order, the
 #: ``(i, k, v, group_sizes)`` the extraction kernel returns for that tile,
 #: derived from the kernel's whole-operand ``entries``.
@@ -88,6 +98,7 @@ class StreamProtocol:
     operand_cls: type | None = None  # required encoding class, if any
     row_grouped: bool = True  # entries arrive grouped by output row
     split: SplitFn | None = None  # None: extract each K tile on its own
+    stats: StatsFn | None = None  # None: derive statistics from entries
 
     @property
     def streamable(self) -> bool:
@@ -98,6 +109,24 @@ class StreamProtocol:
         self, a: MatrixFormat, k_lo: int, k_hi: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Run the registered extraction kernel, validating the operand."""
+        self._check_operand(a)
+        return self.extract(a, int(k_lo), int(k_hi))
+
+    def stream_stats(
+        self, a: MatrixFormat, k_tiles: Sequence[tuple[int, int]]
+    ) -> StreamStats:
+        """Statistics of streaming *a* once per K tile, in one pass.
+
+        A registered statistics kernel reads them off the operand's
+        arrays; otherwise they are derived from each tile's extracted
+        entries (:meth:`tile_entries`).  Both give the same result.
+        """
+        self._check_operand(a)
+        if self.stats is not None:
+            return self.stats(a, k_tiles)
+        return _stats_from_entries(self.tile_entries(a, k_tiles), a.ncols)
+
+    def _check_operand(self, a: MatrixFormat) -> None:
         if self.extract is None:
             raise SimulationError(
                 f"{self.format} registers streaming slot costs only; the "
@@ -109,7 +138,6 @@ class StreamProtocol:
                 f"{self.format} streaming requires a "
                 f"{self.operand_cls.__name__} operand, got {type(a).__name__}"
             )
-        return self.extract(a, int(k_lo), int(k_hi))
 
     def tile_entries(
         self, a: MatrixFormat, k_tiles: Sequence[tuple[int, int]]
@@ -189,6 +217,7 @@ def register_stream_protocol(
     operand_cls: type | None = None,
     row_grouped: bool = True,
     split: SplitFn | None = None,
+    stats: StatsFn | None = None,
 ) -> Callable[[ExtractFn], ExtractFn]:
     """Decorator: self-register an extraction kernel as a stream protocol."""
 
@@ -203,6 +232,7 @@ def register_stream_protocol(
                 operand_cls=operand_cls,
                 row_grouped=row_grouped,
                 split=split,
+                stats=stats,
             )
         )
         return fn
@@ -211,12 +241,144 @@ def register_stream_protocol(
 
 
 # --------------------------------------------------------------------------
+# whole-operand stream statistics
+# --------------------------------------------------------------------------
+
+
+def _tile_of_k(k_tiles: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The K tile each reduction index belongs to."""
+    widths = [hi - lo for lo, hi in k_tiles]
+    return np.repeat(np.arange(len(widths), dtype=np.int64), widths)
+
+
+def _stats_from_entries(tiles, ncols: int) -> StreamStats:
+    """Statistics of each K tile's extracted ``(i, k, v, group_sizes)``,
+    in tile order (any protocol)."""
+    parts = list(tiles)
+    i, k, v, sizes = (
+        np.concatenate([np.asarray(part[j]) for part in parts])
+        for j in range(4)
+    )
+    tile_ids = np.arange(len(parts), dtype=np.int64)
+    entry_tile = np.repeat(tile_ids, [len(part[2]) for part in parts])
+    valid = k >= 0  # padding slots never reach the datapath
+    i, k, v = i[valid].astype(np.int64), k[valid].astype(np.int64), v[valid]
+    entry_tile = entry_tile[valid]
+    # A run continues only across two adjacent entries of one tile and row.
+    same = (i[1:] == i[:-1]) & (entry_tile[1:] == entry_tile[:-1])
+    runs = np.bincount(entry_tile, minlength=len(parts)) - np.bincount(
+        entry_tile[1:][same], minlength=len(parts)
+    )
+    sizes = sizes.astype(np.int64)
+    return StreamStats(
+        c_all=np.bincount(k, minlength=ncols),
+        c_nz=np.bincount(k[v != 0.0], minlength=ncols),
+        runs=runs,
+        groups=(
+            sizes,
+            np.repeat(tile_ids, [len(part[3]) for part in parts]),
+            np.ones_like(sizes),
+        ),
+        entries=(i, k, entry_tile),
+    )
+
+
+def _row_major_stats(rows, k, v, shape, k_tiles, groups) -> StreamStats:
+    """Statistics of a row-grouped stream from its stored entries.
+
+    Within every tile the stream visits rows in order, each row's entries
+    together, so a tile's runs are its nonempty rows.  ``groups(tile,
+    counts, num_tiles, m)`` turns the nonempty (tile, row) pairs, in
+    stream order, and their entry counts into the protocol's bus groups.
+    """
+    m, ncols = shape
+    num_tiles = len(k_tiles)
+    entry_tile = _tile_of_k(k_tiles)[k]
+    keys = entry_tile * m + rows
+    # A (tile x row) histogram, the same order of size as the stationary
+    # side's (tile x column) counts.
+    counts = np.bincount(keys, minlength=num_tiles * m)
+    keys = np.flatnonzero(counts)
+    counts = counts[keys]
+    key_tile = keys // max(m, 1)
+    return StreamStats(
+        c_all=np.bincount(k, minlength=ncols),
+        c_nz=np.bincount(k[v != 0.0], minlength=ncols),
+        runs=np.bincount(key_tile, minlength=num_tiles),
+        groups=groups(key_tile, counts, num_tiles, m),
+        entries=(rows, k, entry_tile),
+    )
+
+
+def _stats_dense(a: MatrixFormat, k_tiles) -> StreamStats:
+    """Every row streams every k of a tile: one group per row and tile."""
+    dense = a.values if isinstance(a, DenseMatrix) else a.to_dense()
+    m, ncols = dense.shape
+    widths = np.asarray([hi - lo for lo, hi in k_tiles], dtype=np.int64)
+    return StreamStats(
+        c_all=np.full(ncols, m, dtype=np.int64),
+        c_nz=np.count_nonzero(dense, axis=0).astype(np.int64),
+        runs=np.where(widths > 0, m, 0),
+        groups=(
+            widths,
+            np.arange(len(widths), dtype=np.int64),
+            np.full(len(widths), m, dtype=np.int64),
+        ),
+        entries=None,
+    )
+
+
+def _csr_groups(tile, counts, _num_tiles, _m):
+    """One group per nonempty (tile, row)."""
+    return counts, tile, np.ones_like(counts)
+
+
+def _stats_csr(a: CsrMatrix, k_tiles) -> StreamStats:
+    rows = np.repeat(np.arange(a.nrows, dtype=np.int64), a.row_lengths())
+    return _row_major_stats(
+        rows, a.col_ids, a.values, a.shape, k_tiles, _csr_groups
+    )
+
+
+def _coo_groups(tile, counts, num_tiles, _m):
+    """One ungrouped run per tile."""
+    sizes = np.zeros(num_tiles, dtype=np.int64)
+    np.add.at(sizes, tile, counts)
+    tiles = np.arange(num_tiles, dtype=np.int64)
+    return sizes, tiles, np.ones_like(sizes)
+
+
+def _stats_coo(a: CooMatrix, k_tiles) -> StreamStats:
+    return _row_major_stats(
+        a.row_ids, a.col_ids, a.values, a.shape, k_tiles, _coo_groups
+    )
+
+
+def _ell_groups(tile, counts, num_tiles, m):
+    """Every row of a tile streams the tile's widest row, padded."""
+    width = np.zeros(num_tiles, dtype=np.int64)
+    np.maximum.at(width, tile, counts)
+    tiles = np.arange(num_tiles, dtype=np.int64)
+    return width, tiles, np.full(num_tiles, m, dtype=np.int64)
+
+
+def _stats_ell(a: EllMatrix, k_tiles) -> StreamStats:
+    real = a.col_ids != PAD_COL
+    rows = np.nonzero(real)[0]
+    return _row_major_stats(
+        rows, a.col_ids[real], a.values[real], a.shape, k_tiles, _ell_groups
+    )
+
+
+# --------------------------------------------------------------------------
 # matrix streaming protocols (streamed operand A of the WS dataflow)
 # --------------------------------------------------------------------------
 
 
 @register_stream_protocol(
-    Format.DENSE, spec=StreamSpec(entry_slots=1, shared_slots=1, grouped=True)
+    Format.DENSE,
+    spec=StreamSpec(entry_slots=1, shared_slots=1, grouped=True),
+    stats=_stats_dense,
 )
 def _extract_dense(a: MatrixFormat, lo: int, hi: int):
     """Every (row, k) position streams, zeros included (Fig. 6a)."""
@@ -233,6 +395,7 @@ def _extract_dense(a: MatrixFormat, lo: int, hi: int):
     Format.CSR,
     spec=StreamSpec(entry_slots=2, shared_slots=1, grouped=True),
     operand_cls=CsrMatrix,
+    stats=_stats_csr,
 )
 def _extract_csr(a: CsrMatrix, lo: int, hi: int):
     """Stored entries grouped per row, row-major (Fig. 6b)."""
@@ -272,6 +435,7 @@ def _split_coo(entries, k_tiles):
     spec=StreamSpec(entry_slots=3, shared_slots=0, grouped=False),
     operand_cls=CooMatrix,
     split=_split_coo,
+    stats=_stats_coo,
 )
 def _extract_coo(a: CooMatrix, lo: int, hi: int):
     """Row-major sorted coordinates, one ungrouped run (Fig. 6c)."""
@@ -314,6 +478,7 @@ def _split_ell(entries, k_tiles):
     spec=StreamSpec(entry_slots=2, shared_slots=1, grouped=True),
     operand_cls=EllMatrix,
     split=_split_ell,
+    stats=_stats_ell,
 )
 def _extract_ell(a: EllMatrix, lo: int, hi: int):
     """Fixed-width rows: every row streams the tile's max row occupancy.
@@ -394,10 +559,6 @@ class StationaryLayout:
     entry_cost: int  # buffer entries per stored element
     matcher: str  # "direct" (indexable buffer) | "metadata" (CAM compare)
     prepare: Callable[[MatrixFormat], StationaryOperand]
-
-    def entries_loaded(self, op: StationaryOperand) -> int:
-        """Buffer entries written to pin the whole operand once."""
-        return self.entry_cost * int(op.stored.sum())
 
 
 class _LayoutRegistry:

@@ -24,13 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.accelerator.protocols import (
-    StationaryOperand,
-    stationary_layout_for,
-)
+from repro.accelerator.protocols import StationaryLayout, StationaryOperand
 from repro.errors import SchedulingError
-from repro.formats.base import MatrixFormat
-from repro.formats.registry import Format
 from repro.util.bits import ceil_div
 
 #: Buffer entries consumed per stationary nonzero in CSC (value + row id).
@@ -61,55 +56,40 @@ def _uniform_tiles(k: int, num_tiles: int) -> tuple[tuple[int, int], ...]:
     return tuple((int(bounds[t]), int(bounds[t + 1])) for t in range(num_tiles))
 
 
-def _tile_footprints(
-    csum: np.ndarray, entry_cost: int, tiles: tuple[tuple[int, int], ...]
+def _column_counts(
+    stored: np.ndarray, tiles: tuple[tuple[int, int], ...]
 ) -> np.ndarray:
-    """Max per-column buffer footprint within each tile, vectorized.
+    """Stored positions per (tile, column), shape ``(num_tiles, N)``."""
+    if not stored.size:
+        return np.zeros((len(tiles), stored.shape[1]), dtype=np.int64)
+    starts = [lo for lo, _hi in tiles]
+    return np.add.reduceat(stored, starts, axis=0, dtype=np.int64)
 
-    ``csum`` is the running per-column count of stored positions — the
-    (K, N) stored-position mask's ``cumsum(axis=0)``, computed once by the
-    caller since it does not depend on the tiling; the footprint of a
-    (tile, column) cell is ``entry_cost`` per stored position.  Returns an
-    array of shape (num_tiles,) with the worst-column footprint.
+
+def plan_k_tiles(
+    op: StationaryOperand, layout: StationaryLayout, capacity_entries: int
+) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """Minimal uniform K-tiling so every (tile, column) footprint fits,
+    with its ``(num_tiles, N)`` stored-position counts.
+
+    Candidate tilings are tried from the fewest tiles the fullest column
+    allows upwards; each costs one segment sum over the stored mask.
     """
-    cum = np.zeros((len(tiles) + 1, csum.shape[1]), dtype=np.int64)
-    for t, (lo, hi) in enumerate(tiles):
-        cum[t + 1] = csum[hi - 1] if hi > lo else (csum[lo - 1] if lo else 0)
-    counts = np.diff(cum, axis=0)
-    return entry_cost * counts.max(axis=1)
-
-
-def compute_k_tiles(
-    b: MatrixFormat | StationaryOperand,
-    acf_b: Format,
-    capacity_entries: int,
-) -> tuple[tuple[int, int], ...]:
-    """Minimal uniform K-tiling so every (column, tile) footprint fits.
-
-    Accepts either the stationary operand object or an already-prepared
-    :class:`~repro.accelerator.protocols.StationaryOperand` view.
-    """
-    layout = stationary_layout_for(acf_b)
-    op = b if isinstance(b, StationaryOperand) else layout.prepare(b)
     k = op.stored.shape[0]
     per_col = op.stored.sum(axis=0)
     max_footprint = (
         layout.entry_cost * int(per_col.max()) if per_col.size else 0
     )
-    if max_footprint == 0:
-        return _uniform_tiles(k, 1)
-    csum = op.stored.cumsum(axis=0, dtype=np.int64)
     num = max(1, ceil_div(max_footprint, capacity_entries))
-    while num <= k:
+    while num <= max(k, 1):
         tiles = _uniform_tiles(k, num)
-        if _tile_footprints(csum, layout.entry_cost, tiles).max() <= (
-            capacity_entries
-        ):
-            return tiles
+        counts = _column_counts(op.stored, tiles)
+        if layout.entry_cost * counts.max(initial=0) <= capacity_entries:
+            return tiles, counts
         num += 1
     raise SchedulingError(
         f"PE buffer of {capacity_entries} entries cannot hold even a "
-        f"single-k {acf_b} column slice"
+        f"single-k {layout.format} column slice"
     )
 
 
@@ -118,28 +98,3 @@ def compute_rounds(n_cols: int, num_pes: int) -> tuple[tuple[int, int], ...]:
     return tuple(
         (lo, min(lo + num_pes, n_cols)) for lo in range(0, max(n_cols, 1), num_pes)
     )
-
-
-def build_schedule(
-    b: MatrixFormat, acf_b: Format, capacity_entries: int, num_pes: int
-) -> Schedule:
-    """Full (tiles x rounds) schedule for stationary operand *b*."""
-    if capacity_entries < 1:
-        raise SchedulingError("PE buffer must hold at least one entry")
-    return Schedule(
-        k_tiles=compute_k_tiles(b, acf_b, capacity_entries),
-        rounds=compute_rounds(b.ncols, num_pes),
-    )
-
-
-def stationary_entries_loaded(
-    b: MatrixFormat, acf_b: Format, tiles: tuple[tuple[int, int], ...]
-) -> int:
-    """Total buffer entries written while loading B across all tiles/rounds.
-
-    Every column is loaded exactly once per tile that intersects it, so the
-    total is independent of the round structure (and of the tiling: each
-    stored position belongs to exactly one tile).
-    """
-    layout = stationary_layout_for(acf_b)
-    return layout.entries_loaded(layout.prepare(b))

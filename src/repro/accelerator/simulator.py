@@ -5,23 +5,28 @@ Fig. 2) under any registered ACF pair, producing both the numerical output
 and a :class:`~repro.accelerator.report.RunReport` (:meth:`run_gemm`), or
 the reports alone for a batch (:meth:`simulate_many`).
 
-The simulator is the operational ground truth: it packs real bus beats
-(:mod:`repro.accelerator.stream`), matches streamed elements against the
-stationary buffers and walks the (k-tile x round) schedule
-(:mod:`repro.accelerator.scheduler`).  Which ACFs can stream or sit
-stationary is decided by the protocol registries of
-:mod:`repro.accelerator.protocols` — adding a format there is enough for
-it to run here.
+The simulator is the operational ground truth of the greedy bus packer
+(:mod:`repro.accelerator.stream`), the metadata matching in each PE and
+the (k-tile x round) schedule (:mod:`repro.accelerator.scheduler`).
+Which ACFs can stream or sit stationary is decided by the protocol
+registries of :mod:`repro.accelerator.protocols` — adding a format there
+is enough for it to run here.
 
-It consumes array-resident :class:`~repro.accelerator.stream.BeatPlan`
-objects, one per K tile, and computes every per-PE statistic with numpy
-segment ops; no per-entry Python loops.  Streamed ACFs whose extraction
-scans the whole operand (COO, ELL) are extracted once per GEMM and split
-into tiles (:meth:`~repro.accelerator.protocols.StreamProtocol.
-tile_entries`); the others extract each tile directly.  Its cycle/energy
-reports are pinned by the test suite against a per-beat PE model kept
-there as an oracle, along with the Fig. 6 walkthrough's 8 / 3 / 4
-streaming cycles and the closed-form analytical cross-check.
+A GEMM's report comes from one statistics pass per operand, not from an
+entry stream per K tile: the streamed operand's
+:class:`~repro.accelerator.stream.StreamStats` (per-k entry histograms,
+per-tile row runs, bus groups) and the stationary operand's per-k and
+per-(tile, round) stored counts, taken once per prepared operand.  The K
+tiles partition K and the rounds partition the columns, so issued,
+matched and compared MACs are dot products over K, loads a segment sum,
+and the stream's beats one composition of per-group packer transition
+tables.  Entries are looked at only for the output product
+(:meth:`run_gemm`), for the CAM spill runs of a sparse row-grouped
+stream (one small pattern GEMM per tile) and for the spill runs of a
+stream that interleaves rows (CSC).  The reports are pinned by the test
+suite against a per-beat PE model and a Python greedy packer kept there
+as oracles, along with the Fig. 6 walkthrough's 8 / 3 / 4 streaming
+cycles and the closed-form analytical cross-check.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import numpy as np
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.protocols import (
     StationaryLayout,
-    StationaryOperand,
     StreamProtocol,
     stationary_layout_for,
     stream_protocol_for,
@@ -42,10 +46,9 @@ from repro.accelerator.protocols import (
 from repro.accelerator.report import CycleReport, EnergyReport, RunReport
 from repro.accelerator.scheduler import (
     Schedule,
-    compute_k_tiles,
     compute_rounds,
+    plan_k_tiles,
 )
-from repro.accelerator.stream import build_beat_plan, pack_entries
 from repro.errors import SimulationError
 from repro.formats.base import MatrixFormat
 from repro.formats.registry import Format
@@ -64,8 +67,51 @@ _PHASE_CYCLES = registry().counter(
 #: its ACF) — exactly the run_gemm signature.
 SimJob = tuple[MatrixFormat, Format, MatrixFormat, Format]
 
-#: Prepared stationary operands and their schedules, by (id(b), acf_b).
-_Prepared = dict[tuple[int, Format], tuple[StationaryOperand, Schedule]]
+
+class _Stationary:
+    """One prepared stationary operand: its buffers, its schedule and the
+    per-k / per-tile statistics every GEMM against it reads.
+
+    Built once per ``(id(b), acf_b)``; nothing in it depends on the
+    streamed operand.
+    """
+
+    def __init__(
+        self, layout: StationaryLayout, b: MatrixFormat,
+        config: AcceleratorConfig,
+    ) -> None:
+        self.operand = operand = layout.prepare(b)
+        tiles, per_tile_col = plan_k_tiles(
+            operand, layout, config.pe_buffer_entries
+        )
+        self.schedule = Schedule(
+            k_tiles=tiles, rounds=compute_rounds(b.ncols, config.num_pes)
+        )
+        k, n = operand.stored.shape
+        self.bounds = np.asarray([lo for lo, _hi in tiles] + [k])
+        #: stored positions per reduction index, over every column.
+        self.per_k = operand.stored.sum(axis=1, dtype=np.int64)
+        #: stored positions per K tile, and columns with at least one.
+        self.per_tile = per_tile_col.sum(axis=1)
+        self.cols_per_tile = np.count_nonzero(per_tile_col, axis=1)
+        #: stationary entries a streamed nonzero can match, per k: the
+        #: nonzero values of an indexable buffer, else every stored one.
+        self.match_per_k = (
+            np.count_nonzero(operand.values, axis=1)
+            if layout.matcher == "direct" else self.per_k
+        )
+        # Every (tile, round) loads its slice of the buffers once.
+        round_starts = [lo for lo, _hi in self.schedule.rounds]
+        loaded = layout.entry_cost * (
+            np.add.reduceat(per_tile_col, round_starts, axis=1)
+            if n else per_tile_col
+        )
+        self.entries_loaded = int(loaded.sum())
+        self.load_cycles = int((-(-loaded // config.bus_slots)).sum())
+
+
+#: Prepared stationary operands, by (id(b), acf_b).
+_Prepared = dict[tuple[int, Format], _Stationary]
 
 
 class WeightStationarySimulator:
@@ -124,16 +170,9 @@ class WeightStationarySimulator:
             key = (id(b), acf_b)
             if key not in prepared:
                 with span("accel.prepare"):
-                    stationary = layout.prepare(b)
-                    prepared[key] = stationary, Schedule(
-                        k_tiles=compute_k_tiles(
-                            stationary, acf_b, self.config.pe_buffer_entries
-                        ),
-                        rounds=compute_rounds(b.ncols, self.config.num_pes),
-                    )
-            stationary, schedule = prepared[key]
+                    prepared[key] = _Stationary(layout, b, self.config)
             out, report = self._run_vectorized(
-                a, proto, layout, stationary, schedule, output
+                a, proto, layout, prepared[key], output
             )
         _GEMMS.inc()
         cycles = report.cycles
@@ -150,83 +189,49 @@ class WeightStationarySimulator:
     # ------------------------------------------------- vectorized engine --
     def _run_vectorized(
         self, a, proto: StreamProtocol, layout: StationaryLayout,
-        stationary, schedule, output: bool,
+        st: _Stationary, output: bool,
     ) -> tuple[np.ndarray | None, RunReport]:
+        """One GEMM's report from whole-operand statistics.
+
+        Every streamed statistic is taken once per operand
+        (:meth:`~repro.accelerator.protocols.StreamProtocol.stream_stats`)
+        and every stationary one once per prepared operand, so the K
+        tiles and column rounds only enter as segment sums: the tiles
+        partition K and the rounds partition the columns.
+        """
         cfg = self.config
         w = cfg.bus_slots
-        m, n = a.nrows, stationary.values.shape[1]
-        bd, smask = stationary.values, stationary.stored
-        out = np.zeros((m, n), dtype=np.float64) if output else None
-        load_cycles = stream_cycles = 0
-        issued = matched = compares = spills = 0
-        entries_loaded_total = 0
-        cam_grouped = layout.matcher != "direct" and proto.row_grouped
-
-        tiles = proto.tile_entries(a, schedule.k_tiles)
-        for (k_lo, k_hi), entries in zip(schedule.k_tiles, tiles):
-            kt = k_hi - k_lo
-            plan = pack_entries(*entries, proto.spec, w)
-            tile_cycles = plan.total_cycles
-            valid = plan.k >= 0  # padding slots never reach the datapath
-            i_e = plan.i[valid]
-            k_e = plan.k[valid] - k_lo
-            v_e = plan.v[valid]
-            num = len(v_e)
-            if num:
-                # Per-k processed / nonzero streamed-entry histograms and the
-                # scatter views of the streamed tile.
-                c_all = np.bincount(k_e, minlength=kt)
-                c_nz = np.bincount(
-                    k_e[v_e != 0.0], minlength=kt
-                )
-                if output:
-                    s_vals = np.zeros((m, kt), dtype=np.float64)
-                    s_vals[i_e, k_e] = v_e
-                if cam_grouped:
-                    pattern, active_k = _streamed_pattern(i_e, k_e, m, c_all)
-                runs_all = 1 + int(np.count_nonzero(i_e[1:] != i_e[:-1]))
+        schedule = st.schedule
+        n = st.operand.values.shape[1]
+        stats = proto.stream_stats(a, schedule.k_tiles)
+        stream_cycles = schedule.num_rounds * stats.beats(proto.spec, w)
+        num = int(stats.c_all.sum())
+        if layout.matcher == "direct":
+            # Indexable buffers answer every streamed element.
+            issued = num * n
+            matched = int(np.dot(stats.c_nz, st.match_per_k))
+            compares = 0
+            spills = int(stats.runs.sum()) * n
+        else:
+            # Metadata (CAM) matching against the stored pattern.
+            issued = int(np.dot(stats.c_all, st.per_k))
+            matched = int(np.dot(stats.c_nz, st.per_k))
+            # Each entry is compared against its tile's stored positions.
+            upto = np.concatenate(([0], np.cumsum(stats.c_all)))
+            compares = int(np.dot(np.diff(upto[st.bounds]), st.per_tile))
+            if not proto.row_grouped:
+                spills = _interleaved_runs(stats.entries, st)
+            elif stats.entries is None:
+                # Every row streams every k of its tiles, so it opens one
+                # Oreg run per PE column holding anything of the tile.
+                spills = int(np.dot(stats.runs, st.cols_per_tile))
             else:
-                c_all = c_nz = np.zeros(kt, dtype=np.int64)
-                runs_all = 0
-
-            for col_lo, col_hi in schedule.rounds:
-                ncols = col_hi - col_lo
-                sm_t = smask[k_lo:k_hi, col_lo:col_hi]
-                loaded = layout.entry_cost * int(sm_t.sum())
-                if loaded:
-                    load_cycles += ceil_div(loaded, w)
-                entries_loaded_total += loaded
-                stream_cycles += tile_cycles
-                if not num:
-                    continue
-                bd_t = bd[k_lo:k_hi, col_lo:col_hi]
-                if output:
-                    out[:, col_lo:col_hi] += s_vals @ bd_t
-                if layout.matcher == "direct":
-                    # Indexable buffers answer every streamed element.
-                    issued += num * ncols
-                    matched += int(np.dot(c_nz, (bd_t != 0.0).sum(axis=1)))
-                    spills += runs_all * ncols
-                else:
-                    # Metadata (CAM) matching against the stored pattern.
-                    stored_per_k = sm_t.sum(axis=1)
-                    issued += int(np.dot(c_all, stored_per_k))
-                    matched += int(np.dot(c_nz, stored_per_k))
-                    compares += num * int(sm_t.sum())
-                    if cam_grouped:
-                        # Row-grouped streams open one Oreg run per
-                        # (row with >= 1 metadata match, PE).  A float32
-                        # GEMM of 0/1 operands is an exact nonzero test:
-                        # a sum of positive terms never rounds to zero.
-                        hits = pattern @ sm_t[active_k].astype(np.float32)
-                        spills += int(np.count_nonzero(hits))
-                    else:
-                        spills += _interleaved_runs(i_e, k_e, sm_t)
+                spills = _pattern_runs(stats.entries, a.nrows, st)
 
         drain_cycles = ceil_div(spills, w) if spills else 0
         compute_cycles = ceil_div(issued, cfg.total_macs) if issued else 0
         cycles = CycleReport(
-            load_cycles=load_cycles,
+            load_cycles=st.load_cycles,
             stream_cycles=stream_cycles,
             drain_cycles=drain_cycles,
             compute_cycles=compute_cycles,
@@ -237,8 +242,9 @@ class WeightStationarySimulator:
             output_spills=spills,
         )
         energy = self._energy(
-            stream_cycles, entries_loaded_total, issued, compares, spills
+            stream_cycles, st.entries_loaded, issued, compares, spills
         )
+        out = _output(a, proto, st) if output else None
         return out, RunReport(cycles=cycles, energy=energy)
 
     # ------------------------------------------------------------- batch --
@@ -249,9 +255,9 @@ class WeightStationarySimulator:
         The batch returns reports only: its callers rank and calibrate on
         cycles and energy, so no output matrix is computed (use
         :meth:`run_gemm` for the product).  Each report equals
-        ``run_gemm(*job)[1]``.  As in :meth:`run_gemm`, a COO or ELL
-        streamed operand is extracted once per GEMM and split into its K
-        tiles.
+        ``run_gemm(*job)[1]``.  As in :meth:`run_gemm`, each streamed
+        operand's statistics are taken in one pass per GEMM; no entry
+        stream is built per K tile.
 
         Each piece of work is done once per batch.  Jobs are keyed by
         operand identity, ``(id(a), acf_a, id(b), acf_b)``: a repeated job
@@ -303,54 +309,111 @@ class WeightStationarySimulator:
     # ---------------------------------------------------- convenience APIs --
     def stream_cycles_only(self, a: MatrixFormat, acf_a: Format) -> int:
         """Cycles to broadcast operand A once, untiled (the Fig. 6 number)."""
-        return build_beat_plan(a, acf_a, self.config.bus_slots).total_cycles
+        proto = stream_protocol_for(acf_a)
+        stats = proto.stream_stats(a, ((0, a.ncols),))
+        return stats.beats(proto.spec, self.config.bus_slots)
 
 
-def _streamed_pattern(
-    i_e: np.ndarray, k_e: np.ndarray, m: int, c_all: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 float32 mask of the streamed (row, k) cells, compacted.
+def _output(a, proto: StreamProtocol, st: _Stationary) -> np.ndarray:
+    """``O = A @ B`` as the PEs accumulate it: per K tile and round.
 
-    Rows and reduction indices the tile never streams cannot open an Oreg
-    run, so the mask keeps only active rows x active k.  Returns it with
-    the active k indices (tile-local, ascending).
+    Each tile multiplies only the rows and reduction indices it streams
+    (all of them for Dense), so a sparse tile costs its active block.
     """
-    row_on = np.zeros(m, dtype=bool)
-    row_on[i_e] = True
-    k_on = c_all > 0
-    pattern = np.zeros(
-        (np.count_nonzero(row_on), np.count_nonzero(k_on)), dtype=np.float32
-    )
-    pattern[(np.cumsum(row_on) - 1)[i_e], (np.cumsum(k_on) - 1)[k_e]] = 1.0
-    return pattern, np.flatnonzero(k_on)
+    bd = st.operand.values
+    out = np.zeros((a.nrows, bd.shape[1]), dtype=np.float64)
+    tiles = st.schedule.k_tiles
+    for i, k, v, _sizes in proto.tile_entries(a, tiles):
+        valid = k >= 0  # padding slots never reach the datapath
+        if not valid.any():
+            continue
+        rows, row_at = _active(i[valid], a.nrows)
+        ks, k_at = _active(k[valid], bd.shape[0])
+        s_vals = np.zeros((len(rows), len(ks)), dtype=np.float64)
+        s_vals[row_at, k_at] = v[valid]
+        for col_lo, col_hi in st.schedule.rounds:
+            out[rows, col_lo:col_hi] += s_vals @ bd[ks, col_lo:col_hi]
+    return out
 
 
-def _interleaved_runs(
-    i_e: np.ndarray, k_e: np.ndarray, sm_t: np.ndarray, chunk_cells: int = 1 << 22
-) -> int:
-    """Oreg spill runs for streams that interleave output rows (e.g. CSC).
+def _active(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of *index* (ascending) and each entry's
+    position among them."""
+    on = np.zeros(size, dtype=bool)
+    on[index] = True
+    return np.flatnonzero(on), (np.cumsum(on) - 1)[index]
 
-    For each PE column, the matched subsequence is the streamed entries
-    whose reduction index is stored in that column's buffer; a spill run
-    starts at the first match and at every match whose row differs from
-    the previous match.  Computed column-chunked to bound the (entries x
-    columns) working set.
+
+def _by_tile(entries):
+    """Entries regrouped tile by tile (stable), with each tile's slice."""
+    i, k, tile = entries
+    order = np.argsort(tile, kind="stable")
+    bounds = np.searchsorted(tile[order], np.arange(int(tile.max()) + 2))
+    return i[order], k[order], tile[order], bounds
+
+
+def _pattern_runs(entries, m: int, st: _Stationary) -> int:
+    """Oreg runs of a row-grouped stream against a metadata buffer.
+
+    Each row of a tile opens one run per PE column that stores a k the
+    row streams in that tile.  Per tile, a float32 GEMM of the 0/1
+    streamed pattern (active rows x active k) and the stored mask counts
+    those (row, column) pairs exactly: a sum of positive terms never
+    rounds to zero.
     """
-    num = len(i_e)
-    if not num:
+    if not len(entries[0]):
         return 0
-    ncols = sm_t.shape[1]
-    step = max(1, chunk_cells // num)
-    total = 0
-    arange = np.arange(num, dtype=np.int64)[:, None]
-    for lo in range(0, ncols, step):
-        mask = sm_t[k_e, lo : lo + step]  # (entries, cols) matched pattern
-        pos = np.where(mask, arange, -1)
-        last = np.maximum.accumulate(pos, axis=0)
-        prev = np.empty_like(last)
-        prev[0] = -1
-        prev[1:] = last[:-1]
-        same = mask & (prev >= 0) & (i_e[prev] == i_e[:, None])
-        total += int(mask.sum()) - int(same.sum())
-    return total
+    i, k, _tile, bounds = _by_tile(entries)
+    spills = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        rows, row_at = _active(i[lo:hi], m)
+        ks, k_at = _active(k[lo:hi], len(st.per_k))
+        pattern = np.zeros((len(rows), len(ks)), dtype=np.float32)
+        pattern[row_at, k_at] = 1
+        hits = pattern @ st.operand.stored[ks].astype(np.float32)
+        spills += int(np.count_nonzero(hits))
+    return spills
 
+
+def _interleaved_runs(entries, st: _Stationary) -> int:
+    """Oreg runs of a stream that interleaves output rows (e.g. CSC).
+
+    For each (tile, PE column) the matched subsequence is the tile's
+    entries whose k the column stores; a run starts at its first entry
+    and at every entry whose row differs from the previous one's.  So
+    runs are matches minus continuations.  Adjacent entries with the same
+    k match the same columns, so the stream is cut into blocks of equal
+    k: inside a block a continuation counts once per column storing k;
+    across blocks, for each column, consecutive matched blocks of one
+    tile continue when the first's last row is the second's first row.
+    That needs one (block, column) pair per stored position a block's k
+    has, not an (entry x column) mask.
+    """
+    if not len(entries[0]):
+        return 0
+    i, k, tile, _bounds = _by_tile(entries)
+    per_k = st.per_k
+    runs = int(per_k[k].sum())
+    same_k = (k[1:] == k[:-1]) & (tile[1:] == tile[:-1])
+    runs -= int(per_k[k[1:]][same_k & (i[1:] == i[:-1])].sum())
+    first = np.flatnonzero(np.concatenate(([True], ~same_k)))
+    last = np.concatenate((first[1:], [len(k)])) - 1
+    block_k = k[first]
+    # Each block's matched columns, block-major, then stably by column.
+    fan = per_k[block_k]
+    stored_k, stored_col = np.nonzero(st.operand.stored)
+    k_start = np.concatenate(([0], np.cumsum(per_k)))[block_k]
+    block = np.repeat(np.arange(len(first)), fan)
+    offset = np.arange(len(block)) - np.repeat(np.cumsum(fan) - fan, fan)
+    col = stored_col[np.repeat(k_start, fan) + offset]
+    order = np.argsort(col, kind="stable")
+    block, col = block[order], col[order]
+    prev, nxt = block[:-1], block[1:]
+    runs -= int(np.count_nonzero(
+        (col[1:] == col[:-1])
+        & (tile[first][nxt] == tile[first][prev])
+        & (i[first][nxt] == i[last][prev])
+    ))
+    return runs

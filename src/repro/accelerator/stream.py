@@ -23,23 +23,28 @@ Which ACFs stream, with what slot costs and which entry extraction, is no
 longer hard-coded here: it lives in the **streaming-protocol registry**
 (:mod:`repro.accelerator.protocols`), mirroring the conversion-graph
 registry of :mod:`repro.mint.graph`.  This module owns the format-agnostic
-machinery: the :class:`StreamSpec` slot algebra, the **vectorized packer**
-producing array-resident :class:`BeatPlan` objects (a single O(#groups)
-integer scan for beat boundaries; all per-entry work is numpy prefix-sum /
-segment ops — no per-entry Python loops), and the closed-form estimate.
+machinery: the :class:`StreamSpec` slot algebra, the **vectorized packer**,
+the :class:`StreamStats` a GEMM's report is computed from, and the
+closed-form estimate.
 
 Packing is greedy and order-preserving: entries fill the current beat as
 long as their slots (plus their group's header, if the group is not yet
 present in the beat) fit; otherwise a new beat starts.  A group spanning
 several beats pays its header in each.  On the Fig. 6 operands (W=5) this
 yields exactly 8 / 3 / 4 cycles for Dense / CSR / COO, which the test
-suite pins.
+suite pins.  The only state the packer carries between groups is the
+open beat's free slots, so each group is a transition table over those
+``W + 1`` states: :func:`count_beats` composes the tables of every K
+tile's groups in log depth (the simulator's beat count), and
+:func:`pack_entries` prefix-scans them into the per-entry
+:class:`BeatPlan` that traces and the Fig. 6 walkthrough render.  No
+Python loop runs per group or per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -86,43 +91,152 @@ def stream_spec_for(fmt: Format, *, tensor: bool = False) -> StreamSpec:
 # --------------------------------------------------------------------------
 
 
-def _pack_layout(
-    sizes: Sequence[int], es: int, ss: int, bus_slots: int
-) -> tuple[list[int], list[int], int, int]:
-    """Greedy per-group packing layout: ``(first_beat, first_take, epb, beats)``.
+def _state_bits(bus_slots: int) -> int:
+    """Bits of an encoded table entry that hold the next state."""
+    return bus_slots.bit_length()
 
-    The only sequential state the greedy packer carries between groups is
-    one integer (the open beat's free slots), so this scan is O(#groups)
-    in plain Python ints; everything per-entry is done vectorized on top
-    of the returned layout.  ``first_take`` is how many of a group's
-    entries land in its first beat; all continuation beats carry ``epb``
-    entries except the last.
+
+def _transition_tables(
+    sizes: np.ndarray, spec: StreamSpec, bus_slots: int
+) -> np.ndarray:
+    """Each group's effect on the greedy packer, for every entry state.
+
+    The only state the packer carries from one group to the next is the
+    open beat's free slots, ``0..W`` (``0``: no beat open, the state
+    before the first group).  A group of ``n`` entries opens a beat when
+    its header plus one entry does not fit, fills the open beat, then
+    spills the rest into fresh beats of ``epb`` entries each, paying its
+    header again in every one.
+
+    Row ``g``, column ``s`` encodes group ``g`` entered in state ``s`` as
+    ``beats_opened << _state_bits(W) | next_state``.  Requires
+    ``entry_slots + shared_slots <= W`` and ``n > 0``; groups of equal
+    size share one computed row.
     """
-    epb = (bus_slots - ss) // es
-    first_beat: list[int] = []
-    first_take: list[int] = []
-    beat = 0
-    free = bus_slots
-    any_entries = False
-    for n in sizes:
-        n = int(n)
-        if free < ss + es:
-            beat += 1
-            free = bus_slots
-        take = (free - ss) // es
-        if take > n:
-            take = n
-        first_beat.append(beat)
-        first_take.append(take)
-        free -= ss + take * es
-        rem = n - take
-        if rem:
-            more = -(-rem // epb)  # ceil
-            last = rem - (more - 1) * epb
-            beat += more
-            free = bus_slots - ss - last * es
-        any_entries = True
-    return first_beat, first_take, epb, (beat + 1 if any_entries else 0)
+    es, ss, w = spec.entry_slots, spec.shared_slots, bus_slots
+    epb = (w - ss) // es
+    sizes, row = np.unique(sizes, return_inverse=True)
+    free = np.arange(w + 1, dtype=np.int64)[None, :]
+    n = sizes[:, None]
+    opened = free < ss + es
+    free0 = np.where(opened, w, free)
+    take = np.minimum((free0 - ss) // es, n)
+    rem = n - take
+    more = -(-rem // epb)  # continuation beats (ceil)
+    last = rem - (more - 1) * epb  # entries in the last one
+    next_free = np.where(rem > 0, w - ss - last * es, free0 - ss - take * es)
+    return ((opened + more) << _state_bits(w) | next_free)[row.ravel()]
+
+
+def _then(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Row-wise composition of encoded tables: *first*, then *second*."""
+    cols = first.shape[1]
+    state = first & ((1 << _state_bits(cols - 1)) - 1)
+    offsets = np.arange(0, len(second) * cols, cols)[:, None]
+    return first - state + np.take(second, state + offsets)
+
+
+def _power(tables: np.ndarray, repeats: np.ndarray) -> np.ndarray:
+    """Each row's table composed with itself ``repeats[row]`` times."""
+    out = np.broadcast_to(
+        np.arange(tables.shape[1], dtype=np.int64), tables.shape
+    ).copy()
+    reps = repeats.copy()
+    while True:
+        odd = (reps & 1).astype(bool)
+        out[odd] = _then(out[odd], tables[odd])
+        reps >>= 1
+        if not reps.any():
+            return out
+        tables = _then(tables, tables)
+
+
+def _group_tables(
+    sizes: np.ndarray,
+    tiles: np.ndarray,
+    repeats: np.ndarray,
+    spec: StreamSpec,
+    bus_slots: int,
+) -> np.ndarray:
+    """Tables of the nonempty groups, with each tile's start a reset.
+
+    A tile is streamed on its own (the packer starts it from no open
+    beat), so the first group of each tile reads state ``0`` whatever
+    state the previous tile left: its table row is its state-0 column.
+    """
+    keep = (sizes > 0) & (repeats > 0)
+    sizes, tiles, repeats = sizes[keep], tiles[keep], repeats[keep]
+    tables = _transition_tables(sizes, spec, bus_slots)
+    if (repeats != 1).any():
+        tables = _power(tables, repeats)
+    reset = np.ones(len(sizes), dtype=bool)
+    reset[1:] = tiles[1:] != tiles[:-1]
+    tables[reset] = tables[reset, :1]
+    return tables
+
+
+def count_beats(
+    sizes: np.ndarray,
+    tiles: np.ndarray,
+    repeats: np.ndarray,
+    spec: StreamSpec,
+    bus_slots: int,
+) -> int:
+    """Bus beats to stream every tile once, greedily packed.
+
+    Group ``g`` (stream order) carries ``sizes[g]`` entries, padding
+    included, and occurs ``repeats[g]`` times in a row in tile
+    ``tiles[g]`` (non-decreasing); empty groups carry no header.  The
+    per-group transition tables compose pairwise in log depth until a
+    handful are left, which are then read off from state ``0``.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    repeats = np.asarray(repeats, dtype=np.int64)
+    if spec.entry_slots + spec.shared_slots > bus_slots:
+        # Degenerate wide-entry case: every entry is its own multi-cycle beat.
+        return int(np.dot(sizes, repeats)) * spec.span_cycles(bus_slots)
+    tables = _group_tables(sizes, np.asarray(tiles), repeats, spec, bus_slots)
+    while len(tables) > 16:
+        pairs = len(tables) // 2 * 2
+        tables = np.concatenate(
+            [_then(tables[0:pairs:2], tables[1:pairs:2]), tables[pairs:]]
+        )
+    bits = _state_bits(bus_slots)
+    code = 0
+    for row in tables.tolist():
+        state = code & ((1 << bits) - 1)
+        code += row[state] - state
+    return code >> bits
+
+
+def _group_layout(
+    sizes: np.ndarray, spec: StreamSpec, bus_slots: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Greedy per-group layout: ``(first_beat, first_take, beats)``.
+
+    ``first_take`` is how many of a group's entries land in its first
+    beat; the continuation beats carry ``epb`` entries each except the
+    last.  The state before each group is an inclusive prefix scan of the
+    transition tables (Hillis-Steele, log depth) read at state ``0``.
+    """
+    es, ss = spec.entry_slots, spec.shared_slots
+    bits = _state_bits(bus_slots)
+    ones = np.ones(len(sizes), dtype=np.int64)
+    tables = _group_tables(sizes, np.zeros_like(sizes), ones, spec, bus_slots)
+    step = 1
+    while step < len(tables):
+        tables = np.concatenate(
+            [tables[:step], _then(tables[:-step], tables[step:])]
+        )
+        step *= 2
+    before = np.zeros(len(sizes) + 1, dtype=np.int64)  # encoded, state 0
+    before[1:] = tables[:, 0]
+    before, after = before[:-1], before[-1]
+    free = before & ((1 << bits) - 1)
+    opens = free < ss + es
+    first_beat = (before >> bits) - 1 + opens
+    first_take = np.minimum((np.where(opens, bus_slots, free) - ss) // es, sizes)
+    return first_beat, first_take, int(after) >> bits
 
 
 def _entry_beats(
@@ -156,10 +270,11 @@ class Beat:
 class BeatPlan:
     """Array-resident beat packing of one streamed operand (or k-tile).
 
-    The plan is what the vectorized simulator consumes: parallel entry
-    arrays in stream order plus each entry's owning beat — no Python-object
-    beats on the hot path.  ``k == PAD_K`` entries are padding slots: they
-    occupy bus slots (and therefore cycles) but are discarded by the PEs.
+    Parallel entry arrays in stream order plus each entry's owning beat,
+    for traces, the Fig. 6 walkthrough and the per-beat test oracle (the
+    simulator itself only counts beats, :func:`count_beats`).
+    ``k == PAD_K`` entries are padding slots: they occupy bus slots (and
+    therefore cycles) but are discarded by the PEs.
     """
 
     i: np.ndarray  # int64 output-row coordinate per entry
@@ -199,6 +314,36 @@ class BeatPlan:
             yield Beat(entries=entries, cycles=int(self.beat_cycles[b]))
 
 
+@dataclass(frozen=True)
+class StreamStats:
+    """What the simulator reads of one streamed operand under a K tiling.
+
+    Each field is a whole-operand statistic taken in one pass, so a GEMM
+    never materializes a per-tile entry stream to report its cycles.
+    "Entries" below are the elements the PEs see: padding slots of
+    fixed-width ACFs are excluded everywhere except in ``groups``.
+    """
+
+    #: (K,) int64: entries streamed per reduction index.
+    c_all: np.ndarray
+    #: (K,) int64: of those, the nonzero-valued ones.
+    c_nz: np.ndarray
+    #: (T,) int64: output-row runs per tile.  A run starts at a tile's
+    #: first entry and at every entry whose row differs from the last's.
+    runs: np.ndarray
+    #: Bus groups in stream order, as :func:`count_beats` takes them:
+    #: ``(sizes, tiles, repeats)``, padding slots included.
+    groups: tuple[np.ndarray, np.ndarray, np.ndarray]
+    #: ``(i, k, tile)`` of every entry, or ``None`` when every row streams
+    #: every k of every tile (Dense: the full pattern).  Streams that are
+    #: not row-grouped list them in stream order within each tile.
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+    def beats(self, spec: StreamSpec, bus_slots: int) -> int:
+        """Bus beats to stream every tile once."""
+        return count_beats(*self.groups, spec, bus_slots)
+
+
 def pack_entries(
     i: np.ndarray,
     k: np.ndarray,
@@ -236,14 +381,9 @@ def pack_entries(
             spec=spec,
             bus_slots=bus_slots,
         )
-    first_beat, first_take, epb, beats = _pack_layout(
-        sizes.tolist(), es, ss, bus_slots
-    )
+    first_beat, first_take, beats = _group_layout(sizes, spec, bus_slots)
     entry_beat = _entry_beats(
-        sizes,
-        np.asarray(first_beat, dtype=np.int64),
-        np.asarray(first_take, dtype=np.int64),
-        epb,
+        sizes, first_beat, first_take, spec.entries_per_beat(bus_slots)
     )
     return BeatPlan(
         i, k, v,
@@ -252,28 +392,6 @@ def pack_entries(
         spec=spec,
         bus_slots=bus_slots,
     )
-
-
-def stream_cycle_count(
-    group_sizes: Sequence[int] | np.ndarray,
-    spec: StreamSpec,
-    bus_slots: int,
-) -> int:
-    """Beat count for the given per-group entry counts.
-
-    Runs the same greedy layout the simulator streams with, so the
-    exact closed-form test oracle and the simulator agree beat-for-beat.  For
-    ungrouped specs (COO) pass a single total as ``[total]``.
-    """
-    sizes = np.asarray(group_sizes, dtype=np.int64)
-    sizes = sizes[sizes > 0]
-    if not len(sizes):
-        return 0
-    es, ss = spec.entry_slots, spec.shared_slots
-    if es + ss > bus_slots:
-        return int(sizes.sum()) * spec.span_cycles(bus_slots)
-    *_rest, beats = _pack_layout(sizes.tolist(), es, ss, bus_slots)
-    return beats
 
 
 def stream_cycles_estimate(

@@ -17,8 +17,8 @@ ACF) pair: once by :func:`~repro.accelerator.perf_model.
 analytical_gemm_stats` and once by the vectorized cycle simulator
 (:meth:`~repro.accelerator.simulator.WeightStationarySimulator.
 simulate_many`, which returns cycle/energy reports only — no output
-matrix — and extracts a COO or ELL streamed operand once per GEMM, not
-once per K tile).  Each sample's
+matrix — from one statistics pass per operand, not an entry stream per
+K tile).  Each sample's
 cycle and energy ratios are grouped by **(kernel, ACF pair, density
 band)** — a power-of-two bucket of the streamed operand's density — and
 aggregated into one :class:`CellStats` per cell: the geometric-mean

@@ -472,7 +472,7 @@ class Sage:
         each distinct ACF pair once, hands every candidate on that pair the
         same report, and prepares each stationary operand once for the
         whole batch.  The batch computes reports only (no output matrix),
-        and extracts a COO or ELL streamed operand once per GEMM.  The
+        from one statistics pass per operand.  The
         candidates are :func:`_rerank_menu`'s: extra streamable ACFs
         outside the analytical space join paired with the analytical
         winner's stationary ACF and MCFs.  All candidates share

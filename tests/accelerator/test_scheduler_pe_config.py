@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from _reference_engine import PE
-from repro.accelerator.config import AcceleratorConfig
-from repro.accelerator.scheduler import (
-    CSC_ENTRY_COST,
+from _stream_oracle import (
     build_schedule,
     compute_k_tiles,
-    compute_rounds,
     stationary_entries_loaded,
 )
+from repro.accelerator.config import AcceleratorConfig
+from repro.accelerator.scheduler import CSC_ENTRY_COST, compute_rounds
 from repro.errors import ConfigError, SchedulingError, SimulationError
 from repro.formats import CscMatrix, DenseMatrix
 from repro.formats.registry import Format
@@ -82,9 +81,8 @@ class TestScheduler:
         dense = make_sparse(rng, (12, 5), 0.3)
         d = DenseMatrix.from_dense(dense)
         c = CscMatrix.from_dense(dense)
-        tiles = ((0, 12),)
-        assert stationary_entries_loaded(d, Format.DENSE, tiles) == 60
-        assert stationary_entries_loaded(c, Format.CSC, tiles) == (
+        assert stationary_entries_loaded(d, Format.DENSE) == 60
+        assert stationary_entries_loaded(c, Format.CSC) == (
             CSC_ENTRY_COST * np.count_nonzero(dense)
         )
 

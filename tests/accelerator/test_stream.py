@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _stream_oracle import stream_cycle_count
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.stream import (
     StreamSpec,
     stream_beats,
-    stream_cycle_count,
     stream_cycles_estimate,
     stream_spec_for,
 )

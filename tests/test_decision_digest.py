@@ -60,3 +60,12 @@ def test_digest_covers_the_whole_ranking(table, subset):
         decisions[0], ranking=decisions[0].ranking[:-1]
     )
     assert decision_digest.digest([cut, *decisions[1:]]) != first
+
+
+def test_table_digest_pins_every_cell(table):
+    first = decision_digest.table_digest(table)
+    assert decision_digest.table_digest(table) == first and len(first) == 64
+    wire = table.to_dict()
+    wire["cells"][0]["factor"] *= 1.0 + 1e-12
+    moved = type(table).from_dict(wire)
+    assert decision_digest.table_digest(moved) != first

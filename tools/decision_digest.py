@@ -8,7 +8,9 @@ workloads at analytical.  At the default two rounds that is 172 + 66 =
 calibration table, built into a temporary store.  Two trees that print
 the same digest put every one of those decisions on the wire byte for
 byte alike, so a change meant to keep SAGE's answers is checked by
-running this on both trees.
+running this on both trees.  A second line digests the smoke calibration
+table itself (its ``to_dict()``), which pins every simulated statistic
+the calibration build reads.
 
 Run from the repository root::
 
@@ -76,13 +78,22 @@ def digest(decisions: Iterable[SageDecision]) -> str:
     return sha.hexdigest()
 
 
+def table_digest(table: CalibrationTable) -> str:
+    """SHA-256 over the table's ``to_dict()`` as key-sorted JSON."""
+    return hashlib.sha256(
+        json.dumps(table.to_dict(), sort_keys=True).encode()
+    ).hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=9001)
     parser.add_argument("--rounds", type=int, default=2)
     args = parser.parse_args(argv)
-    decisions = decide(jobs(args.seed, args.rounds), smoke_table())
+    table = smoke_table()
+    decisions = decide(jobs(args.seed, args.rounds), table)
     print(f"{digest(decisions)}  {len(decisions)} decisions, seed {args.seed}")
+    print(f"{table_digest(table)}  smoke calibration table")
     return 0
 
 
