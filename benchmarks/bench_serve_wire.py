@@ -1,11 +1,12 @@
 """Serving under Zipf-skewed traffic replay: binary frames vs JSON lines.
 
-The serve-wire bar: one server answering length-prefixed binary frames
-must sustain >= 2x the request rate it reaches on the legacy JSON-lines
-protocol, with warm-steady-state p99 under 50 ms.  The gap is the
-encoded-reply fast path: a byte-identical framed repeat is answered with
-cached reply bytes on the event loop, while a line always takes the full
-decode/lookup/encode path.  This bench is the loadgen that measures it:
+The serve-wire bar: both wires ride one hit path, so one server answers
+legacy JSON lines at >= 0.7x the request rate it reaches on
+length-prefixed binary frames, with warm-steady-state binary p99 under
+50 ms.  An exact hit on either wire is answered on the event loop from
+the decision cache's memoized reply body; the wires differ only in a
+frame header against a newline, and in the reader's newline scan.  This
+bench is the loadgen that measures it:
 
 * a **universe** of synthetic workloads spanning sizes and density
   bands, sampled **Zipf-skewed** (rank-``s`` weights) the way real
@@ -22,7 +23,7 @@ Per-request wall time is recorded client-side and split by the cache
 ``outcome`` each reply names, so the table shows where the tail lives
 (hit / near-hit / miss).  Headline numbers land in
 ``benchmarks/out/serve_wire.json`` and are floored by
-``check_floors.py`` (binary-vs-JSON speedup >= 2x, binary warm p99
+``check_floors.py`` (JSON-vs-binary rps >= 0.7, binary warm p99
 <= 50 ms).
 """
 
@@ -189,7 +190,7 @@ def _percentiles(latencies_s: list[float]) -> dict:
 
 
 def _warm(address: tuple[str, int], encoded: list[bytes], binary: bool) -> None:
-    """Two passes over the universe: decision caches, then reply caches."""
+    """Two passes over the universe: decisions, then their reply memos."""
     client = _ThinClient(address, binary)
     try:
         for _ in range(2):
@@ -224,8 +225,8 @@ def measure() -> dict:
         "threads": THREADS,
         "zipf_s": ZIPF_S,
         "phases": phases,
-        "speedup_binary_vs_json_single": (
-            phases["single_binary"]["rps"] / phases["single_json"]["rps"]
+        "json_vs_binary_rps": (
+            phases["single_json"]["rps"] / phases["single_binary"]["rps"]
         ),
         "warm_p99_ms": phases["single_binary"]["latency_ms"]["p99"],
         "server_requests": stats["requests"],
@@ -254,14 +255,14 @@ def bench_serve_wire(once, benchmark):
             f"p99={lat['p99']:.2f}ms over {lat['count']} request(s)"
         )
     print(
-        f"binary vs json: {out['speedup_binary_vs_json_single']:.1f}x "
+        f"json vs binary rps: {out['json_vs_binary_rps']:.2f} "
         f"(warm p99 {out['warm_p99_ms']:.2f} ms)"
     )
     print(f"wrote {OUT_PATH}")
-    assert out["speedup_binary_vs_json_single"] >= 2.0
+    assert out["json_vs_binary_rps"] >= 0.7
     assert out["warm_p99_ms"] <= 50.0
-    benchmark.extra_info["speedup_binary_vs_json_single"] = round(
-        out["speedup_binary_vs_json_single"], 1
+    benchmark.extra_info["json_vs_binary_rps"] = round(
+        out["json_vs_binary_rps"], 2
     )
     benchmark.extra_info["binary_rps"] = round(binary["rps"], 1)
     benchmark.extra_info["warm_p99_ms"] = round(out["warm_p99_ms"], 2)

@@ -32,8 +32,11 @@ import sys
 import time
 from pathlib import Path
 
-# The per-beat oracle lives next to the tests it backs.
-ORACLE_DIR = Path(__file__).resolve().parents[1] / "tests" / "accelerator"
+# The per-beat oracle lives next to the tests it backs, and imports its
+# sibling oracles as ``tests.accelerator.*`` from the repo root.
+ROOT = Path(__file__).resolve().parents[1]
+ORACLE_DIR = ROOT / "tests" / "accelerator"
+sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ORACLE_DIR))
 
 from _reference_engine import reference_gemm

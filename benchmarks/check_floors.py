@@ -40,11 +40,12 @@ FLOORS: dict[str, dict[str, float]] = {
         "cache.near_hits": 1,
     },
     # Wire loadgen (bench_serve_wire.py): one server, binary frames vs
-    # JSON lines over the same Zipf replay.  Measured 3.4-4.1x speedup
-    # and 0.58-1.30 ms binary warm p99 on a 2-vCPU VM; the p99 bound is
-    # a ceiling ("max").
+    # JSON lines over the same Zipf replay.  Both wires ride one hit
+    # path (the event loop answers exact hits from the decision cache's
+    # reply memos), so JSON lines keep >= 0.7x the binary request rate.
+    # The p99 bound is a ceiling ("max").
     "serve_wire.json": {
-        "speedup_binary_vs_json_single": 2.0,
+        "json_vs_binary_rps": 0.7,
         "warm_p99_ms": {"max": 50.0},
     },
     "simulate_many.json": {

@@ -286,11 +286,6 @@ class BeatPlan:
     bus_slots: int
 
     @property
-    def num_entries(self) -> int:
-        """Streamed entries, padding slots included."""
-        return len(self.v)
-
-    @property
     def num_beats(self) -> int:
         """Packed beat count."""
         return len(self.beat_cycles)

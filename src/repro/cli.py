@@ -534,7 +534,6 @@ def _render_stats(stats: dict) -> str:
 
     req = stats.get("requests", {})
     cache = stats.get("cache", {})
-    reply_cache = stats.get("reply_cache", {})
     lines = [
         f"uptime {stats.get('uptime_s', 0.0):.1f}s, "
         f"fidelity {stats.get('fidelity', '?')}"
@@ -548,8 +547,6 @@ def _render_stats(stats: dict) -> str:
         f"({100.0 * cache.get('hit_rate', 0.0):.1f}% hit rate, "
         f"{cache.get('currsize', 0)}/{cache.get('maxsize', 0)} entries, "
         f"{cache.get('evictions', 0)} evicted)",
-        f"reply cache: {reply_cache.get('currsize', 0)}/"
-        f"{reply_cache.get('maxsize', 0)} frame(s)",
         f"coalesced misses: {stats.get('batches', {}).get('coalesced', 0)}",
     ]
     warming = stats.get("warming")

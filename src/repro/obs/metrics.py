@@ -113,10 +113,6 @@ class _Metric:
         self._lock = threading.Lock()
         self._values: dict[str, object] = {}
 
-    def label_keys(self) -> list[str]:
-        with self._lock:
-            return list(self._values)
-
 
 class Counter(_Metric):
     """Monotonic sum; snapshots merge by addition."""

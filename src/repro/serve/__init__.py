@@ -7,21 +7,23 @@ The serving subsystem (stdlib only) layered over the in-process predictor:
   density-band keys and stable shard assignment;
 * :mod:`repro.serve.cache` — thread-safe LRU
   :class:`~repro.serve.cache.DecisionCache` with hit/miss/eviction
-  counters and an optional near-hit tier;
+  counters, an optional near-hit tier and one reply memo per exact
+  entry;
 * :mod:`repro.serve.wire` — the length-prefixed binary frame around a
   JSON body, with one-byte auto-detection against the legacy JSON-lines
   protocol;
 * :mod:`repro.serve.server` — the async-front-end TCP
-  :class:`~repro.serve.server.SageServer`: request coalescing, an
-  encoded-reply fast path, a shard pool of persistent worker
-  processes, outcome-split latency, and a ``stats`` RPC that reads the
-  server's own metric registry;
+  :class:`~repro.serve.server.SageServer`: exact hits on either wire
+  answered on the event loop from the decision cache's reply memos,
+  request coalescing, a shard pool of persistent worker processes,
+  outcome-split latency, and a ``stats`` RPC that reads the server's
+  own metric registry;
 * :mod:`repro.serve.warmer` — speculative
   :class:`~repro.serve.warmer.BandWarmer` pre-computing adjacent
   density bands on misses;
 * :mod:`repro.serve.client` — the blocking
   :class:`~repro.serve.client.ServeClient` (binary wire, transparent
-  retry) and :class:`~repro.serve.client.ServeClientPool`.
+  retry).
 
 Quickstart::
 
@@ -41,7 +43,7 @@ accepted, and legacy JSON-lines clients interoperate unchanged.
 """
 
 from repro.serve.cache import CacheStats, DecisionCache
-from repro.serve.client import ServeClient, ServeClientPool
+from repro.serve.client import ServeClient
 from repro.serve.fingerprint import (
     WorkloadFingerprint,
     config_digest,
@@ -59,7 +61,6 @@ __all__ = [
     "OUTCOMES",
     "SageServer",
     "ServeClient",
-    "ServeClientPool",
     "ServeConfig",
     "WireError",
     "WorkloadFingerprint",

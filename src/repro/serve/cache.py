@@ -12,7 +12,12 @@ MCF/ACF search.  Two hit tiers exist:
   accuracy-for-latency trade a production service wants switchable.
 
 Eviction is LRU over *exact* entries; the band index tracks the
-most-recently-decided representative per band.  Hits, near-hits, misses
+most-recently-decided representative per band.  Each exact entry also
+holds one **reply memo**: the encoded body of its final ``{"ok": true,
+"decision": ..., "outcome": "hit"}`` reply for one ``(workload name,
+top)``.  The server fills it on the entry's first exact hit and answers
+repeats from it on the event loop.  ``put`` and eviction drop it;
+near-hit replies are never memoized.  Hits, near-hits, misses
 and evictions are counted only on ``repro_serve_cache_events_total``
 of the cache's :class:`~repro.obs.metrics.MetricRegistry` (the server's
 own registry, or a private one); :meth:`DecisionCache.stats` reads them
@@ -33,6 +38,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sage.predictor import SageDecision
 
 __all__ = ["CacheStats", "DecisionCache"]
+
+
+class _Entry:
+    """One exact decision, its band key (so eviction can clean the band
+    index in O(1)) and its reply memo ``(workload name, top, body)``."""
+
+    __slots__ = ("decision", "band", "memo")
+
+    def __init__(self, decision: "SageDecision", band: tuple) -> None:
+        self.decision = decision
+        self.band = band
+        self.memo: tuple[str, int, bytes] | None = None
+
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -89,11 +107,7 @@ class DecisionCache:
             "DecisionCache lookups/evictions, by event",
         )
         self._lock = threading.Lock()
-        #: exact key -> (decision, band key); the band rides along so
-        #: eviction can clean its index entry in O(1).
-        self._exact: OrderedDict[tuple, tuple["SageDecision", tuple]] = (
-            OrderedDict()
-        )
+        self._exact: OrderedDict[tuple, _Entry] = OrderedDict()
         #: band key -> exact key of the band's latest decided representative
         self._bands: dict[tuple, tuple] = {}
 
@@ -121,15 +135,38 @@ class DecisionCache:
             if entry is not None:
                 self._exact.move_to_end(exact)
                 self._events.inc(event="hit")
-                return entry[0], "hit"
+                return entry.decision, "hit"
             if self.near_hit:
                 rep = self._bands.get(fp.band_key())
                 if rep is not None and rep in self._exact:
                     self._exact.move_to_end(rep)
                     self._events.inc(event="near_hit")
-                    return self._exact[rep][0], "near_hit"
+                    return self._exact[rep].decision, "near_hit"
             self._events.inc(event="miss")
             return None, "miss"
+
+    def memo(self, fp: WorkloadFingerprint, name: str, top: int):
+        """*fp*'s memoized reply body for *name* and *top*, or ``None``.
+
+        A match counts one exact ``hit``; ``None`` counts nothing, so the
+        caller's full :meth:`lookup` counts that request once.
+        """
+        exact = fp.exact_key()
+        with self._lock:
+            entry = self._exact.get(exact)
+            if entry is None or (entry.memo or ())[:2] != (name, top):
+                return None
+            self._exact.move_to_end(exact)
+            self._events.inc(event="hit")
+            return entry.memo[2]
+
+    def memoize(self, fp, decision, name: str, top: int, body: bytes):
+        """Hold *body* as the memo of *fp*'s exact entry, if that entry
+        still holds *decision* (a concurrent :meth:`put` empties it)."""
+        with self._lock:
+            entry = self._exact.get(fp.exact_key())
+            if entry is not None and entry.decision is decision:
+                entry.memo = (name, top, body)
 
     def has_band(self, band_key: tuple) -> bool:
         """Whether *any* live entry covers this band key (no counters).
@@ -142,21 +179,19 @@ class DecisionCache:
             return rep is not None and rep in self._exact
 
     def put(self, fp: WorkloadFingerprint, decision: "SageDecision") -> None:
-        """Insert (or refresh) the decision for *fp*."""
+        """Insert (or refresh) the decision for *fp*; its memo starts empty."""
         exact = fp.exact_key()
         band = fp.band_key()
         with self._lock:
-            self._exact[exact] = (decision, band)
+            self._exact[exact] = _Entry(decision, band)
             self._exact.move_to_end(exact)
             self._bands[band] = exact
             while len(self._exact) > self.maxsize:
-                evicted_key, (_, evicted_band) = self._exact.popitem(
-                    last=False
-                )
+                evicted_key, evicted = self._exact.popitem(last=False)
                 self._events.inc(event="eviction")
                 # Drop the band pointer if the eviction left it dangling.
-                if self._bands.get(evicted_band) == evicted_key:
-                    del self._bands[evicted_band]
+                if self._bands.get(evicted.band) == evicted_key:
+                    del self._bands[evicted.band]
 
     def __len__(self) -> int:
         with self._lock:

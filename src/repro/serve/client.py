@@ -1,12 +1,13 @@
 """Blocking client for :class:`~repro.serve.server.SageServer`.
 
 One :class:`ServeClient` holds one TCP connection and issues one request
-at a time (the server multiplexes many clients; use a
-:class:`ServeClientPool` for client-side concurrency).  Two wire modes:
+at a time (the server multiplexes many clients; open one client per
+thread for client-side concurrency).  Two wire modes, which the server
+answers the same way — a repeat of an exact cache hit is answered on its
+event loop from the decision's memoized reply, whichever wire it came on:
 
 * ``wire="binary"`` (default) — length-prefixed frames around the JSON
-  payload (:mod:`repro.serve.wire`); byte-identical ``predict`` repeats
-  ride the server's encoded-reply fast path.
+  payload (:mod:`repro.serve.wire`).
 * ``wire="json"`` — the legacy JSON-lines protocol, byte-for-byte what
   PR-2-era clients speak.  Kept for interop and for pinning the
   compatibility contract in tests.
@@ -30,9 +31,7 @@ form, so downstream code cannot tell a served decision from a local one.
 from __future__ import annotations
 
 import json
-import queue
 import socket
-import threading
 from typing import Mapping, Sequence
 
 from repro.api.options import PredictOptions, WIRE_SCHEMA_VERSION
@@ -42,7 +41,7 @@ from repro.sage.predictor import SageDecision
 from repro.serve import wire
 from repro.workloads.spec import MatrixWorkload, TensorWorkload
 
-__all__ = ["ServeClient", "ServeClientPool"]
+__all__ = ["ServeClient"]
 
 _LOG = get_logger("serve.client")
 
@@ -197,7 +196,7 @@ class ServeClient:
 
     @property
     def broken(self) -> bool:
-        """Whether this client has been poisoned (pool eviction probe)."""
+        """Whether this client has been poisoned by a transport failure."""
         return self._broken
 
     # ------------------------------------------------------------------ api
@@ -271,115 +270,6 @@ class ServeClient:
                 self._sock.close()
 
     def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class ServeClientPool:
-    """A small thread-safe pool of :class:`ServeClient` connections.
-
-    Callers that fan requests across threads (benchmarks, the experiment
-    orchestrator) check a connection out per call instead of serializing
-    on one socket.  Connections are created lazily up to ``size``,
-    poisoned ones are discarded and replaced on the next checkout, and
-    the pool's ``predict``/``predict_many``/``stats`` methods mirror the
-    client API.
-    """
-
-    def __init__(
-        self, host: str, port: int, *, size: int = 4, **client_kwargs
-    ) -> None:
-        if size < 1:
-            raise ValueError("pool size must be >= 1")
-        self._host = host
-        self._port = port
-        self.size = size
-        self._client_kwargs = client_kwargs
-        self._idle: queue.LifoQueue = queue.LifoQueue()
-        self._lock = threading.Lock()
-        self._created = 0
-        self._closed = False
-
-    def _checkout(self) -> ServeClient:
-        while True:
-            try:
-                client = self._idle.get_nowait()
-            except queue.Empty:
-                break
-            if not client.broken:
-                return client
-            with self._lock:
-                self._created -= 1  # replaced below or by a later checkout
-        with self._lock:
-            if self._closed:
-                raise ServeError("pool is closed")
-            if self._created < self.size:
-                self._created += 1
-                make = True
-            else:
-                make = False
-        if make:
-            try:
-                return ServeClient(
-                    self._host, self._port, **self._client_kwargs
-                )
-            except Exception:
-                with self._lock:
-                    self._created -= 1
-                raise
-        # At capacity: wait for a checkin (LIFO keeps hot sockets hot).
-        client = self._idle.get()
-        if client.broken:
-            with self._lock:
-                self._created -= 1
-            return self._checkout()
-        return client
-
-    def _checkin(self, client: ServeClient) -> None:
-        if self._closed or client.broken:
-            if client.broken:
-                with self._lock:
-                    self._created -= 1
-            else:
-                client.close()
-            return
-        self._idle.put(client)
-
-    def _call(self, method: str, *args, **kwargs):
-        client = self._checkout()
-        try:
-            return getattr(client, method)(*args, **kwargs)
-        finally:
-            self._checkin(client)
-
-    def ping(self) -> bool:
-        return self._call("ping")
-
-    def predict(self, workload, **kwargs) -> SageDecision:
-        return self._call("predict", workload, **kwargs)
-
-    def predict_many(self, workloads, **kwargs) -> list[SageDecision]:
-        return self._call("predict_many", workloads, **kwargs)
-
-    def stats(self) -> dict:
-        return self._call("stats")
-
-    def close(self) -> None:
-        """Close every idle connection and refuse new checkouts."""
-        self._closed = True
-        while True:
-            try:
-                client = self._idle.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                client.close()
-            except (OSError, ValueError):
-                pass
-
-    def __enter__(self) -> "ServeClientPool":
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -1,9 +1,7 @@
 """SAGE-as-a-service: an async, cached TCP prediction server.
 
-The ROADMAP's north star is a system that serves sustained prediction
-traffic; this module is the layer that turns the in-process primitives
-(:class:`~repro.sage.predictor.Sage`, the
-:class:`~repro.serve.cache.DecisionCache`) into a long-lived service.
+Turns the in-process :class:`~repro.sage.predictor.Sage` and the
+:class:`~repro.serve.cache.DecisionCache` into a long-lived service.
 Stdlib only — ``asyncio`` + ``multiprocessing`` + ``threading``.
 
 Request path
@@ -14,14 +12,14 @@ Request path
    message's first byte picks the protocol — ``0xA5`` opens a binary
    frame (:mod:`repro.serve.wire`), anything else is a legacy JSON line
    — so old clients and ``repro stats`` keep working unchanged.
-2. Framed ``predict`` requests first probe the **encoded-reply cache**:
-   a repeat of a byte-identical request body is answered with the
-   previously framed reply — no JSON parse, no fingerprint, no
-   ``to_wire`` — right on the event loop.  (Legacy lines always take
-   the full path; the binary frame *is* the fast path.)
-3. Everything else dispatches to a bounded worker pool where the
-   request parses once and consults the :class:`DecisionCache` — hits
-   (exact or density-band near-hits) are answered immediately.
+2. The loop decodes each message once.  A ``predict`` whose exact
+   :class:`DecisionCache` entry holds a **reply memo** for its name and
+   ``top`` is answered right there, on either wire: the memoized body
+   plus a frame header or a newline — no ``to_wire``, no JSON encode.
+3. Everything else goes, as its decoded dict, to a bounded worker pool
+   that consults the :class:`DecisionCache`: hits (exact or
+   density-band near-hits) are answered at once, and an exact hit fills
+   its entry's memo, so the loop answers the next repeat.
 4. Misses dispatch at once from the worker thread that waits on them.
    A miss whose fingerprint is already being computed **coalesces**:
    it attaches to the pending computation instead of dispatching
@@ -49,20 +47,19 @@ JSON-lines (one JSON object per line, response per request)::
     {"op": "predict_many", "workloads": [{...}, ...]}
     {"op": "stats"} | {"op": "ping"} | {"op": "shutdown"}
 
-Responses carry ``{"ok": true, ...}`` or ``{"ok": false, "error": msg}``;
-decisions travel as :meth:`SageDecision.to_wire` dicts, and ``predict``
-replies name their cache ``outcome`` (hit / near_hit / miss / bypassed).
+Responses are compact JSON on both wires, ``{"ok": true, ...}`` or
+``{"ok": false, "error": msg}``; decisions travel as
+:meth:`SageDecision.to_wire` dicts, and ``predict`` replies name their
+cache ``outcome`` (hit / near_hit / miss / bypassed).
 
 The request schema is **versioned** (shared with :mod:`repro.api.options`):
 requests without a ``schema_version`` are the PR-2-era legacy shape
-(version 1) and keep working unchanged; version-2 requests may attach a
+(version 1); version-2 requests may attach a
 :class:`~repro.api.options.PredictOptions` wire dict under ``options``.
-Unknown versions are rejected with an error naming what this server
-speaks.  Requests whose options restrict the search space (or ask for a
-different fidelity tier than the server's) bypass the decision cache and
-coalescing — restricted decisions are workload-specific in a
-way fingerprints do not capture — and are computed directly on the
-worker-pool thread handling them.
+Unknown versions are rejected.  Requests whose options restrict the
+search, override the hardware or name another fidelity tier bypass the
+decision cache and coalescing (fingerprints do not capture them) and are
+computed on the worker-pool thread handling them.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ import os
 import threading
 import time
 import uuid
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -109,8 +105,6 @@ OUTCOMES = ("hit", "near_hit", "miss", "bypassed")
 #: Idle connections are free (the async front end holds them on one
 #: event loop); this bounds active work only.
 _MAX_INFLIGHT = 16
-#: Encoded-reply frames kept for the framed fast path.
-_REPLY_CACHE_SIZE = 2048
 #: Bound on the speculative warm queue (drop-new beyond it).
 _WARM_QUEUE = 256
 
@@ -177,12 +171,10 @@ class _PendingRequest:
     """One in-flight prediction: waiters block on :attr:`done`."""
 
     __slots__ = (
-        "workload", "parsed", "fp", "done", "decision", "error", "t_submit",
-        "outcome",
+        "parsed", "fp", "done", "decision", "error", "t_submit", "outcome",
     )
 
-    def __init__(self, workload: dict, parsed, fp: WorkloadFingerprint) -> None:
-        self.workload = workload
+    def __init__(self, parsed, fp: WorkloadFingerprint) -> None:
         self.parsed = parsed  # the workload object, parsed once on submit
         self.fp = fp
         self.done = threading.Event()
@@ -193,39 +185,18 @@ class _PendingRequest:
         self.outcome: str = "miss"
 
 
-class _ReplyCache:
-    """Tiny thread-safe LRU of fully-encoded reply frames.
+class _Rejected(Exception):
+    """A request the server refuses before submitting any workload."""
 
-    Keyed by the request's raw JSON body bytes: byte-identical framed
-    ``predict`` requests get byte-identical framed replies — decisions
-    are pure functions of the fingerprint, so entries never go stale,
-    only cold.  Near-hit replies are *not*
-    cached (a later exact computation or a speculative warm may refine
-    the band's answer); exact hits and computed decisions are final.
-    """
 
-    def __init__(self, maxsize: int) -> None:
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[bytes, bytes] = OrderedDict()
+def _body(response: dict) -> bytes:
+    """A reply's compact JSON body, the same bytes on both wires."""
+    return json.dumps(response, separators=(",", ":")).encode()
 
-    def get(self, key: bytes) -> bytes | None:
-        with self._lock:
-            reply = self._entries.get(key)
-            if reply is not None:
-                self._entries.move_to_end(key)
-            return reply
 
-    def put(self, key: bytes, reply: bytes) -> None:
-        with self._lock:
-            self._entries[key] = reply
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+def _on_wire(body: bytes, framed: bool) -> bytes:
+    """Reply body bytes on the request's wire: a frame or a JSON line."""
+    return wire.frame_for_body(body) if framed else body + b"\n"
 
 
 def _shard_main(in_q, out_q, sage: Sage, fidelity: str) -> None:
@@ -292,10 +263,11 @@ class _AsyncFrontEnd:
     connections cost nothing, and the per-message first byte selects
     binary frames vs legacy JSON lines.  The owner supplies two hooks:
 
-    * ``fast_reply(body, framed, t_recv) -> bytes | None`` — loop-side
-      fast path (must not block);
-    * ``handle_raw(body, framed) -> (reply_bytes, close_after)`` — full
-      path, dispatched to the owner's worker pool.
+    * ``loop_reply(body, framed, t_recv) -> (reply | None, message)`` —
+      decodes the body and answers it on the loop when it can (must not
+      block);
+    * ``handle_decoded(message, framed) -> (reply_bytes, close_after)``
+      — everything else, dispatched to the owner's worker pool.
     """
 
     def __init__(self, owner, host: str, port: int) -> None:
@@ -417,12 +389,14 @@ class _AsyncFrontEnd:
                 if not body:
                     continue
                 t_recv = time.perf_counter()
-                reply = self._owner._fast_reply(body, framed, t_recv)
+                reply, decoded = self._owner._loop_reply(
+                    body, framed, t_recv
+                )
                 close_after = False
                 if reply is None:
                     reply, close_after = await loop.run_in_executor(
                         self._owner._executor,
-                        self._owner._handle_raw, body, framed,
+                        self._owner._handle_decoded, decoded, framed,
                     )
                 writer.write(reply)
                 await writer.drain()
@@ -498,7 +472,6 @@ class SageServer:
             near_hit=self.serve.near_hit,
             metrics=self._metrics,
         )
-        self._reply_cache = _ReplyCache(_REPLY_CACHE_SIZE)
         self._lock = threading.Lock()
         self._inflight: dict[tuple, list[_PendingRequest]] = {}
         self._shards: list[_Shard] = []
@@ -628,60 +601,60 @@ class SageServer:
         self.close()
 
     # ----------------------------------------------------------- wire layer
-    def _fast_reply(
+    def _loop_reply(
         self, body: bytes, framed: bool, t_recv: float
-    ) -> bytes | None:
-        """Loop-side fast path: framed repeats answered from cached bytes.
+    ) -> tuple[bytes | None, dict | None]:
+        """Loop side: decode *body* once; answer it here if it can.
 
-        Legacy JSON-lines requests never take this path (the binary
-        frame is the fast path; lines are the compatibility mode), and
-        only byte-identical ``predict`` repeats can match.
+        ``(reply, None)`` answers an undecodable body or a memoized exact
+        hit; ``(None, message)`` hands the decoded dict to the pool.
         """
-        if not framed:
-            return None
-        reply = self._reply_cache.get(body)
+        try:
+            message = wire.decode_body(body)
+        except wire.WireError as exc:
+            reply = _body(self._reject(f"WireError: {exc}"))
+            return _on_wire(reply, framed), None
+        if message.get("op") != "predict":
+            return None, message
+        try:
+            limit, bypass = self._predict_args(message)
+            parsed = workload_from_dict(message["workload"])
+            fp = fingerprint_of(parsed, self._sage.config)
+        except Exception:  # noqa: BLE001 - the worker pool reports it
+            return None, message
+        reply = (
+            None if bypass is not None
+            else self._cache.memo(fp, parsed.name, limit)
+        )
         if reply is None:
-            return None
+            return None, message
         elapsed = time.perf_counter() - t_recv
         self._requests.inc(event="submitted")
         self._requests.inc(event="served")
         self._requests.inc(event="fast_path")
         self._latency.observe(elapsed, outcome="hit")
         self._stage_seconds.observe(elapsed, stage="total")
-        return reply
+        return _on_wire(reply, framed), None
 
-    def _handle_raw(self, body: bytes, framed: bool) -> tuple[bytes, bool]:
-        """Full path (worker pool): decode, dispatch, encode, maybe cache.
+    def _handle_decoded(
+        self, message: dict, framed: bool
+    ) -> tuple[bytes, bool]:
+        """Worker-pool side: dispatch, encode, fill an exact hit's memo.
 
         Returns ``(reply_bytes, close_after)``; the reply rides the same
         protocol the request arrived on.
         """
-        op = None
-        outcome = None
+        op = message.get("op")
+        memo = None
         try:
-            message = wire.decode_body(body)
-            op = message.get("op")
-            response, outcome = self._handle_traced(message, op)
+            response, memo = self._handle_traced(message, op)
         except Exception as exc:  # noqa: BLE001 - reported in-band
             _LOG.warning("handler failed on op %r", op, exc_info=True)
             response = self._reject(f"{type(exc).__name__}: {exc}")
-        if not framed:
-            return (json.dumps(response) + "\n").encode(), op == "shutdown"
-        reply = wire.encode_frame(response)
-        if (
-            op == "predict"
-            and response.get("ok")
-            and outcome in ("hit", "miss")
-        ):
-            # Exact decisions are final (pure function of the
-            # fingerprint); near-hit and bypass replies are not cached.
-            # A replay is a hit, so a miss's reply is cached relabelled.
-            if outcome == "miss":
-                replay = wire.encode_frame({**response, "outcome": "hit"})
-            else:
-                replay = reply
-            self._reply_cache.put(body, replay)
-        return reply, op == "shutdown"
+        body = _body(response)
+        if memo is not None:
+            self._cache.memoize(*memo, body)
+        return _on_wire(body, framed), op == "shutdown"
 
     def _reject(self, error: str) -> dict:
         """``ok: false`` for a message that submitted no workload.
@@ -698,7 +671,7 @@ class SageServer:
         """Dispatch one decoded request dict to its ``op`` handler."""
         return self._handle_traced(message, message.get("op"))[0]
 
-    def _handle_traced(self, message: dict, op) -> tuple[dict, str | None]:
+    def _handle_traced(self, message: dict, op) -> tuple[dict, tuple | None]:
         trace = message.get("trace")
         if trace is not None:
             # Adopt the client's trace ID on this handler thread so spans
@@ -707,7 +680,9 @@ class SageServer:
         with span("serve.handle", op=str(op)):
             return self._handle_message(message, op)
 
-    def _handle_message(self, message: dict, op) -> tuple[dict, str | None]:
+    def _handle_message(self, message: dict, op) -> tuple[dict, tuple | None]:
+        """The reply, plus ``(fp, decision, name, top)`` for the memo an
+        exact ``predict`` hit fills (``None`` for anything else)."""
         if op == "ping":
             return {"ok": True, "pong": True}, None
         if op == "stats":
@@ -716,60 +691,88 @@ class SageServer:
             threading.Thread(target=self._close_after_flush,
                              daemon=True).start()
             return {"ok": True, "stopping": True}, None
+        if op not in ("predict", "predict_many"):
+            return self._reject(f"unknown op {op!r}"), None
+        try:
+            limit, bypass = self._predict_args(message)
+        except _Rejected as exc:
+            return self._reject(str(exc)), None
+        if op == "predict":
+            workload = message.get("workload")
+            if not isinstance(workload, dict):
+                return self._reject("predict needs a workload dict"), None
+            req = self._submit(workload, bypass)
+            response = self._reply_one(req, limit)
+            if req.outcome != "hit":
+                return response, None
+            return response, (req.fp, req.decision, req.parsed.name, limit)
+        workloads = message.get("workloads")
+        if not isinstance(workloads, list):
+            return self._reject("predict_many needs a workloads list"), None
+        if bypass is not None:
+            # Restricted batches skip cache/coalescing anyway; fan them
+            # across the predictor's process pool in one go instead of
+            # searching serially per workload on this handler thread.
+            return self._predict_many_bypass(workloads, bypass, limit), None
+        requests = [self._submit(wl) for wl in workloads]
+        replies = [self._reply_one(req, limit) for req in requests]
+        failed = next((r for r in replies if not r["ok"]), None)
+        if failed is not None:
+            # All-or-nothing reply; the siblings that did succeed are
+            # already cached, so a corrected resend costs only hits.
+            return failed, None
+        return {
+            "ok": True,
+            "decisions": [r["decision"] for r in replies],
+        }, None
+
+    def _predict_args(
+        self, message: dict
+    ) -> tuple[int, PredictOptions | None]:
+        """``(top, bypass)`` of a ``predict`` or ``predict_many`` message.
+
+        The one parse of schema version, options and ``top``, shared by
+        the event loop and the worker pool; raises :class:`_Rejected` for
+        a version or options the server refuses.  ``top <= 0`` asks for
+        the full ranking.  ``bypass`` is ``None`` when cached decisions
+        may answer, else the options the request's own search runs with.
+        Fingerprints ignore search restrictions and hardware overrides,
+        and the cache holds the server's fidelity tier only, so those
+        requests (and any naming another tier) bypass.
+        """
         version = message.get("schema_version", 1)
         if version not in SUPPORTED_WIRE_SCHEMAS:
-            return self._reject(
+            raise _Rejected(
                 f"unsupported schema_version {version!r}; this server "
                 f"speaks "
                 f"{', '.join(str(v) for v in SUPPORTED_WIRE_SCHEMAS)} "
                 f"(requests without a schema_version are treated as "
                 f"the version-1 legacy schema)"
-            ), None
-        options = None
-        if message.get("options") is not None:
+            )
+        top = message.get("top")
+        options = message.get("options")
+        if options is None:
+            bypass = None
+        else:
             if version < WIRE_SCHEMA_VERSION:
-                return self._reject(
+                raise _Rejected(
                     "request carries options but declares the legacy "
                     f"schema; send schema_version {WIRE_SCHEMA_VERSION}"
-                ), None
-            options = PredictOptions.from_wire(message["options"])
-        top = message.get("top")
-        if top is None and options is not None:
-            # Options speak their own ranking vocabulary: top_k=None means
-            # the full ranking (the serve protocol spells that 0).
-            top = 0 if options.top_k is None else options.top_k
+                )
+            options = PredictOptions.from_wire(options)
+            if top is None:
+                # Options speak their own ranking vocabulary: top_k=None
+                # means the full ranking (the serve protocol spells it 0).
+                top = 0 if options.top_k is None else options.top_k
+            cacheable = (
+                not options.restricts_search
+                and not options.overrides_hardware
+                and options.fidelity in (None, self.serve.fidelity)
+            )
+            bypass = None if cacheable else options
         # Parsed before any workload is submitted, so a bad ``top`` is a
         # rejected message rather than a submitted request never answered.
-        limit = self.serve.ranking_top if top is None else int(top)
-        if op == "predict":
-            workload = message.get("workload")
-            if not isinstance(workload, dict):
-                return self._reject("predict needs a workload dict"), None
-            req = self._submit(workload, options)
-            return self._reply_one(req, limit), req.outcome
-        if op == "predict_many":
-            workloads = message.get("workloads")
-            if not isinstance(workloads, list):
-                return self._reject("predict_many needs a workloads list"), None
-            if not self._cacheable(options):
-                # Restricted batches skip cache/coalescing anyway; fan them
-                # across the predictor's process pool in one go instead of
-                # searching serially per workload on this handler thread.
-                return (
-                    self._predict_many_bypass(workloads, options, limit), None
-                )
-            requests = [self._submit(wl, options) for wl in workloads]
-            replies = [self._reply_one(req, limit) for req in requests]
-            failed = next((r for r in replies if not r["ok"]), None)
-            if failed is not None:
-                # All-or-nothing reply; the siblings that did succeed are
-                # already cached, so a corrected resend costs only hits.
-                return failed, None
-            return {
-                "ok": True,
-                "decisions": [r["decision"] for r in replies],
-            }, None
-        return self._reject(f"unknown op {op!r}"), None
+        return (self.serve.ranking_top if top is None else int(top)), bypass
 
     def _reply_one(self, req: _PendingRequest, limit: int) -> dict:
         """One workload's reply; ``limit <= 0`` ships the full ranking."""
@@ -806,25 +809,6 @@ class SageServer:
         return {"ok": True, "decision": wire_decision, "outcome": req.outcome}
 
     # ------------------------------------------------------------ data path
-    def _cacheable(self, options: PredictOptions | None) -> bool:
-        """Whether cached/coalesced decisions may answer this request.
-
-        Fingerprints ignore search restrictions, and the decision cache is
-        tier-consistent at the server's configured fidelity — so only
-        unrestricted requests at that fidelity (or with no tier named,
-        which defers to the server's) may ride the cache and coalescing.
-        Hardware-override requests (``options.config`` / ``dram_gbps``,
-        the tuner's remote-evaluation path) answer for a different
-        accelerator than the resident fingerprints name, so they bypass
-        too — ``Sage.for_options`` derives the right predictor at the
-        bypass sites.
-        """
-        return options is None or (
-            not options.restricts_search
-            and not options.overrides_hardware
-            and options.fidelity in (None, self.serve.fidelity)
-        )
-
     def _effective_options(self, options: PredictOptions) -> PredictOptions:
         """Resolve a deferred fidelity to this server's configured tier."""
         if options.fidelity is None:
@@ -869,12 +853,14 @@ class SageServer:
         }
 
     def _submit(
-        self, workload: dict, options: PredictOptions | None = None
+        self, workload: dict, bypass: PredictOptions | None = None
     ) -> _PendingRequest:
         """Answer one workload dict from cache or dispatch its miss.
 
-        Returns the pending handle, which the calling worker thread then
-        waits on in :meth:`_reply_one`.
+        *bypass* is ``None`` for a request that rides the cache, else the
+        options of the search it runs on this thread (see
+        :meth:`_predict_args`).  Returns the pending handle, which the
+        calling worker thread then waits on in :meth:`_reply_one`.
         """
         self._requests.inc(event="submitted")
         try:
@@ -882,17 +868,17 @@ class SageServer:
             fp = fingerprint_of(parsed, self._sage.config)
         except Exception as exc:  # noqa: BLE001 - reported in-band
             # A malformed workload fails alone: its reply counts the error.
-            req = _PendingRequest(workload, None, None)
+            req = _PendingRequest(None, None)
             req.error = f"{type(exc).__name__}: {exc}"
             req.done.set()
             return req
-        req = _PendingRequest(workload, parsed, fp)
+        req = _PendingRequest(parsed, fp)
         if self._closed.is_set():
             # Shutting down: fail fast instead of timing out.
             req.error = "server shutting down"
             req.done.set()
             return req
-        if not self._cacheable(options):
+        if bypass is not None:
             # Restricted search (or an off-tier fidelity): compute on this
             # worker thread, skipping cache, coalescing and shards.  The
             # worker would block in _reply_one anyway, so this costs no
@@ -902,7 +888,7 @@ class SageServer:
             try:
                 with span("serve.bypass_predict", workload=parsed.name):
                     req.decision = self._sage.predict(
-                        parsed, options=self._effective_options(options)
+                        parsed, options=self._effective_options(bypass)
                     )
             except Exception as exc:  # noqa: BLE001 - reported in-band
                 _LOG.warning(
@@ -1059,9 +1045,9 @@ class SageServer:
         percentiles (overall and per cache outcome) come from the
         server's own :class:`~repro.obs.metrics.MetricRegistry`, so they
         read 0 (and ``None``) under ``REPRO_OBS=off``.  Percentiles are
-        log2-bucket estimates over the server's lifetime.  Shard,
-        warming and reply-cache state ride along, and ``metrics`` holds
-        the merged registry view (:meth:`collect_metrics`).
+        log2-bucket estimates over the server's lifetime.  Shard and
+        warming state ride along, and ``metrics`` holds the merged
+        registry view (:meth:`collect_metrics`).
         """
         count = self._requests.value
         return {
@@ -1074,10 +1060,6 @@ class SageServer:
                 for key, event in _REQUEST_EVENTS.items()
             },
             "cache": self._cache.stats().to_dict(),
-            "reply_cache": {
-                "currsize": len(self._reply_cache),
-                "maxsize": self._reply_cache.maxsize,
-            },
             "warming": (
                 self._warmer.stats() if self._warmer is not None else None
             ),

@@ -2,17 +2,15 @@
 
 The serve protocol started as JSON-lines: one ``{"op": ...}`` object per
 line, one reply line per request.  That shape survives unchanged as the
-**legacy mode** — but every byte of it pays a newline scan per request,
-and a line cannot be replayed without re-encoding.  This module adds the
-length-prefixed framed alternative:
+**legacy mode**; this module adds the length-prefixed framed
+alternative, whose reader never scans for a newline:
 
 ``magic (2B) | version (1B) | flags (1B) = 0 | body length (4B)`` —
 ``struct`` packed, network byte order — followed by the body, which is
 the *same* versioned UTF-8 JSON payload the legacy mode carries.  The
 C-level ``json`` codec outruns any pure-Python packer on request- and
-decision-sized payloads, and framing (not encoding) is what the hot path
-needs: a framed request body is a byte-exact cache key, and a framed
-reply can be cached and replayed as raw bytes without re-encoding.
+decision-sized payloads, and one reply body serves both wires: a frame
+header or a newline is all that differs.
 
 The flags byte is always zero.  Earlier builds set bits in it for a
 packed body codec and an 8-byte routing key; a frame with any flag set

@@ -11,7 +11,6 @@ from repro.util.stats import geomean, normalized, summarize
 from repro.util.validation import (
     check_dense_matrix,
     check_dense_tensor,
-    check_positive,
     check_probability,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "summarize",
     "check_dense_matrix",
     "check_dense_tensor",
-    "check_positive",
     "check_probability",
 ]

@@ -27,12 +27,6 @@ def check_dense_tensor(array: Any, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-def check_positive(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless ``value > 0``."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
 def check_probability(value: float, name: str) -> None:
     """Raise ``ValueError`` unless ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:

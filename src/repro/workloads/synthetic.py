@@ -73,14 +73,6 @@ def random_sparse_tensor(
     return out.reshape(shape)
 
 
-def random_dense_matrix(
-    m: int, k: int, rng: np.random.Generator | int | None = None
-) -> np.ndarray:
-    """Fully dense random matrix in (0.1, 1]."""
-    rng = np.random.default_rng(rng)
-    return 0.1 + 0.9 * rng.random((m, k))
-
-
 def bernoulli_sparse_matrix(
     m: int,
     k: int,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from _stream_oracle import compute_k_tiles
 from repro.accelerator.accounting import energy_report
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.protocols import stationary_layout_for
@@ -30,6 +29,7 @@ from repro.errors import SimulationError
 from repro.formats.base import MatrixFormat
 from repro.formats.registry import Format
 from repro.util.bits import ceil_div
+from tests.accelerator._stream_oracle import compute_k_tiles
 
 
 class PE:

@@ -95,10 +95,11 @@ _EVENTS = {
 
 
 def _mixed_traffic(client: ServeClient) -> None:
-    """Miss, fast-path repeat, exact hit, near hit, bypass, failed bypass."""
+    """Miss, hit, loop hit, other-top hit, near hit, bypass, failed bypass."""
     client.predict(_wl(416))  # miss
-    client.predict(_wl(416))  # byte-identical frame: the fast path
-    client.predict(_wl(416), top=3)  # other bytes: a decision-cache hit
+    client.predict(_wl(416))  # exact hit on the pool: fills the reply memo
+    client.predict(_wl(416))  # the loop answers from the memo: fast path
+    client.predict(_wl(416), top=3)  # another top: a hit on the pool
     client.predict(_wl(480))  # same density band: a near hit
     client.predict(
         _wl(416), options=PredictOptions(fixed_mcf=(Format.COO, Format.DENSE))
@@ -139,18 +140,22 @@ class TestStatsLedger:
             "event=coalesced", 0
         )
         assert stats["requests"] == {
-            "submitted": 6, "served": 5, "errors": 1, "bypassed": 2,
+            "submitted": 7, "served": 6, "errors": 1, "bypassed": 2,
             "fast_path": 1,
         }
         total = snapshot["repro_serve_stage_seconds"]["values"]["stage=total"]
-        assert stats["latency_ms"]["count"] == total["count"] == 6
+        assert stats["latency_ms"]["count"] == total["count"] == 7
         by_outcome = stats["latency_by_outcome_ms"]
         assert set(by_outcome) == set(OUTCOMES)
-        assert sum(pct["count"] for pct in by_outcome.values()) == 6
+        assert sum(pct["count"] for pct in by_outcome.values()) == 7
+        assert by_outcome["hit"]["count"] == 3
+        # A loop hit counts as a cache hit like a hit on the pool.
         cache_events = snapshot["repro_serve_cache_events_total"]["values"]
-        for key, event in (("hits", "hit"), ("near_hits", "near_hit"),
-                           ("misses", "miss")):
-            assert stats["cache"][key] == cache_events[f"event={event}"] == 1
+        for key, event, count in (("hits", "hit", 3),
+                                  ("near_hits", "near_hit", 1),
+                                  ("misses", "miss", 1)):
+            assert stats["cache"][key] == cache_events[f"event={event}"]
+            assert stats["cache"][key] == count
 
     def test_rejected_messages_count_one_error_each(self):
         good, bad = _wl(672).to_dict(), {"kind": "graph"}
@@ -161,18 +166,23 @@ class TestStatsLedger:
             # One error per failed workload, not one per message.
             {"op": "predict_many", "workloads": [good, bad, bad]},
         ]
+        bodies = [json.dumps(m).encode() for m in messages] + [b"not json"]
         with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
-            replies = [
-                json.loads(srv._handle_raw(json.dumps(m).encode(), False)[0])
-                for m in messages
-            ]
+            replies = []
+            for body in bodies:
+                # The front end's two halves: the loop, then the pool.
+                reply, decoded = srv._loop_reply(body, False, 0.0)
+                if reply is None:
+                    reply = srv._handle_decoded(decoded, False)[0]
+                replies.append(json.loads(reply))
             requests = srv.stats()["requests"]
-        assert [r["ok"] for r in replies] == [False] * 4
+        assert [r["ok"] for r in replies] == [False] * 5
         assert "unknown workload kind 'graph'" in replies[0]["error"]
         assert "unknown op" in replies[1]["error"]
         assert "schema_version" in replies[2]["error"]
         assert "unknown workload kind 'graph'" in replies[3]["error"]
-        assert requests["errors"] == 5
+        assert replies[4]["error"].startswith("WireError: ")
+        assert requests["errors"] == 6
         assert requests["served"] == 1
         assert requests["submitted"] == requests["served"] + requests["errors"]
 
@@ -252,10 +262,7 @@ class TestStatsCli:
         assert "repro_serve_requests_total" in out
         # Stats percentiles are bucket estimates, printed as such.
         assert "latency: p50~" in out
-        reply_line = next(
-            line for line in out.splitlines() if line.startswith("reply cache")
-        )
-        assert "hits" not in reply_line
+        assert "reply cache" not in out  # one cache: the decision cache
 
         assert main(["stats", f"tcp://{host}:{port}", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

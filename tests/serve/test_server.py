@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import struct
@@ -14,6 +15,7 @@ from repro.api import Session
 from repro.errors import PredictionError, ServeError
 from repro.sage import Sage
 from repro.serve import SageServer, ServeClient, ServeConfig, wire
+from repro.serve.fingerprint import fingerprint_of
 from repro.workloads import MATRIX_SUITE, TENSOR_SUITE
 from repro.workloads.spec import Kernel, MatrixWorkload, TensorWorkload
 
@@ -184,21 +186,72 @@ class TestWireParity:
         assert served_binary == local
         assert served_legacy == local
 
-    def test_binary_repeat_of_a_miss_rides_the_fast_path(self, client):
-        # Its own band (SpGEMM, far-off sizes): the first answer is an
-        # exact miss, which is final and so enters the reply cache.
+    @pytest.mark.parametrize("other_bytes", [False, True],
+                             ids=["same-bytes", "other-bytes"])
+    @pytest.mark.parametrize("wire_mode", ["binary", "json"])
+    def test_repeat_of_an_exact_hit_rides_the_fast_path(
+        self, exact_server, wire_mode, other_bytes
+    ):
+        # Statistics of its own per case: the first answer is an exact
+        # miss, and the first exact hit fills the entry's reply memo.
+        case = 2 * ("binary", "json").index(wire_mode) + other_bytes
         wl = MatrixWorkload("fast", Kernel.SPGEMM, m=512, k=512, n=256,
-                            nnz_a=30_000, nnz_b=20_000)
+                            nnz_a=30_000 + case, nnz_b=20_000)
+
+        def request(i: int) -> dict:
+            if not other_bytes:
+                return {"op": "predict", "workload": wl.to_dict()}
+            # Other key order and an added trace ID: other body bytes.
+            workload = dict(reversed(wl.to_dict().items()))
+            return {"trace": f"{i:016x}", "workload": workload,
+                    "op": "predict"}
+
+        with ServeClient(*exact_server.address, wire_mode=wire_mode) as c:
+            first = c._rpc(request(0))
+            fill = c._rpc(request(1))
+            for i in range(2, 5):
+                before = c.stats()["requests"]["fast_path"]
+                again = c._rpc(request(i))
+                assert c.stats()["requests"]["fast_path"] - before == 1
+                # The decision field is the decision's to_wire() form.
+                assert again["decision"] == first["decision"]
+                assert again["outcome"] == "hit"
+        assert (first["outcome"], fill["outcome"]) == ("miss", "hit")
+        assert fill["decision"] == first["decision"]
+
+    def test_a_near_hit_is_never_memoized(self):
+        neighbour, wl = _wl(m=208, nnz_a=2_100), _wl(m=208, nnz_a=2_500)
         request = {"op": "predict", "workload": wl.to_dict()}
-        first = client._rpc(dict(request))
-        before = client.stats()["requests"]["fast_path"]
-        again = client._rpc(dict(request))
-        after = client.stats()["requests"]["fast_path"]
-        assert after - before == 1
-        # The decision field is the decision's to_wire() form.
-        assert again["decision"] == first["decision"]
-        # The replay is a hit, not a copy of the original miss label.
-        assert (first["outcome"], again["outcome"]) == ("miss", "hit")
+        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+            with ServeClient(*srv.address) as c:
+                for _ in range(3):  # miss, then hits: the memo fills
+                    c.predict(neighbour)
+                near = [c._rpc(dict(request)) for _ in range(2)]
+                fast_path = c.stats()["requests"]["fast_path"]
+                # The exact computation lands, as a shard's result would.
+                srv._cache.put(fingerprint_of(wl), Sage().predict(wl))
+                exact = [c._rpc(dict(request)) for _ in range(3)]
+                after = c.stats()["requests"]["fast_path"]
+        with Session() as session:
+            local = session.predict(wl, top_k=8).to_wire()
+        assert [r["outcome"] for r in near] == ["near_hit"] * 2
+        assert [r["outcome"] for r in exact] == ["hit"] * 3
+        assert near[0]["decision"] != local
+        assert all(r["decision"] == local for r in exact)
+        # The first exact hit fills the memo; the two after it ride the loop.
+        assert after - fast_path == 2
+
+    def test_memo_answers_its_own_name_and_top_only(self, exact_server):
+        alice = MatrixWorkload("alice", Kernel.SPMM, m=232, k=232, n=96,
+                               nnz_a=1_713, nnz_b=232 * 96)
+        bob = dataclasses.replace(alice, name="bob")
+        with ServeClient(*exact_server.address) as c:
+            names = [c.predict(wl).workload_name
+                     for wl in (alice, alice, alice, bob, bob, alice)]
+            rows = [len(c.predict(bob, top=top).ranking)
+                    for top in (8, 8, 3, 3)]
+        assert names == ["alice"] * 3 + ["bob"] * 2 + ["alice"]
+        assert rows == [8, 8, 3, 3]
 
     @pytest.mark.parametrize(
         "wl", _TABLE3, ids=[f"{wl.name}-{wl.kernel.value}" for wl in _TABLE3]
@@ -423,7 +476,6 @@ class TestModes:
     def test_timeout_unwedges_inflight_fingerprint(self):
         # A result that never arrives (e.g. a killed shard) must not leave
         # its fingerprint permanently coalescing onto a dead computation.
-        from repro.serve.fingerprint import fingerprint_of
         from repro.serve.server import _PendingRequest
 
         srv = SageServer(
@@ -431,7 +483,7 @@ class TestModes:
         )
         wl = _wl()
         fp = fingerprint_of(wl)
-        req = _PendingRequest(wl.to_dict(), wl, fp)
+        req = _PendingRequest(wl, fp)
         srv._inflight[fp.exact_key()] = [req]  # dispatched, never resolved
         reply = srv._reply_one(req, None)
         assert reply == {"ok": False, "error": "request timed out"}
@@ -483,63 +535,3 @@ class TestModes:
         assert elapsed < 10
         shutting_down = {"ok": False, "error": "server shutting down"}
         assert replies == {"waiter": shutting_down, "owner": shutting_down}
-
-
-class TestClientPool:
-    def test_pool_serves_concurrent_threads(self, server):
-        from repro.serve import ServeClientPool
-
-        with ServeClientPool(*server.address, size=3) as pool:
-            results: list = []
-            errors: list = []
-
-            def worker(i: int) -> None:
-                try:
-                    results.append(pool.predict(_wl(m=256 + 16 * i)))
-                except Exception as exc:  # pragma: no cover - fail loud
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors
-            assert len(results) == 8
-            assert all(d.best is not None for d in results)
-            # Lazy creation never exceeds the configured bound.
-            assert pool._created <= 3
-
-    def test_pool_replaces_broken_connections(self, server):
-        import socket as socket_mod
-
-        from repro.serve import ServeClientPool
-
-        with ServeClientPool(*server.address, size=1, retries=0) as pool:
-            assert pool.ping()
-            client = pool._checkout()
-            client._sock.shutdown(socket_mod.SHUT_RDWR)
-            with pytest.raises(ServeError):
-                client.ping()  # retries=0: the transport failure poisons it
-            assert client.broken
-            pool._checkin(client)
-            # The poisoned connection is discarded; the next call gets a
-            # fresh socket.
-            assert pool.ping()
-
-    def test_pool_close_refuses_checkout(self, server):
-        from repro.serve import ServeClientPool
-
-        pool = ServeClientPool(*server.address, size=2)
-        assert pool.ping()
-        pool.close()
-        with pytest.raises(ServeError, match="pool is closed"):
-            pool.predict(_wl())
-
-    def test_pool_size_must_be_positive(self, server):
-        from repro.serve import ServeClientPool
-
-        with pytest.raises(ValueError):
-            ServeClientPool(*server.address, size=0)
