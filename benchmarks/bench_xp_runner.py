@@ -1,22 +1,20 @@
-"""Orchestrator throughput: serial seed-style scripts vs ``repro xp run``.
+"""Orchestrator throughput: one ``repro xp run --serial`` process per
+experiment vs one orchestrated ``repro xp run --all``.
 
-The seed reproduction ran its figure/table suite as ~18 standalone
-scripts — one Python process per figure, serial within each.  This bench
-replays that execution model against the ``repro.xp`` orchestrator on the
-same smoke grid, three ways:
+The smoke grid of every registered experiment runs three ways:
 
-* **serial scripts** — one ``repro xp run <name> --serial`` subprocess
-  per experiment (process startup, cold caches and serial cells per
-  figure — exactly what running the seed scripts one by one cost);
+* **serial per experiment** — one ``repro xp run <name> --serial``
+  subprocess per experiment, one after another: a process start, cold
+  caches and serial cells for each experiment;
 * **orchestrated** — a single ``repro xp run --all`` process: one warm
   :class:`~repro.api.session.Session`, one planner cache, every cell of
   every experiment in one fork-pool batch;
 * **resume** — a second ``repro xp run --all --resume``: every cell
   answered from the content-hashed artifact store, **zero re-executed**.
 
-The acceptance bar is orchestrated >= 2x the serial scripts; the
-headline numbers (plus the per-run records the runner itself appends)
-land in ``benchmarks/out/xp_runner.json`` under ``comparison``.
+``speedup_vs_serial_per_experiment`` is the first time over the second.
+The headline numbers (plus the per-run records the runner itself
+appends) land in ``benchmarks/out/xp_runner.json`` under ``comparison``.
 """
 
 from __future__ import annotations
@@ -64,8 +62,8 @@ def measure() -> dict:
     store = default_store_root()
 
     with tempfile.TemporaryDirectory() as scratch:
-        # Serial seed-style baseline: one process per figure, serial cells,
-        # scratch store/journal so the baseline leaves no cache behind.
+        # Baseline: one serial process per experiment, with a scratch
+        # store/journal so the baseline leaves no cache behind.
         t0 = time.perf_counter()
         for name in names:
             _run_cli(
@@ -90,10 +88,10 @@ def measure() -> dict:
         "experiments": len(names),
         "grid": "smoke",
         "cells": last["cells"],
-        "serial_scripts_s": serial_s,
+        "serial_per_experiment_s": serial_s,
         "orchestrated_s": orchestrated_s,
         "resume_s": resume_s,
-        "speedup_vs_serial_scripts": serial_s / orchestrated_s,
+        "speedup_vs_serial_per_experiment": serial_s / orchestrated_s,
         "resume_executed_cells": last["executed_cells"],
         "resume_cached_cells": last["cached_cells"],
     }
@@ -106,26 +104,27 @@ def measure() -> dict:
 def bench_xp_runner(once, benchmark):
     out = once(measure)
     print()
-    print(f"{'pass':>16} | {'total':>9}")
+    print(f"{'pass':>17} | {'total':>9}")
     for label, key in (
-        ("serial scripts", "serial_scripts_s"),
+        ("serial/experiment", "serial_per_experiment_s"),
         ("orchestrated", "orchestrated_s"),
         ("resume (cache)", "resume_s"),
     ):
-        print(f"{label:>16} | {out[key]:>8.2f}s")
+        print(f"{label:>17} | {out[key]:>8.2f}s")
     print(
-        f"orchestrated vs serial seed scripts: "
-        f"{out['speedup_vs_serial_scripts']:.2f}x over {out['experiments']} "
+        f"orchestrated vs one serial process per experiment: "
+        f"{out['speedup_vs_serial_per_experiment']:.2f}x over "
+        f"{out['experiments']} "
         f"experiments / {out['cells']} cells; resume re-executed "
         f"{out['resume_executed_cells']} cells"
     )
     print(f"wrote {OUT_PATH}")
     # The regression gate is check_floors.py's conservative 1.5 floor on
-    # the recorded JSON; asserting the measured ~2.5x here would just
+    # the recorded JSON; asserting the measured ~7-11x here would just
     # make that floor dead code and flake on contended runners.
-    assert out["speedup_vs_serial_scripts"] >= 1.5
+    assert out["speedup_vs_serial_per_experiment"] >= 1.5
     assert out["resume_executed_cells"] == 0
-    benchmark.extra_info["speedup_vs_serial_scripts"] = round(
-        out["speedup_vs_serial_scripts"], 2
+    benchmark.extra_info["speedup_vs_serial_per_experiment"] = round(
+        out["speedup_vs_serial_per_experiment"], 2
     )
     benchmark.extra_info["cells"] = out["cells"]

@@ -11,15 +11,28 @@ Run after the benches::
 
 Exit status is non-zero if any floor is violated or a bench JSON is
 missing, listing every failure.
+
+With ``--against``, it compares two performance records written by
+``tools/bench_record.py`` instead::
+
+    python benchmarks/check_floors.py --against BENCH_27.json BENCH_28.json
+
+Each ``end_to_end`` metric of ``BENCHMARK.json``, per workload, is read
+from both records' untraced (``trace0``) medians; one row per workload
+and metric prints the ratio of the second to the first and its base (the
+first median).  Exit status is non-zero if a metric is worse than the
+first record by more than its bound, or missing from either.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
 OUT_DIR = Path(__file__).parent / "out"
+BENCHMARK_JSON = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 #: file -> {json key: bound}.  A bare number is a minimum (floor); a
 #: ``{"max": v}`` dict is a ceiling (e.g. a latency bound).  Measured
@@ -59,12 +72,13 @@ FLOORS: dict[str, dict[str, float]] = {
         # The sample trace artifact must actually contain spans.
         "trace_sample_events": 4,
     },
-    # Orchestrated xp run vs one-process-per-figure seed scripts, measured
-    # ~2.5x on a single core (process startup + warm-cache amortization)
-    # and higher with a real fork pool.  Dotted keys index into nested
-    # objects ("comparison" is written by bench_xp_runner.py).
+    # One orchestrated `repro xp run --all` vs one `repro xp run <name>
+    # --serial` subprocess per experiment over the same smoke grid: the
+    # process starts and cold caches it saves plus the fork pool (measured
+    # 7-11x on a 2-vCPU VM).  Dotted keys index into nested objects
+    # ("comparison" is written by bench_xp_runner.py).
     "xp_runner.json": {
-        "comparison.speedup_vs_serial_scripts": 1.5,
+        "comparison.speedup_vs_serial_per_experiment": 1.5,
     },
     # Tune sweeps resume from the artifact store: a cached re-run must be
     # far faster than the cold sweep (measured ~40x on a single core) and
@@ -178,10 +192,84 @@ def check(out_dir: Path = OUT_DIR) -> list[str]:
     return failures
 
 
-def main() -> int:
-    failures = check()
+def _median(record: dict, workload: str, metric: str):
+    try:
+        entry = record["workloads"][workload]["trace0"]["metrics"][metric]
+    except KeyError:
+        return None
+    return entry["median"], entry.get("unit", "")
+
+
+def compare_records(
+    prev: dict, this: dict, bounds: list[dict]
+) -> tuple[list[str], list[str]]:
+    """Rows and failures of *this* record's medians against *prev*'s.
+
+    *bounds* are ``BENCHMARK.json`` ``end_to_end`` entries: a metric
+    fails when it is worse than *prev* by more than ``bound`` (a
+    fraction of *prev*), in its ``better`` direction.
+    """
+    rows: list[str] = []
+    failures: list[str] = []
+    workloads = sorted(set(prev["workloads"]) | set(this["workloads"]))
+    for workload in workloads:
+        for spec in bounds:
+            metric, bound = spec["name"], spec["bound"]
+            lower = spec["better"] == "lower"
+            base, now = _median(prev, workload, metric), _median(this, workload, metric)
+            if base is None or now is None:
+                failures.append(
+                    f"{workload} {metric}: missing from the "
+                    f"{'first' if base is None else 'second'} record"
+                )
+                continue
+            (base, unit), (now, _unit) = base, now
+            ratio = now / base if base else (1.0 if now == base else float("inf"))
+            worse = ratio - 1.0 if lower else 1.0 - ratio
+            verdict = "WORSE" if worse > bound else "ok"
+            rows.append(
+                f"{workload:14s} {metric:12s} {now:12.4g} {unit:4s} "
+                f"ratio {ratio:7.3f} (base {base:.4g} {unit}, "
+                f"{spec['better']} is better, bound {bound:.0%})  {verdict}"
+            )
+            if verdict != "ok":
+                failures.append(
+                    f"{workload} {metric}: {base:.4g} -> {now:.4g} {unit} "
+                    f"(ratio {ratio:.3f}) is worse than its {bound:.0%} bound"
+                )
+    return rows, failures
+
+
+def check_against(prev_path: Path, this_path: Path) -> list[str]:
+    """Print the record comparison; return its failures."""
+    bounds = json.loads(BENCHMARK_JSON.read_text())["end_to_end"]
+    rows, failures = compare_records(
+        json.loads(Path(prev_path).read_text()),
+        json.loads(Path(this_path).read_text()),
+        bounds,
+    )
+    print(f"{this_path} against {prev_path} (trace0 medians)")
+    for row in rows:
+        print(row)
+    return failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--against", nargs=2, type=Path, metavar=("PREV", "THIS"),
+        help="compare two BENCH_<n>.json records under BENCHMARK.json's "
+        "end-to-end bounds instead of checking the bench floors",
+    )
+    args = parser.parse_args(argv)
+    if args.against:
+        failures = check_against(*args.against)
+        label = "RECORD REGRESSION"
+    else:
+        failures = check()
+        label = "FLOOR VIOLATION"
     for failure in failures:
-        print(f"FLOOR VIOLATION: {failure}", file=sys.stderr)
+        print(f"{label}: {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -133,7 +133,6 @@ from repro.workloads import (
     TensorWorkload,
     layer_gemm,
     random_sparse_matrix,
-    random_sparse_tensor,
     suite_by_name,
     workload_from_dict,
 )
@@ -237,5 +236,4 @@ __all__ = [
     "PruningStrategy",
     "layer_gemm",
     "random_sparse_matrix",
-    "random_sparse_tensor",
 ]

@@ -36,6 +36,7 @@ from repro.api.backends import Backend, LocalBackend, RemoteBackend, Workload
 from repro.api.options import PredictOptions, RunOptions, resolve_options
 from repro.api.result import RunResult
 from repro.errors import ConfigError, PredictionError, SimulationError
+from repro.formats.base import coords_to_dense, dense_to_coords
 from repro.formats.registry import matrix_class
 from repro.mint.engine import MintEngine
 from repro.obs import span
@@ -45,7 +46,7 @@ from repro.workloads.spec import (
     TensorWorkload,
     workload_from_dict,
 )
-from repro.workloads.synthetic import random_sparse_matrix
+from repro.workloads.synthetic import random_sparse_coords
 
 __all__ = ["Session"]
 
@@ -197,9 +198,12 @@ class Session:
         the chosen MCFs → MINT conversion along the planned route to the
         chosen ACFs → cycle-level simulation → one :class:`RunResult`.
 
-        Operands are materialized from the workload statistics
+        Operands are drawn from the workload statistics as coordinates
         (deterministic in ``options.seed``) unless concrete dense arrays
-        *a* and *b* are supplied; workloads larger than the simulation cap
+        *a* and *b* are supplied, and each MCF is encoded from its
+        operand's nonzeros; a generated operand becomes a dense array only
+        for the ``options.verify`` check, which compares the output with
+        numpy's dense ``a @ b``.  Workloads larger than the simulation cap
         execute through a density-preserving proxy whose scale is recorded
         on the result.
 
@@ -240,20 +244,23 @@ class Session:
                 )
             sim_wl = wl
             a_dense, b_dense = np.asarray(a, float), np.asarray(b, float)
+            a_coords, b_coords = dense_to_coords(a_dense), dense_to_coords(b_dense)
         else:
             cap = opts.max_sim_elements or SIM_CAP_ELEMENTS
             sim_wl = _proxy_workload(wl, cap)
-            a_dense = random_sparse_matrix(
+            a_dense = b_dense = None
+            a_coords = random_sparse_coords(
                 sim_wl.m, sim_wl.k, sim_wl.nnz_a, opts.seed
             )
-            b_dense = random_sparse_matrix(
+            b_coords = random_sparse_coords(
                 sim_wl.k, sim_wl.n, sim_wl.nnz_b, opts.seed + 1
             )
+        a_shape, b_shape = (sim_wl.m, sim_wl.k), (sim_wl.k, sim_wl.n)
 
         engine = MintEngine(clock_hz=self.config.clock_hz)
-        a_mem = matrix_class(decision.mcf[0]).from_dense(a_dense)
+        a_mem = matrix_class(decision.mcf[0]).from_coords(a_shape, *a_coords)
         a_acf, conv_a = engine.convert(a_mem, decision.acf[0])
-        b_mem = matrix_class(decision.mcf[1]).from_dense(b_dense)
+        b_mem = matrix_class(decision.mcf[1]).from_coords(b_shape, *b_coords)
         b_acf, conv_b = engine.convert(b_mem, decision.acf[1])
 
         sim = WeightStationarySimulator(self.config)
@@ -262,6 +269,9 @@ class Session:
         )
         verified: bool | None = None
         if opts.verify:
+            if a_dense is None:  # generated operands are densified only here
+                a_dense = coords_to_dense(a_shape, *a_coords)
+                b_dense = coords_to_dense(b_shape, *b_coords)
             if not np.allclose(out, a_dense @ b_dense):
                 raise SimulationError(
                     f"simulated output of {wl.name} disagrees with numpy "

@@ -4,7 +4,10 @@ Implements, from scratch, every lossless sparse format the paper discusses
 (Fig. 3): Dense, COO, CSR, CSC, RLC, ZVC, BSR and DIA for matrices; Dense,
 COO, CSF, HiCOO, RLC and ZVC for 3-D tensors.  Each class provides
 
-* ``from_dense`` / ``to_dense`` encode/decode (bit-exact round trip),
+* ``from_dense`` / ``to_dense`` encode/decode (bit-exact round trip); a
+  matrix format's one encoder is ``from_coords``, which takes ascending
+  row-major positions and their nonzero values, and its ``from_dense``
+  finds a dense array's nonzeros and hands them to it,
 * ``storage()`` returning the data/metadata bit accounting used by the
   compactness analysis (Sec. III-A), and
 * ``fields()`` exposing the raw field arrays the MINT converter streams.

@@ -19,8 +19,11 @@ import numpy as np
 from repro.errors import FormatError
 
 
-def encode_runs(flat: np.ndarray, run_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Encode a flat array into (runs, levels) entry pairs.
+def encode_runs(
+    positions: np.ndarray, values: np.ndarray, run_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode the nonzero *values* at ascending distinct flat *positions*
+    (every other position is zero) into (runs, levels) entry pairs.
 
     Returns
     -------
@@ -31,34 +34,30 @@ def encode_runs(flat: np.ndarray, run_bits: int) -> tuple[np.ndarray, np.ndarray
     """
     if run_bits < 1:
         raise FormatError(f"run_bits must be >= 1, got {run_bits}")
-    flat = np.asarray(flat, dtype=np.float64).ravel()
+    positions = np.asarray(positions, dtype=np.int64).ravel()
     max_run = (1 << run_bits) - 1
-    positions = np.flatnonzero(flat)
     # Each nonzero is preceded by ``pads`` padding entries, each covering
     # max_run zeros plus its own zero level, then its own entry whose run
-    # is the remaining gap.
+    # is the remaining gap (a divmod by 2**run_bits).
     gaps = np.diff(positions, prepend=-1) - 1
-    pads, rest = np.divmod(gaps, max_run + 1)
+    pads, rest = gaps >> run_bits, gaps & max_run
     ends = np.cumsum(pads + 1) - 1  # entry index of each nonzero
     size = int(ends[-1]) + 1 if len(ends) else 0
     runs = np.full(size, max_run, dtype=np.int64)
     levels = np.zeros(size, dtype=np.float64)
     runs[ends] = rest
-    levels[ends] = flat[positions]
+    levels[ends] = values
     return runs, levels
 
 
-def decode_runs(
+def run_positions(
     runs: np.ndarray, levels: np.ndarray, size: int
 ) -> np.ndarray:
-    """Decode (runs, levels) pairs back into a flat array of *size*."""
+    """Flat position of every (run, level) entry, checking that the stream
+    is consistent and fits in *size* positions."""
     runs = np.asarray(runs, dtype=np.int64).ravel()
-    levels = np.asarray(levels, dtype=np.float64).ravel()
-    if len(runs) != len(levels):
+    if len(runs) != len(np.ravel(levels)):
         raise FormatError("RLC runs/levels length mismatch")
-    out = np.zeros(size, dtype=np.float64)
-    if len(runs) == 0:
-        return out
     # Position of entry i = sum(runs[:i+1]) + i  (each entry consumes its
     # preceding zeros plus one slot for itself).
     positions = np.cumsum(runs) + np.arange(len(runs))
@@ -67,7 +66,16 @@ def decode_runs(
             f"RLC stream overruns logical size {size} (last position "
             f"{int(positions[-1])})"
         )
-    out[positions] = levels
+    return positions
+
+
+def decode_runs(
+    runs: np.ndarray, levels: np.ndarray, size: int
+) -> np.ndarray:
+    """Decode (runs, levels) pairs back into a flat array of *size*."""
+    positions = run_positions(runs, levels, size)
+    out = np.zeros(size, dtype=np.float64)
+    out[positions] = np.asarray(levels, dtype=np.float64).ravel()
     return out
 
 

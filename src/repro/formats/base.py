@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, ClassVar, Mapping
 import numpy as np
 
 from repro.errors import FormatError
+from repro.util.validation import check_dense_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.formats.registry import Format
@@ -110,15 +111,103 @@ class _EncodedBase(ABC):
         )
 
 
+def check_coords(
+    shape: tuple[int, int], flat: np.ndarray, values: np.ndarray
+) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """Validate a matrix given as coordinates, the input of ``from_coords``.
+
+    Returns ``(shape, flat, values)`` as an int pair, an ``int64`` and a
+    ``float64`` 1-D array (no copy when they already are).  *flat* must
+    hold distinct row-major positions in ascending order, inside the
+    shape, one per value.
+    """
+    m, k = (int(shape[0]), int(shape[1]))
+    flat = np.asarray(flat, dtype=np.int64).ravel()
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if m < 0 or k < 0:
+        raise FormatError(f"matrix shape must be non-negative, got {shape}")
+    if len(flat) != len(values):
+        raise FormatError(
+            f"{len(flat)} positions but {len(values)} values"
+        )
+    if len(flat) and (
+        flat[0] < 0
+        or flat[-1] >= m * k
+        or np.any(flat[1:] <= flat[:-1])
+    ):
+        raise FormatError(
+            f"positions must be ascending, distinct and inside {m}x{k}"
+        )
+    return (m, k), flat, values
+
+
+def coords_rows_cols(
+    flat: np.ndarray, ncols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each row-major position (``np.divmod``, at half
+    its cost: one division by the scalar)."""
+    rows = flat // ncols
+    return rows, flat - rows * ncols
+
+
+def dense_to_coords(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of an array as ``(flat, values)``: ascending row-major
+    positions and the values there."""
+    flat = np.flatnonzero(dense)
+    return flat, np.ravel(dense)[flat]
+
+
+def coords_to_dense(
+    shape: tuple[int, int], flat: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """The dense ``float64`` array of a matrix given as coordinates.
+
+    When every position is set, *values* already is the row-major array:
+    the result is a view of it, not a copy.
+    """
+    (m, k), flat, values = check_coords(shape, flat, values)
+    if len(values) == m * k:
+        return values.reshape(m, k)
+    dense = np.zeros(m * k, dtype=np.float64)
+    dense[flat] = values
+    return dense.reshape(m, k)
+
+
 class MatrixFormat(_EncodedBase):
-    """Base class for 2-D encodings."""
+    """Base class for 2-D encodings.
+
+    Every encoding is built by :meth:`from_coords` from its nonzeros;
+    :meth:`from_dense` finds them in a dense array and hands them on.
+    """
 
     shape: tuple[int, int]
 
     @classmethod
     @abstractmethod
-    def from_dense(cls, dense: np.ndarray, *, dtype_bits: int = 32) -> "MatrixFormat":
-        """Encode a dense 2-D array."""
+    def from_coords(
+        cls,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        *,
+        dtype_bits: int = 32,
+    ) -> "MatrixFormat":
+        """Encode the matrix of *shape* whose nonzero *values* sit at the
+        ascending distinct row-major positions *flat* (every other
+        position is zero)."""
+
+    @classmethod
+    def from_dense(
+        cls, dense: np.ndarray, *, dtype_bits: int = 32, **options
+    ) -> "MatrixFormat":
+        """Encode a dense 2-D array: its nonzeros through
+        :meth:`from_coords` (*options* are the format's own, e.g. RLC's
+        ``run_bits``)."""
+        dense = check_dense_matrix(dense)
+        return cls.from_coords(
+            dense.shape, *dense_to_coords(dense),
+            dtype_bits=dtype_bits, **options,
+        )
 
     @property
     def nrows(self) -> int:

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import MatrixFormat, StorageBreakdown
+from repro.formats.base import MatrixFormat, StorageBreakdown, coords_to_dense
 from repro.formats.registry import Format
 from repro.util.bits import bits_for_count, bits_for_index, ceil_div
 from repro.util.validation import check_dense_matrix
@@ -93,6 +93,23 @@ class BsrMatrix(MatrixFormat):
             raise FormatError("BSR block_col_ids out of range")
 
     @classmethod
+    def from_coords(
+        cls,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        *,
+        dtype_bits: int = 32,
+        block_shape: tuple[int, int] = DEFAULT_BLOCK,
+    ) -> "BsrMatrix":
+        # Blocks are cut from the dense array.
+        return cls.from_dense(
+            coords_to_dense(shape, flat, values),
+            dtype_bits=dtype_bits,
+            block_shape=block_shape,
+        )
+
+    @classmethod
     def from_dense(
         cls,
         dense: np.ndarray,
@@ -111,7 +128,7 @@ class BsrMatrix(MatrixFormat):
         grid_rows, grid_cols = pm // br, pk // bc
         # View as (grid_rows, br, grid_cols, bc) -> block-major (gr, gc, br, bc)
         blocks = padded.reshape(grid_rows, br, grid_cols, bc).swapaxes(1, 2)
-        occupied = blocks.reshape(grid_rows, grid_cols, -1).any(axis=2)
+        occupied = blocks.reshape(grid_rows, grid_cols, br * bc).any(axis=2)
         grs, gcs = np.nonzero(occupied)
         values = blocks[grs, gcs].copy()
         block_row_ptr = np.zeros(grid_rows + 1, dtype=np.int64)
@@ -156,7 +173,9 @@ class BsrMatrix(MatrixFormat):
 
     def fields(self) -> Mapping[str, np.ndarray]:
         return {
-            "values": self.values.reshape(self.nblocks, -1),
+            "values": self.values.reshape(
+                self.nblocks, self.block_shape[0] * self.block_shape[1]
+            ),
             "block_col_ids": self.block_col_ids,
             "block_row_ptr": self.block_row_ptr,
         }

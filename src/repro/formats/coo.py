@@ -12,10 +12,14 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import MatrixFormat, StorageBreakdown
+from repro.formats.base import (
+    MatrixFormat,
+    StorageBreakdown,
+    check_coords,
+    coords_rows_cols,
+)
 from repro.formats.registry import Format
 from repro.util.bits import bits_for_index
-from repro.util.validation import check_dense_matrix
 
 
 class CooMatrix(MatrixFormat):
@@ -50,20 +54,23 @@ class CooMatrix(MatrixFormat):
             if self.col_ids.min() < 0 or self.col_ids.max() >= self.shape[1]:
                 raise FormatError("COO col_ids out of range")
             linear = self.row_ids * self.shape[1] + self.col_ids
-            if len(np.unique(linear)) != n:
+            # Strictly ascending (row-major sorted) entries are distinct;
+            # only an unsorted COO pays for the sort.
+            if np.any(linear[1:] <= linear[:-1]) and len(np.unique(linear)) != n:
                 raise FormatError("COO contains duplicate coordinates")
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, *, dtype_bits: int = 32) -> "CooMatrix":
-        dense = check_dense_matrix(dense)
-        rows, cols = np.nonzero(dense)
-        return cls(
-            dense.shape,
-            dense[rows, cols],
-            rows,
-            cols,
-            dtype_bits=dtype_bits,
-        )
+    def from_coords(
+        cls,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        *,
+        dtype_bits: int = 32,
+    ) -> "CooMatrix":
+        shape, flat, values = check_coords(shape, flat, values)
+        rows, cols = coords_rows_cols(flat, shape[1])
+        return cls(shape, values, rows, cols, dtype_bits=dtype_bits)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float64)

@@ -13,10 +13,14 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import MatrixFormat, StorageBreakdown
+from repro.formats.base import (
+    MatrixFormat,
+    StorageBreakdown,
+    check_coords,
+    coords_rows_cols,
+)
 from repro.formats.registry import Format
 from repro.util.bits import bits_for_count, bits_for_index
-from repro.util.validation import check_dense_matrix
 
 
 class CscMatrix(MatrixFormat):
@@ -58,19 +62,25 @@ class CscMatrix(MatrixFormat):
             raise FormatError("CSC row_ids out of range")
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, *, dtype_bits: int = 32) -> "CscMatrix":
-        dense = check_dense_matrix(dense)
-        # Column-major walk: transpose, reuse the CSR construction pattern.
-        cols_t, rows_t = np.nonzero(dense.T)
-        col_ptr = np.zeros(dense.shape[1] + 1, dtype=np.int64)
-        np.add.at(col_ptr, cols_t + 1, 1)
-        np.cumsum(col_ptr, out=col_ptr)
+    def from_coords(
+        cls,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        *,
+        dtype_bits: int = 32,
+    ) -> "CscMatrix":
+        shape, flat, values = check_coords(shape, flat, values)
+        rows, cols = coords_rows_cols(flat, shape[1])
+        # Column-major order: a stable sort on the column keeps each
+        # column's rows ascending, as they are in row-major order.  On
+        # 16-bit keys numpy's stable sort is a radix sort.
+        keys = cols.astype(np.uint16) if shape[1] <= 1 << 16 else cols
+        order = np.argsort(keys, kind="stable")
+        col_ptr = np.zeros(shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=shape[1]), out=col_ptr[1:])
         return cls(
-            dense.shape,
-            dense[rows_t, cols_t],
-            rows_t,
-            col_ptr,
-            dtype_bits=dtype_bits,
+            shape, values[order], rows[order], col_ptr, dtype_bits=dtype_bits
         )
 
     def to_dense(self) -> np.ndarray:

@@ -12,10 +12,14 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import MatrixFormat, StorageBreakdown
+from repro.formats.base import (
+    MatrixFormat,
+    StorageBreakdown,
+    check_coords,
+    coords_rows_cols,
+)
 from repro.formats.registry import Format
 from repro.util.bits import bits_for_count, bits_for_index
-from repro.util.validation import check_dense_matrix
 
 
 class CsrMatrix(MatrixFormat):
@@ -57,13 +61,20 @@ class CsrMatrix(MatrixFormat):
             raise FormatError("CSR col_ids out of range")
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, *, dtype_bits: int = 32) -> "CsrMatrix":
-        dense = check_dense_matrix(dense)
-        rows, cols = np.nonzero(dense)
-        row_ptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
-        np.add.at(row_ptr, rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
-        return cls(dense.shape, dense[rows, cols], cols, row_ptr, dtype_bits=dtype_bits)
+    def from_coords(
+        cls,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        *,
+        dtype_bits: int = 32,
+    ) -> "CsrMatrix":
+        shape, flat, values = check_coords(shape, flat, values)
+        # Row-major positions are already in CSR order.
+        rows, cols = coords_rows_cols(flat, shape[1])
+        row_ptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=row_ptr[1:])
+        return cls(shape, values, cols, row_ptr, dtype_bits=dtype_bits)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float64)

@@ -10,7 +10,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.formats.base import MatrixFormat, StorageBreakdown
+from repro.formats.base import MatrixFormat, StorageBreakdown, coords_to_dense
 from repro.formats.registry import Format
 from repro.util.validation import check_dense_matrix
 
@@ -27,9 +27,15 @@ class DenseMatrix(MatrixFormat):
         self._check_dtype_bits()
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, *, dtype_bits: int = 32) -> "DenseMatrix":
-        dense = check_dense_matrix(dense)
-        return cls(dense.copy(), dtype_bits=dtype_bits)
+    def from_coords(
+        cls,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        *,
+        dtype_bits: int = 32,
+    ) -> "DenseMatrix":
+        return cls(coords_to_dense(shape, flat, values), dtype_bits=dtype_bits)
 
     def to_dense(self) -> np.ndarray:
         return self.values.copy()

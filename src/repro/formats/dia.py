@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import MatrixFormat, StorageBreakdown
+from repro.formats.base import MatrixFormat, StorageBreakdown, coords_to_dense
 from repro.formats.registry import Format
 from repro.util.bits import bits_for_index
 from repro.util.validation import check_dense_matrix
@@ -77,6 +77,20 @@ class DiaMatrix(MatrixFormat):
         if d >= 0:
             return 0, min(m, k - d)
         return -d, min(m + d, k)
+
+    @classmethod
+    def from_coords(
+        cls,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        *,
+        dtype_bits: int = 32,
+    ) -> "DiaMatrix":
+        # Diagonals are cut from the dense array.
+        return cls.from_dense(
+            coords_to_dense(shape, flat, values), dtype_bits=dtype_bits
+        )
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, *, dtype_bits: int = 32) -> "DiaMatrix":

@@ -18,10 +18,14 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import MatrixFormat, StorageBreakdown
+from repro.formats.base import (
+    MatrixFormat,
+    StorageBreakdown,
+    check_coords,
+    coords_rows_cols,
+)
 from repro.formats.registry import Format
 from repro.util.bits import bits_for_index
-from repro.util.validation import check_dense_matrix
 
 #: Column-id value marking a padding slot.
 PAD_COL = -1
@@ -69,21 +73,28 @@ class EllMatrix(MatrixFormat):
             raise FormatError("ELL padding slots must hold zero values")
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, *, dtype_bits: int = 32) -> "EllMatrix":
-        dense = check_dense_matrix(dense)
-        m, k = dense.shape
-        rows, cols = np.nonzero(dense)
+    def from_coords(
+        cls,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        *,
+        dtype_bits: int = 32,
+    ) -> "EllMatrix":
+        (m, k), flat, values = check_coords(shape, flat, values)
+        rows, cols = coords_rows_cols(flat, k)
         row_nnz = np.bincount(rows, minlength=m)
         width = int(row_nnz.max()) if m else 0
-        values = np.zeros((m, width), dtype=np.float64)
+        slot_values = np.zeros((m, width), dtype=np.float64)
         col_ids = np.full((m, width), PAD_COL, dtype=np.int64)
-        # np.nonzero scans row-major, so each entry lands at (its row, its
-        # rank within the row): its position minus its row's start.
+        # Positions are row-major, so each entry lands at (its row, its
+        # rank within the row): its index minus its row's start, offset
+        # by its row's first slot in the flattened arrays.
         starts = np.cumsum(row_nnz) - row_nnz
-        slots = np.arange(len(rows), dtype=np.int64) - starts[rows]
-        values[rows, slots] = dense[rows, cols]
-        col_ids[rows, slots] = cols
-        return cls(dense.shape, values, col_ids, dtype_bits=dtype_bits)
+        at = np.arange(len(rows), dtype=np.int64) + (rows * width - starts[rows])
+        slot_values.reshape(-1)[at] = values
+        col_ids.reshape(-1)[at] = cols
+        return cls((m, k), slot_values, col_ids, dtype_bits=dtype_bits)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float64)

@@ -14,10 +14,9 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.formats._runlength import decode_runs, encode_runs
-from repro.formats.base import MatrixFormat, StorageBreakdown
+from repro.formats._runlength import decode_runs, encode_runs, run_positions
+from repro.formats.base import MatrixFormat, StorageBreakdown, check_coords
 from repro.formats.registry import Format
-from repro.util.validation import check_dense_matrix
 
 DEFAULT_RUN_BITS = 5
 """Default width of the zero-run field, in bits (5, as in Eyeriss [17])."""
@@ -43,20 +42,21 @@ class RlcMatrix(MatrixFormat):
         self.dtype_bits = dtype_bits
         self.run_bits = run_bits
         self._check_dtype_bits()
-        # decode_runs re-validates stream consistency against the shape.
-        decode_runs(self.runs, self.levels, self.size)
+        run_positions(self.runs, self.levels, self.size)
 
     @classmethod
-    def from_dense(
+    def from_coords(
         cls,
-        dense: np.ndarray,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
         *,
         dtype_bits: int = 32,
         run_bits: int = DEFAULT_RUN_BITS,
     ) -> "RlcMatrix":
-        dense = check_dense_matrix(dense)
-        runs, levels = encode_runs(dense.ravel(), run_bits)
-        return cls(dense.shape, runs, levels, dtype_bits=dtype_bits, run_bits=run_bits)
+        shape, flat, values = check_coords(shape, flat, values)
+        runs, levels = encode_runs(flat, values, run_bits)
+        return cls(shape, runs, levels, dtype_bits=dtype_bits, run_bits=run_bits)
 
     def to_dense(self) -> np.ndarray:
         return decode_runs(self.runs, self.levels, self.size).reshape(self.shape)

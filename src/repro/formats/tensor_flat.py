@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats._runlength import decode_runs, encode_runs
+from repro.formats._runlength import decode_runs, encode_runs, run_positions
 from repro.formats.base import StorageBreakdown, TensorFormat
 from repro.formats.registry import Format
 from repro.formats.rlc import DEFAULT_RUN_BITS
@@ -40,7 +40,7 @@ class RlcTensor(TensorFormat):
         self.dtype_bits = dtype_bits
         self.run_bits = run_bits
         self._check_dtype_bits()
-        decode_runs(self.runs, self.levels, self.size)
+        run_positions(self.runs, self.levels, self.size)
 
     @classmethod
     def from_dense(
@@ -51,7 +51,9 @@ class RlcTensor(TensorFormat):
         run_bits: int = DEFAULT_RUN_BITS,
     ) -> "RlcTensor":
         dense = check_dense_tensor(dense)
-        runs, levels = encode_runs(dense.ravel(), run_bits)
+        flat = dense.ravel()
+        positions = np.flatnonzero(flat)
+        runs, levels = encode_runs(positions, flat[positions], run_bits)
         return cls(dense.shape, runs, levels, dtype_bits=dtype_bits, run_bits=run_bits)
 
     def to_dense(self) -> np.ndarray:

@@ -15,9 +15,8 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import MatrixFormat, StorageBreakdown
+from repro.formats.base import MatrixFormat, StorageBreakdown, check_coords
 from repro.formats.registry import Format
-from repro.util.validation import check_dense_matrix
 
 
 class ZvcMatrix(MatrixFormat):
@@ -45,15 +44,22 @@ class ZvcMatrix(MatrixFormat):
             raise FormatError(
                 f"ZVC mask must have {self.size} bits, got {len(self.mask)}"
             )
-        if int(self.mask.sum()) != len(self.values):
+        if np.count_nonzero(self.mask) != len(self.values):
             raise FormatError("ZVC mask popcount must equal stored value count")
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, *, dtype_bits: int = 32) -> "ZvcMatrix":
-        dense = check_dense_matrix(dense)
-        flat = dense.ravel()
-        mask = flat != 0.0
-        return cls(dense.shape, flat[mask], mask, dtype_bits=dtype_bits)
+    def from_coords(
+        cls,
+        shape: tuple[int, int],
+        flat: np.ndarray,
+        values: np.ndarray,
+        *,
+        dtype_bits: int = 32,
+    ) -> "ZvcMatrix":
+        (m, k), flat, values = check_coords(shape, flat, values)
+        mask = np.zeros(m * k, dtype=bool)
+        mask[flat] = True
+        return cls((m, k), values, mask, dtype_bits=dtype_bits)
 
     def to_dense(self) -> np.ndarray:
         flat = np.zeros(self.size, dtype=np.float64)

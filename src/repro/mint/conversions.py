@@ -270,7 +270,8 @@ def dense_to_rlc(src: DenseMatrix, blocks: BlockSet) -> tuple[RlcMatrix, int]:
     flat = src.values.ravel()
     c_read = blocks.memctrl.stream(m * k)
     blocks.cluster.stats.compares += m * k  # zero detection
-    runs, levels = encode_runs(flat, DEFAULT_RUN_BITS)
+    positions = np.flatnonzero(flat)
+    runs, levels = encode_runs(positions, flat[positions], DEFAULT_RUN_BITS)
     blocks.prefix.stats.int_adds += m * k  # run counters increment per element
     c_write = blocks.memctrl.stream(2 * len(levels))
     out = RlcMatrix(

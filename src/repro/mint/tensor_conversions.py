@@ -138,7 +138,8 @@ def dense_to_rlc3(src: DenseTensor, blocks: BlockSet) -> tuple[RlcTensor, int]:
     flat = src.values.ravel()
     c_read = blocks.memctrl.stream(size)
     blocks.cluster.stats.compares += size
-    runs, levels = encode_runs(flat, DEFAULT_RUN_BITS)
+    positions = np.flatnonzero(flat)
+    runs, levels = encode_runs(positions, flat[positions], DEFAULT_RUN_BITS)
     blocks.prefix.stats.int_adds += size
     c_write = blocks.memctrl.stream(2 * len(levels))
     out = RlcTensor(

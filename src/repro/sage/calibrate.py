@@ -70,7 +70,7 @@ from repro.formats.registry import Format, matrix_class
 from repro.sage.cost_model import CostBreakdown
 from repro.sage.spaces import MATRIX_ACF_STATIONARY, MATRIX_ACF_STREAMED
 from repro.workloads.spec import Kernel, MatrixWorkload
-from repro.workloads.synthetic import random_sparse_matrix
+from repro.workloads.synthetic import random_sparse_coords
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an xp cycle)
     from repro.xp.artifacts import ArtifactStore
@@ -466,14 +466,16 @@ def _acf_pairs() -> tuple[tuple[Format, Format], ...]:
 def _measure_workload(
     workload: MatrixWorkload, config: AcceleratorConfig
 ) -> list[dict]:
-    """Analytical-vs-simulated compute samples for one training workload."""
+    """Analytical-vs-simulated compute samples for one training workload.
+
+    Its seeded operands are drawn as coordinates and encoded once per
+    ACF straight from them (no dense array is built); the batch is
+    simulated once, reports only.
+    """
     seed = _workload_seed(workload)
-    a_dense = random_sparse_matrix(
-        workload.m, workload.k, workload.nnz_a, seed
-    )
-    b_dense = random_sparse_matrix(
-        workload.k, workload.n, workload.nnz_b, seed + 1
-    )
+    a_shape, b_shape = (workload.m, workload.k), (workload.k, workload.n)
+    a_coords = random_sparse_coords(*a_shape, workload.nnz_a, seed)
+    b_coords = random_sparse_coords(*b_shape, workload.nnz_b, seed + 1)
     encoded_a: dict[Format, object] = {}
     encoded_b: dict[Format, object] = {}
     jobs, metas = [], []
@@ -492,10 +494,12 @@ def _measure_workload(
         except SimulationError:  # pragma: no cover - base ACFs are modelled
             continue
         if acf_a not in encoded_a:
-            encoded_a[acf_a] = matrix_class(acf_a).from_dense(a_dense)
+            encoded_a[acf_a] = matrix_class(acf_a).from_coords(
+                a_shape, *a_coords
+            )
         if acf_b not in encoded_b:
             cls = CscMatrix if acf_b is Format.CSC else DenseMatrix
-            encoded_b[acf_b] = cls.from_dense(b_dense)
+            encoded_b[acf_b] = cls.from_coords(b_shape, *b_coords)
         jobs.append(
             (encoded_a[acf_a], acf_a, encoded_b[acf_b], acf_b)
         )

@@ -80,7 +80,7 @@ from repro.sage.spaces import (
 )
 from repro.util.pool import fork_map
 from repro.workloads.spec import MatrixWorkload, TensorWorkload
-from repro.workloads.synthetic import random_sparse_matrix
+from repro.workloads.synthetic import random_sparse_coords
 
 #: Largest operand (in logical elements) the cycle tier simulates directly;
 #: bigger workloads are validated through a density-preserving proxy.
@@ -465,8 +465,9 @@ class Sage:
     ) -> SageDecision:
         """Re-rank the analytical top-k with the cycle-level simulator.
 
-        Operands with the workload's exact statistics are materialized
-        (seeded, hence deterministic), encoded once per distinct ACF, and
+        Operands with the workload's exact statistics are drawn as
+        coordinates (seeded, hence deterministic), encoded once per
+        distinct ACF straight from them (no dense array is built), and
         batch-simulated.  Because candidates reuse one encoded object per
         ACF, ``simulate_many`` (which keys jobs on operand identity) runs
         each distinct ACF pair once, hands every candidate on that pair the
@@ -481,10 +482,9 @@ class Sage:
         scale, so EDPs are comparable within the ranking.
         """
         sim_wl = _proxy_workload(workload, SIM_CAP_ELEMENTS)
-        a_dense = random_sparse_matrix(sim_wl.m, sim_wl.k, sim_wl.nnz_a, seed)
-        b_dense = random_sparse_matrix(
-            sim_wl.k, sim_wl.n, sim_wl.nnz_b, seed + 1
-        )
+        a_shape, b_shape = (sim_wl.m, sim_wl.k), (sim_wl.k, sim_wl.n)
+        a_coords = random_sparse_coords(*a_shape, sim_wl.nnz_a, seed)
+        b_coords = random_sparse_coords(*b_shape, sim_wl.nnz_b, seed + 1)
         encoded_a: dict[Format, object] = {}
         encoded_b: dict[Format, object] = {}
         jobs, plans = [], []
@@ -499,10 +499,12 @@ class Sage:
             if io is None:
                 continue
             if acf[0] not in encoded_a:
-                encoded_a[acf[0]] = matrix_class(acf[0]).from_dense(a_dense)
+                encoded_a[acf[0]] = matrix_class(acf[0]).from_coords(
+                    a_shape, *a_coords
+                )
             if acf[1] not in encoded_b:
                 cls = CscMatrix if acf[1] is Format.CSC else DenseMatrix
-                encoded_b[acf[1]] = cls.from_dense(b_dense)
+                encoded_b[acf[1]] = cls.from_coords(b_shape, *b_coords)
             jobs.append((encoded_a[acf[0]], acf[0], encoded_b[acf[1]], acf[1]))
             plans.append(io)
         if not jobs:

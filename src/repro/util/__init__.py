@@ -11,7 +11,6 @@ from repro.util.stats import geomean, normalized, summarize
 from repro.util.validation import (
     check_dense_matrix,
     check_dense_tensor,
-    check_probability,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "summarize",
     "check_dense_matrix",
     "check_dense_tensor",
-    "check_probability",
 ]

@@ -25,9 +25,3 @@ def check_dense_tensor(array: Any, name: str = "tensor") -> np.ndarray:
     if arr.ndim != 3:
         raise ValueError(f"{name} must be 3-D, got shape {arr.shape}")
     return arr
-
-
-def check_probability(value: float, name: str) -> None:
-    """Raise ``ValueError`` unless ``0 <= value <= 1``."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")

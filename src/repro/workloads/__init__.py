@@ -24,15 +24,15 @@ from repro.workloads.suite import (
     SuiteEntry,
     suite_by_name,
 )
-from repro.workloads.synthetic import random_sparse_matrix, random_sparse_tensor
+from repro.workloads.synthetic import random_sparse_coords, random_sparse_matrix
 
 __all__ = [
     "Kernel",
     "MatrixWorkload",
     "TensorWorkload",
     "workload_from_dict",
+    "random_sparse_coords",
     "random_sparse_matrix",
-    "random_sparse_tensor",
     "MATRIX_SUITE",
     "TENSOR_SUITE",
     "SuiteEntry",

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.util.validation import check_probability
+from repro.formats.base import coords_to_dense
 
 
 def _sample_distinct(total: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Sample *count* distinct linear indices from [0, total).
 
     Over-samples with replacement and deduplicates through a ``bool[total]``
-    bitmap, looping until enough distinct positions exist.  The bitmap
-    costs one byte per index, 1/8 of the ``float64[total]`` array every
-    caller fills.
+    bitmap (one byte per index), looping until enough distinct positions
+    exist.  Returns them ascending.
     """
     if count < 0 or count > total:
         raise ValueError(f"cannot sample {count} distinct from {total}")
@@ -35,14 +34,34 @@ def _sample_distinct(total: int, count: int, rng: np.random.Generator) -> np.nda
         holes = _sample_distinct(total, total - count, rng)
         mask = np.ones(total, dtype=bool)
         mask[holes] = False
-        return np.flatnonzero(mask).astype(np.int64)
+        return np.flatnonzero(mask).astype(np.int64, copy=False)
     seen = np.zeros(total, dtype=bool)
     seen[rng.integers(0, total, size=int(count * 1.2) + 16)] = True
     while np.count_nonzero(seen) < count:
         seen[rng.integers(0, total, size=int(count * 0.2) + 16)] = True
     chosen = np.flatnonzero(seen)
     rng.shuffle(chosen)
-    return np.sort(chosen[:count]).astype(np.int64)
+    return np.sort(chosen[:count]).astype(np.int64, copy=False)
+
+
+def random_sparse_coords(
+    m: int,
+    k: int,
+    nnz: int,
+    rng: np.random.Generator | int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exactly *nnz* uniform nonzeros of an (m, k) matrix as coordinates.
+
+    Returns ``(flat, values)``: ascending distinct row-major positions
+    (``int64``) and their values in (0.1, 1] (``float64``), the input of
+    every ``MatrixFormat.from_coords``.
+    """
+    rng = np.random.default_rng(rng)
+    flat = _sample_distinct(m * k, nnz, rng)
+    values = rng.random(len(flat))
+    values *= 0.9  # in place: the same 0.1 + 0.9 * u, one array
+    values += 0.1
+    return flat, values
 
 
 def random_sparse_matrix(
@@ -51,40 +70,6 @@ def random_sparse_matrix(
     nnz: int,
     rng: np.random.Generator | int | None = None,
 ) -> np.ndarray:
-    """Dense array of shape (m, k) with exactly *nnz* uniform nonzeros."""
-    rng = np.random.default_rng(rng)
-    out = np.zeros(m * k, dtype=np.float64)
-    idx = _sample_distinct(m * k, nnz, rng)
-    out[idx] = 0.1 + 0.9 * rng.random(len(idx))
-    return out.reshape(m, k)
-
-
-def random_sparse_tensor(
-    shape: tuple[int, int, int],
-    nnz: int,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Dense 3-D array with exactly *nnz* uniform nonzeros."""
-    rng = np.random.default_rng(rng)
-    size = int(np.prod(shape))
-    out = np.zeros(size, dtype=np.float64)
-    idx = _sample_distinct(size, nnz, rng)
-    out[idx] = 0.1 + 0.9 * rng.random(len(idx))
-    return out.reshape(shape)
-
-
-def bernoulli_sparse_matrix(
-    m: int,
-    k: int,
-    density: float,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Matrix whose entries are independently nonzero with prob. *density*.
-
-    Used where the paper specifies a density region rather than an exact
-    nonzero count (the Fig. 14 pruning sweeps).
-    """
-    check_probability(density, "density")
-    rng = np.random.default_rng(rng)
-    mask = rng.random((m, k)) < density
-    return (0.1 + 0.9 * rng.random((m, k))) * mask
+    """Dense array of shape (m, k) with exactly *nnz* uniform nonzeros:
+    :func:`random_sparse_coords` scattered."""
+    return coords_to_dense((m, k), *random_sparse_coords(m, k, nnz, rng))

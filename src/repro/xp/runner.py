@@ -14,9 +14,7 @@ seed scripts hand-rolled twenty times:
    experiments are narrow.  Every worker measures through a process-wide
    warm :class:`~repro.api.session.Session` (local or ``tcp://``
    backend); ``isolate=True`` instead gives every cell a cold session and
-   cleared planner caches, reproducing the seed scripts'
-   one-process-per-figure behavior (the serial baseline of
-   ``benchmarks/bench_xp_runner.py``).
+   cleared planner caches, as if each figure ran in its own process.
 4. **Validate** each result against the experiment's expected-shape
    schema and persist it to the store.
 5. **Check** each completed grid (cached cells included) against the
@@ -89,8 +87,8 @@ class RunConfig:
     force:
         Invalidate the selected experiments' cached cells first.
     isolate:
-        Cold session + cleared planner caches per cell (the seed-script
-        serial baseline; implies no cross-cell warmth).
+        Cold session + cleared planner caches per cell, as if each ran in
+        a process of its own (implies no cross-cell warmth).
     store_root, out_dir:
         Artifact store location and report/journal directory (defaults:
         ``benchmarks/out/xp/store`` and ``benchmarks/out``).
@@ -448,9 +446,9 @@ def record_run(summary: RunSummary) -> Path:
     """Append the run record to ``xp_runner.json`` (keeping the last 40).
 
     The document shape is ``{"runs": [...oldest→newest...],
-    "comparison": {...}}``; the ``comparison`` block (serial seed scripts
-    vs the orchestrator, written by ``benchmarks/bench_xp_runner.py``) is
-    preserved across appends.
+    "comparison": {...}}``; the ``comparison`` block (one serial process
+    per experiment vs the orchestrator, written by
+    ``benchmarks/bench_xp_runner.py``) is preserved across appends.
     """
     path = runner_journal_path(summary.config)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,8 @@ from repro.analysis.compactness import (
 from repro.errors import FormatError
 from repro.formats import matrix_class, tensor_class
 from repro.formats.registry import Format
-from repro.workloads import random_sparse_matrix, random_sparse_tensor
+from repro.workloads import random_sparse_matrix
+from tests.workloads._synthetic_tensor import random_sparse_tensor
 
 EXACT_MATRIX = [Format.DENSE, Format.COO, Format.CSR, Format.CSC, Format.ZVC]
 STRUCTURED_MATRIX = [Format.RLC, Format.BSR, Format.DIA]

@@ -151,6 +151,31 @@ class TestRunPipeline:
         result = self.SESSION.run(wl, a=a, b=b)
         assert np.allclose(result.output, a @ b)
 
+    @pytest.mark.parametrize("kernel", [Kernel.SPMM, Kernel.SPGEMM])
+    @pytest.mark.parametrize("density", [0.75, 0.375, 0.1, 0.02, 0.003])
+    def test_supplied_operands_match_generated(self, kernel, density):
+        """Operands drawn as coordinates run exactly as the same operands
+        supplied as dense arrays (every MCF the ladder picks: ZVC, RLC,
+        CSR, COO, CSC, Dense)."""
+        m, k, n = 128, 128, 64
+        wl = MatrixWorkload(
+            f"supplied-{kernel.value}-{density}", kernel, m=m, k=k, n=n,
+            nnz_a=round(density * m * k),
+            nnz_b=k * n if kernel is Kernel.SPMM else round(density * k * n),
+        )
+        opts = RunOptions(seed=5)
+        generated = self.SESSION.run(wl, opts)
+        a = random_sparse_matrix(m, k, wl.nnz_a, 5)
+        b = random_sparse_matrix(k, n, wl.nnz_b, 6)
+        supplied = self.SESSION.run(wl, opts, a=a, b=b)
+        assert supplied.decision == generated.decision
+        assert supplied.conversion_a == generated.conversion_a
+        assert supplied.conversion_b == generated.conversion_b
+        assert supplied.report == generated.report
+        assert supplied.output.tobytes() == generated.output.tobytes()
+        assert supplied.verified is generated.verified is True
+        assert supplied.sim_scale == generated.sim_scale == 1.0
+
     def test_run_requires_both_operands(self):
         with pytest.raises(SimulationError, match="both operands"):
             self.SESSION.run(_wl("half"), a=np.zeros((192, 192)))

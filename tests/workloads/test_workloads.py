@@ -16,12 +16,13 @@ from repro.workloads import (
     PruningStrategy,
     TensorWorkload,
     layer_gemm,
+    random_sparse_coords,
     random_sparse_matrix,
-    random_sparse_tensor,
     suite_by_name,
 )
 from repro.workloads.dnn import BATCH_SIZE
-from repro.workloads.synthetic import _sample_distinct, bernoulli_sparse_matrix
+from repro.workloads.synthetic import _sample_distinct
+from tests.workloads._synthetic_tensor import random_sparse_tensor
 
 
 class TestSynthetic:
@@ -53,9 +54,22 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             _sample_distinct(10, 11, rng)
 
-    def test_bernoulli_density(self, rng):
-        mat = bernoulli_sparse_matrix(200, 200, 0.3, rng)
-        assert np.count_nonzero(mat) / mat.size == pytest.approx(0.3, abs=0.05)
+    @pytest.mark.parametrize(
+        "m, k, nnz",
+        [(0, 5, 0), (1, 9, 4), (9, 1, 9), (64, 48, 0), (64, 48, 300),
+         (64, 48, 1537), (64, 48, 3072), (512, 512, 24)],
+    )
+    @pytest.mark.parametrize("seed", [0, 9001])
+    def test_coords_scatter_to_the_matrix(self, m, k, nnz, seed):
+        """The coordinates scattered are ``random_sparse_matrix``'s bytes."""
+        flat, values = random_sparse_coords(m, k, nnz, seed)
+        assert flat.dtype == np.int64 and values.dtype == np.float64
+        assert np.all(np.diff(flat) > 0) and np.all(values > 0.0)
+        dense = np.zeros(m * k)
+        dense[flat] = values
+        assert dense.reshape(m, k).tobytes() == (
+            random_sparse_matrix(m, k, nnz, seed).tobytes()
+        )
 
 
 def _sample_distinct_unique(total, count, rng):
