@@ -62,7 +62,6 @@ from repro.baselines import (
     MMAlgorithm,
     evaluate_all,
     evaluate_policy,
-    policy_by_name,
 )
 from repro.formats import (
     MATRIX_FORMATS,
@@ -214,7 +213,6 @@ __all__ = [
     # baselines
     "ALL_POLICIES",
     "AcceleratorPolicy",
-    "policy_by_name",
     "evaluate_all",
     "evaluate_policy",
     "CpuModel",

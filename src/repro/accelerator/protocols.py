@@ -13,15 +13,15 @@ lives in two registries, mirroring the conversion-graph registry of
   ``(i, k, v, group_sizes)`` arrays the beat packer consumes.  Protocols
   self-register through :func:`register_stream_protocol`; tensor ACFs that
   only the analytical model streams register spec-only (no extractor).
-  Formats whose kernel scans the whole operand whatever the K tile (COO,
-  ELL) also register a **splitter**, so a K-tiled output product extracts
-  them once and derives every tile's entries from that one extraction
-  (:meth:`StreamProtocol.tile_entries`).  A protocol may register a
-  **statistics kernel** that reads a K tiling's
+  A protocol may register a **statistics kernel** that reads a K tiling's
   :class:`~repro.accelerator.stream.StreamStats` straight off the
   operand's arrays (Dense, CSR, COO, ELL); without one the statistics
-  are derived from the extracted tile entries
-  (:meth:`StreamProtocol.stream_stats`).
+  are derived from each K tile's extracted entries
+  (:meth:`StreamProtocol.stream_stats`).  A GEMM reads its streamed
+  operand once, through these statistics: its report and its output
+  product both come from them.  The extraction kernels serve the
+  per-tile beat plans of traces and the Fig. 6 walkthrough, and the
+  statistics of protocols without a kernel.
 * :class:`StationaryLayout` — how one ACF occupies the PE buffers: entries
   consumed per stored element, direct-index vs metadata matching, and a
   ``prepare`` hook materializing the array-resident view
@@ -75,17 +75,6 @@ ExtractFn = Callable[
 #: taken straight from the operand's own arrays.
 StatsFn = Callable[[MatrixFormat, Sequence[tuple[int, int]]], StreamStats]
 
-#: Tile splitter: ``fn(entries, k_tiles)`` yields, per K tile in order, the
-#: ``(i, k, v, group_sizes)`` the extraction kernel returns for that tile,
-#: derived from the kernel's whole-operand ``entries``.
-SplitFn = Callable[
-    [
-        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        Sequence[tuple[int, int]],
-    ],
-    Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-]
-
 
 @dataclass(frozen=True)
 class StreamProtocol:
@@ -97,7 +86,6 @@ class StreamProtocol:
     extract: ExtractFn | None = None  # None: spec-only (analytical model)
     operand_cls: type | None = None  # required encoding class, if any
     row_grouped: bool = True  # entries arrive grouped by output row
-    split: SplitFn | None = None  # None: extract each K tile on its own
     stats: StatsFn | None = None  # None: derive statistics from entries
 
     @property
@@ -119,12 +107,15 @@ class StreamProtocol:
 
         A registered statistics kernel reads them off the operand's
         arrays; otherwise they are derived from each tile's extracted
-        entries (:meth:`tile_entries`).  Both give the same result.
+        entries.  Both give the same result.
         """
         self._check_operand(a)
         if self.stats is not None:
             return self.stats(a, k_tiles)
-        return _stats_from_entries(self.tile_entries(a, k_tiles), a.ncols)
+        return _stats_from_entries(
+            [self.extract_entries(a, lo, hi) for lo, hi in k_tiles],
+            a.ncols,
+        )
 
     def _check_operand(self, a: MatrixFormat) -> None:
         if self.extract is None:
@@ -138,21 +129,6 @@ class StreamProtocol:
                 f"{self.format} streaming requires a "
                 f"{self.operand_cls.__name__} operand, got {type(a).__name__}"
             )
-
-    def tile_entries(
-        self, a: MatrixFormat, k_tiles: Sequence[tuple[int, int]]
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Each K tile's entries, in tile order, equal to
-        ``extract_entries(a, lo, hi)`` per tile.
-
-        With a splitter and several tiles the operand is extracted once and
-        every tile is derived from it; otherwise each tile runs the kernel
-        on its own range (cheaper for kernels that slice their tile
-        directly).
-        """
-        if self.split is None or len(k_tiles) == 1:
-            return (self.extract_entries(a, lo, hi) for lo, hi in k_tiles)
-        return self.split(self.extract_entries(a, 0, a.ncols), k_tiles)
 
 
 class _ProtocolRegistry:
@@ -216,7 +192,6 @@ def register_stream_protocol(
     tensor: bool = False,
     operand_cls: type | None = None,
     row_grouped: bool = True,
-    split: SplitFn | None = None,
     stats: StatsFn | None = None,
 ) -> Callable[[ExtractFn], ExtractFn]:
     """Decorator: self-register an extraction kernel as a stream protocol."""
@@ -231,7 +206,6 @@ def register_stream_protocol(
                 extract=fn,
                 operand_cls=operand_cls,
                 row_grouped=row_grouped,
-                split=split,
                 stats=stats,
             )
         )
@@ -251,10 +225,9 @@ def _tile_of_k(k_tiles: Sequence[tuple[int, int]]) -> np.ndarray:
     return np.repeat(np.arange(len(widths), dtype=np.int64), widths)
 
 
-def _stats_from_entries(tiles, ncols: int) -> StreamStats:
+def _stats_from_entries(parts, ncols: int) -> StreamStats:
     """Statistics of each K tile's extracted ``(i, k, v, group_sizes)``,
     in tile order (any protocol)."""
-    parts = list(tiles)
     i, k, v, sizes = (
         np.concatenate([np.asarray(part[j]) for part in parts])
         for j in range(4)
@@ -279,7 +252,7 @@ def _stats_from_entries(tiles, ncols: int) -> StreamStats:
             np.repeat(tile_ids, [len(part[3]) for part in parts]),
             np.ones_like(sizes),
         ),
-        entries=(i, k, entry_tile),
+        entries=(i, k, entry_tile, v),
     )
 
 
@@ -306,7 +279,7 @@ def _row_major_stats(rows, k, v, shape, k_tiles, groups) -> StreamStats:
         c_nz=np.bincount(k[v != 0.0], minlength=ncols),
         runs=np.bincount(key_tile, minlength=num_tiles),
         groups=groups(key_tile, counts, num_tiles, m),
-        entries=(rows, k, entry_tile),
+        entries=(rows, k, entry_tile, v),
     )
 
 
@@ -420,21 +393,10 @@ def _extract_csc(a: CscMatrix, lo: int, hi: int):
     return a.row_ids[plo:phi], k, a.values[plo:phi], sizes
 
 
-def _split_coo(entries, k_tiles):
-    """A tile's COO run is the whole run's entries in the tile, in order."""
-    i, k, v, _sizes = entries
-    for lo, hi in k_tiles:
-        sel = (k >= lo) & (k < hi)
-        yield i[sel], k[sel], v[sel], np.asarray(
-            [np.count_nonzero(sel)], dtype=np.int64
-        )
-
-
 @register_stream_protocol(
     Format.COO,
     spec=StreamSpec(entry_slots=3, shared_slots=0, grouped=False),
     operand_cls=CooMatrix,
-    split=_split_coo,
     stats=_stats_coo,
 )
 def _extract_coo(a: CooMatrix, lo: int, hi: int):
@@ -446,38 +408,10 @@ def _extract_coo(a: CooMatrix, lo: int, hi: int):
     return i, k, v, np.asarray([len(v)], dtype=np.int64)
 
 
-def _split_ell(entries, k_tiles):
-    """A tile's ELL rows: each row's real entries in the tile, in row
-    order, re-padded with ``(0, PAD_K)`` to the tile-local width."""
-    i, k, v, sizes = entries
-    m = len(sizes)
-    for lo, hi in k_tiles:
-        sel = (k >= lo) & (k < hi)  # PAD_K < 0 <= lo drops the padding
-        i_t = i[sel]
-        counts = np.bincount(i_t, minlength=m)
-        width = int(counts.max()) if m else 0
-        if width == 0:
-            empty = np.empty(0, dtype=np.int64)
-            yield empty, empty.copy(), np.empty(0), np.zeros(m, dtype=np.int64)
-            continue
-        # Row-major entries: slot = row * width + rank within the row.
-        row_start = np.cumsum(counts) - counts
-        slot = i_t * width + (np.arange(len(i_t)) - row_start[i_t])
-        k_t = np.full(m * width, PAD_K, dtype=np.int64)
-        v_t = np.zeros(m * width, dtype=np.float64)
-        k_t[slot] = k[sel]
-        v_t[slot] = v[sel]
-        yield (
-            np.repeat(np.arange(m, dtype=np.int64), width), k_t, v_t,
-            np.full(m, width, dtype=np.int64),
-        )
-
-
 @register_stream_protocol(
     Format.ELL,
     spec=StreamSpec(entry_slots=2, shared_slots=1, grouped=True),
     operand_cls=EllMatrix,
-    split=_split_ell,
     stats=_stats_ell,
 )
 def _extract_ell(a: EllMatrix, lo: int, hi: int):

@@ -20,13 +20,16 @@ per-(tile, round) stored counts, taken once per prepared operand.  The K
 tiles partition K and the rounds partition the columns, so issued,
 matched and compared MACs are dot products over K, loads a segment sum,
 and the stream's beats one composition of per-group packer transition
-tables.  Entries are looked at only for the output product
-(:meth:`run_gemm`), for the CAM spill runs of a sparse row-grouped
-stream (one small pattern GEMM per tile) and for the spill runs of a
-stream that interleaves rows (CSC).  The reports are pinned by the test
-suite against a per-beat PE model and a Python greedy packer kept there
-as oracles, along with the Fig. 6 walkthrough's 8 / 3 / 4 streaming
-cycles and the closed-form analytical cross-check.
+tables.  The output product (:meth:`run_gemm`) comes from the same pass:
+one scatter of the statistics' entries and one matmul against the
+stationary values, which is what the PEs accumulate tile by tile and
+round by round.  Beyond that, entries are looked at only for the CAM
+spill runs of a sparse row-grouped stream (one small pattern GEMM per
+tile) and for the spill runs of a stream that interleaves rows (CSC).
+The reports are pinned by the test suite against a per-beat PE model and
+a Python greedy packer kept there as oracles, along with the Fig. 6
+walkthrough's 8 / 3 / 4 streaming cycles and the closed-form analytical
+cross-check.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.accelerator.scheduler import (
     compute_rounds,
     plan_k_tiles,
 )
+from repro.accelerator.stream import StreamStats
 from repro.errors import SimulationError
 from repro.formats.base import MatrixFormat
 from repro.formats.registry import Format
@@ -191,7 +195,8 @@ class WeightStationarySimulator:
         self, a, proto: StreamProtocol, layout: StationaryLayout,
         st: _Stationary, output: bool,
     ) -> tuple[np.ndarray | None, RunReport]:
-        """One GEMM's report from whole-operand statistics.
+        """One GEMM's report, and its product when *output* is set, from
+        whole-operand statistics.
 
         Every streamed statistic is taken once per operand
         (:meth:`~repro.accelerator.protocols.StreamProtocol.stream_stats`)
@@ -244,7 +249,7 @@ class WeightStationarySimulator:
         energy = self._energy(
             stream_cycles, st.entries_loaded, issued, compares, spills
         )
-        out = _output(a, proto, st) if output else None
+        out = _output(a, stats, st) if output else None
         return out, RunReport(cycles=cycles, energy=energy)
 
     # ------------------------------------------------------------- batch --
@@ -314,25 +319,24 @@ class WeightStationarySimulator:
         return stats.beats(proto.spec, self.config.bus_slots)
 
 
-def _output(a, proto: StreamProtocol, st: _Stationary) -> np.ndarray:
-    """``O = A @ B`` as the PEs accumulate it: per K tile and round.
+def _output(a, stats: StreamStats, st: _Stationary) -> np.ndarray:
+    """``O = A @ B`` from the streamed entries the statistics pass read.
 
-    Each tile multiplies only the rows and reduction indices it streams
-    (all of them for Dense), so a sparse tile costs its active block.
+    The PEs accumulate each K tile's entries against each round's
+    columns; the tiles partition K and the rounds partition the columns,
+    so that sum is one product of the streamed block (only the rows and
+    reduction indices that stream anything) and the stationary values.
     """
     bd = st.operand.values
+    if stats.entries is None:  # Dense: every row streams every k
+        return a.values @ bd
+    i, k, _tile, v = stats.entries
+    rows, row_at = _active(i, a.nrows)
+    ks, k_at = _active(k, bd.shape[0])
+    s_vals = np.zeros((len(rows), len(ks)), dtype=np.float64)
+    s_vals[row_at, k_at] = v
     out = np.zeros((a.nrows, bd.shape[1]), dtype=np.float64)
-    tiles = st.schedule.k_tiles
-    for i, k, v, _sizes in proto.tile_entries(a, tiles):
-        valid = k >= 0  # padding slots never reach the datapath
-        if not valid.any():
-            continue
-        rows, row_at = _active(i[valid], a.nrows)
-        ks, k_at = _active(k[valid], bd.shape[0])
-        s_vals = np.zeros((len(rows), len(ks)), dtype=np.float64)
-        s_vals[row_at, k_at] = v[valid]
-        for col_lo, col_hi in st.schedule.rounds:
-            out[rows, col_lo:col_hi] += s_vals @ bd[ks, col_lo:col_hi]
+    out[rows] = s_vals @ bd[ks]
     return out
 
 
@@ -346,7 +350,7 @@ def _active(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _by_tile(entries):
     """Entries regrouped tile by tile (stable), with each tile's slice."""
-    i, k, tile = entries
+    i, k, tile, _v = entries
     order = np.argsort(tile, kind="stable")
     bounds = np.searchsorted(tile[order], np.arange(int(tile.max()) + 2))
     return i[order], k[order], tile[order], bounds

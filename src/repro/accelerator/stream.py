@@ -314,9 +314,10 @@ class StreamStats:
     """What the simulator reads of one streamed operand under a K tiling.
 
     Each field is a whole-operand statistic taken in one pass, so a GEMM
-    never materializes a per-tile entry stream to report its cycles.
-    "Entries" below are the elements the PEs see: padding slots of
-    fixed-width ACFs are excluded everywhere except in ``groups``.
+    never materializes a per-tile entry stream to report its cycles or to
+    compute its product.  "Entries" below are the elements the PEs see:
+    padding slots of fixed-width ACFs are excluded everywhere except in
+    ``groups``.
     """
 
     #: (K,) int64: entries streamed per reduction index.
@@ -329,10 +330,10 @@ class StreamStats:
     #: Bus groups in stream order, as :func:`count_beats` takes them:
     #: ``(sizes, tiles, repeats)``, padding slots included.
     groups: tuple[np.ndarray, np.ndarray, np.ndarray]
-    #: ``(i, k, tile)`` of every entry, or ``None`` when every row streams
-    #: every k of every tile (Dense: the full pattern).  Streams that are
-    #: not row-grouped list them in stream order within each tile.
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    #: ``(i, k, tile, v)`` of every entry, or ``None`` when every row
+    #: streams every k of every tile (Dense: the full pattern).  Streams
+    #: that are not row-grouped list them in stream order within each tile.
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
 
     def beats(self, spec: StreamSpec, bus_slots: int) -> int:
         """Bus beats to stream every tile once."""

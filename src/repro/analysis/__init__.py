@@ -5,15 +5,13 @@ from repro.analysis.compactness import (
     storage_bits,
     transfer_energy_sweep,
 )
-from repro.analysis.edp import edp_table, normalized_edp, reduction_percent
+from repro.analysis.edp import edp_table
 from repro.analysis.tables import render_table
 
 __all__ = [
     "storage_bits",
     "transfer_energy_sweep",
     "crossover_density",
-    "normalized_edp",
-    "reduction_percent",
     "edp_table",
     "render_table",
 ]

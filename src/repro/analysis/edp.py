@@ -2,44 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.util.stats import geomean
-
-
-def normalized_edp(
-    edps: Mapping[str, float], reference: str
-) -> dict[str, float]:
-    """Each system's EDP divided by *reference*'s (Fig. 13's y-axis)."""
-    if reference not in edps:
-        raise KeyError(f"reference system {reference!r} missing from table")
-    ref = edps[reference]
-    if ref <= 0:
-        raise ValueError("reference EDP must be positive")
-    return {name: edp / ref for name, edp in edps.items()}
-
-
-def reduction_percent(baseline_edp: float, ours_edp: float) -> float:
-    """EDP 'reduction' as the paper quotes it (can exceed 100%).
-
-    Fig. 13 reports e.g. a "369% reduction", which is the relative excess
-    of the baseline over this work: ``(baseline - ours) / ours * 100``.
-    """
-    if ours_edp <= 0:
-        raise ValueError("ours_edp must be positive")
-    return (baseline_edp - ours_edp) / ours_edp * 100.0
-
-
-def geomean_reduction(
-    per_workload: Sequence[Mapping[str, float]], baseline: str, ours: str
-) -> float:
-    """Geomean across workloads of the baseline/ours EDP ratio, as percent."""
-    ratios = []
-    for table in per_workload:
-        if table[ours] <= 0:
-            raise ValueError("ours EDP must be positive")
-        ratios.append(table[baseline] / table[ours])
-    return (geomean(ratios) - 1.0) * 100.0
 
 
 def edp_table(

@@ -27,13 +27,3 @@ def render_table(
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def fmt_sci(value: float, digits: int = 3) -> str:
-    """Scientific notation with a fixed significand width."""
-    return f"{value:.{digits}e}"
-
-
-def fmt_pct(value: float, digits: int = 1) -> str:
-    """Percentage with a trailing %."""
-    return f"{value:.{digits}f}%"

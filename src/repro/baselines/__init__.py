@@ -17,7 +17,6 @@ from repro.baselines.policies import (
     ALL_POLICIES,
     AcceleratorPolicy,
     ConverterKind,
-    policy_by_name,
 )
 from repro.baselines.evaluate import PolicyResult, evaluate_policy, evaluate_all
 
@@ -28,7 +27,6 @@ __all__ = [
     "ALL_POLICIES",
     "AcceleratorPolicy",
     "ConverterKind",
-    "policy_by_name",
     "PolicyResult",
     "evaluate_policy",
     "evaluate_all",

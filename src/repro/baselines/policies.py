@@ -153,11 +153,3 @@ ALL_POLICIES: tuple[AcceleratorPolicy, ...] = (
     SW_POLICY,
     THIS_WORK_POLICY,
 )
-
-
-def policy_by_name(name: str) -> AcceleratorPolicy:
-    """Look up a Table II policy by its design name."""
-    for policy in ALL_POLICIES:
-        if policy.name == name:
-            return policy
-    raise KeyError(f"unknown policy {name!r}")

@@ -58,6 +58,8 @@ def run_positions(
     runs = np.asarray(runs, dtype=np.int64).ravel()
     if len(runs) != len(np.ravel(levels)):
         raise FormatError("RLC runs/levels length mismatch")
+    if len(runs) and runs.min() < 0:
+        raise FormatError(f"RLC run lengths must be >= 0, got {int(runs.min())}")
     # Position of entry i = sum(runs[:i+1]) + i  (each entry consumes its
     # preceding zeros plus one slot for itself).
     positions = np.cumsum(runs) + np.arange(len(runs))

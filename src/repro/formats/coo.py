@@ -87,8 +87,8 @@ class CooMatrix(MatrixFormat):
         return len(self.values)
 
     def storage(self) -> StorageBreakdown:
-        row_bits = bits_for_index(self.shape[0])
-        col_bits = bits_for_index(self.shape[1])
+        row_bits = bits_for_index(max(1, self.shape[0]))
+        col_bits = bits_for_index(max(1, self.shape[1]))
         return StorageBreakdown(
             data_bits=self.stored * self.dtype_bits,
             metadata_bits=self.stored * (row_bits + col_bits),

@@ -102,7 +102,7 @@ class CscMatrix(MatrixFormat):
         return StorageBreakdown(
             data_bits=self.stored * self.dtype_bits,
             metadata_bits=(
-                self.stored * bits_for_index(self.shape[0])
+                self.stored * bits_for_index(max(1, self.shape[0]))
                 + (self.shape[1] + 1) * bits_for_count(self.stored)
             ),
         )

@@ -95,7 +95,7 @@ class CsrMatrix(MatrixFormat):
         return StorageBreakdown(
             data_bits=self.stored * self.dtype_bits,
             metadata_bits=(
-                self.stored * bits_for_index(self.shape[1])
+                self.stored * bits_for_index(max(1, self.shape[1]))
                 + (self.shape[0] + 1) * bits_for_count(self.stored)
             ),
         )

@@ -124,7 +124,7 @@ class DiaMatrix(MatrixFormat):
         return StorageBreakdown(
             # Padded diagonals stored in full (the DIA trade-off).
             data_bits=self.ndiags * self.padded_length * self.dtype_bits,
-            metadata_bits=self.ndiags * bits_for_index(m + k - 1),
+            metadata_bits=self.ndiags * bits_for_index(max(1, m + k - 1)),
         )
 
     def fields(self) -> Mapping[str, np.ndarray]:

@@ -111,7 +111,7 @@ class EllMatrix(MatrixFormat):
         return StorageBreakdown(
             # Padding slots store explicit zero values — the ELL trade-off.
             data_bits=slots * self.dtype_bits,
-            metadata_bits=slots * bits_for_index(self.shape[1]),
+            metadata_bits=slots * bits_for_index(max(1, self.shape[1])),
         )
 
     def fields(self) -> Mapping[str, np.ndarray]:

@@ -3,7 +3,6 @@
 from repro.util.bits import (
     bits_for_count,
     bits_for_index,
-    bits_to_bytes,
     ceil_div,
     ceil_log2,
 )
@@ -16,7 +15,6 @@ from repro.util.validation import (
 __all__ = [
     "bits_for_count",
     "bits_for_index",
-    "bits_to_bytes",
     "ceil_div",
     "ceil_log2",
     "geomean",

@@ -59,8 +59,3 @@ def ceil_div(numerator: int, denominator: int) -> int:
     if denominator <= 0:
         raise ValueError(f"denominator must be positive, got {denominator}")
     return -(-numerator // denominator)
-
-
-def bits_to_bytes(bits: int) -> int:
-    """Round a bit count up to whole bytes."""
-    return ceil_div(bits, 8)

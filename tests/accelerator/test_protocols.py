@@ -3,12 +3,15 @@
 Covers the pluggable dispatch that replaced the seed's hard-coded format
 tuples: registry lookups and their error messages, the ELL protocol
 end-to-end, equivalence of the vectorized simulator with the per-beat
-oracle of ``_reference_engine``, the ``simulate_many`` batch API, the
-COO/ELL tile splitters against per-tile extraction, and dynamic
-registration of a new protocol.
+oracle of ``_reference_engine``, the ``simulate_many`` batch API, one
+streamed-operand pass per GEMM, and dynamic registration of a new
+protocol.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _reference_engine import reference_gemm
-from _stream_oracle import compute_k_tiles
 from repro.accelerator import AcceleratorConfig, WeightStationarySimulator
 from repro.accelerator.protocols import (
     MATRIX_STREAM_PROTOCOLS,
@@ -30,7 +32,7 @@ from repro.accelerator.protocols import (
     stream_protocol_for,
     streamable_formats,
 )
-from repro.accelerator.stream import StreamSpec, pack_entries
+from repro.accelerator.stream import StreamSpec
 from repro.errors import SimulationError
 from repro.formats import (
     CooMatrix,
@@ -314,12 +316,12 @@ class TestSimulateMany:
 
 
 @st.composite
-def _stored_cells(draw):
+def _stored_cells(draw, min_k: int = 1):
     """(m, k, cells, values, pad, seed): an operand's stored (row, col)
     cells in storage order, their values (explicit zeros included), extra
     ELL padding slots per row and a seed for the in-row slot order."""
     m = draw(st.integers(1, 6))
-    k = draw(st.integers(1, 12))
+    k = draw(st.integers(min_k, 12))
     cells = draw(st.lists(
         st.tuples(st.integers(0, m - 1), st.integers(0, k - 1)),
         unique=True, max_size=m * k,
@@ -352,55 +354,69 @@ def _coo_and_ell(m, k, cells, values, pad, seed):
     return coo, EllMatrix((m, k), ell_vals, col_ids)
 
 
-class TestTileSplit:
-    """COO and ELL extract once per GEMM and split into K tiles; each tile
-    must equal what the kernel extracts for that tile on its own."""
+@contextmanager
+def _counted_kernels(fmt):
+    """Swap *fmt*'s registered protocol for one whose statistics and
+    extraction kernels count their calls; yields the counts."""
+    proto = stream_protocol_for(fmt)
+    calls = {"stats": 0, "extract": 0}
 
-    @staticmethod
-    def _tilings(k):
-        """Every distinct tiling compute_k_tiles yields for a K-row
-        Dense stationary column (buffer capacities 1..K)."""
-        column = DenseMatrix.from_dense(np.ones((k, 1)))
-        return {
-            compute_k_tiles(column, Format.DENSE, capacity)
-            for capacity in range(1, k + 1)
-        }
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    @settings(max_examples=150, deadline=None)
-    @given(_stored_cells(), st.sampled_from((2, 5, 8)))
-    @example((1, 5, [(0, 3), (0, 0)], [0.0, 2.0], 1, 0), 5)  # m=1, zero
-    @example((3, 6, [(1, 5), (1, 4)], [1.0, -2.5], 0, 1), 5)  # empty rows
-    @example((2, 8, [], [], 0, 0), 5)  # no entries: width-0 ELL
-    @example((2, 8, [], [], 2, 3), 5)  # padding only
-    def test_split_tiles_match_per_tile_extraction(self, operand, bus):
+        return counted
+
+    MATRIX_STREAM_PROTOCOLS.register(dataclasses.replace(
+        proto,
+        stats=counting("stats", proto.stats),
+        extract=counting("extract", proto.extract),
+    ))
+    try:
+        yield calls
+    finally:
+        MATRIX_STREAM_PROTOCOLS.register(proto)
+
+
+class TestOneStreamPass:
+    """A GEMM reads its streamed operand once: run_gemm's report and
+    product both come from one statistics pass, with no extraction, on
+    schedules of several K tiles and several column rounds."""
+
+    CONFIG = AcceleratorConfig(
+        num_pes=2, vector_lanes=1, pe_buffer_bytes=8, bus_bits=160
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(_stored_cells(min_k=3))
+    @example((1, 5, [(0, 3), (0, 0)], [0.0, 2.0], 1, 0))  # m=1, zero
+    @example((3, 6, [(1, 5), (1, 4)], [1.0, -2.5], 0, 1))  # empty rows
+    @example((2, 8, [], [], 0, 0))  # no entries: width-0 ELL
+    @example((2, 8, [], [], 2, 3))  # padding only
+    def test_stats_kernel_once_and_no_extraction(self, operand):
         coo, ell = _coo_and_ell(*operand)
-        k = operand[1]
-        for fmt, a in ((Format.COO, coo), (Format.ELL, ell)):
-            proto = stream_protocol_for(fmt)
-            whole = proto.extract_entries(a, 0, k)
-            for tiles in self._tilings(k):
-                for derived in (
-                    list(proto.tile_entries(a, tiles)),
-                    list(proto.split(whole, tiles)),
-                ):
-                    assert len(derived) == len(tiles)
-                    for (lo, hi), got in zip(tiles, derived):
-                        want = proto.extract_entries(a, lo, hi)
-                        for x, y in zip(got, want):
-                            assert np.array_equal(x, y), (fmt, tiles, lo)
-                        p_got = pack_entries(*got, proto.spec, bus)
-                        p_want = pack_entries(*want, proto.spec, bus)
-                        for field in ("i", "k", "v", "entry_beat",
-                                      "beat_cycles"):
-                            assert np.array_equal(
-                                getattr(p_got, field), getattr(p_want, field)
-                            ), (fmt, tiles, lo, field)
-
-    def test_only_coo_and_ell_split(self):
-        assert {
-            fmt for fmt in streamable_formats()
-            if stream_protocol_for(fmt).split is not None
-        } == {Format.COO, Format.ELL}
+        a_dense = coo.to_dense()
+        b_dense = np.ones((operand[1], 5))
+        b_dense[1::3, 2:] = 0.0
+        b_dense[::4, 0] = -1.5
+        encoded = {
+            Format.DENSE: DenseMatrix.from_dense(a_dense),
+            Format.CSR: CsrMatrix.from_dense(a_dense),
+            Format.COO: coo,
+            Format.ELL: ell,
+        }
+        sim = WeightStationarySimulator(self.CONFIG)
+        for fmt, a in encoded.items():
+            for b, acf_b in (
+                (DenseMatrix.from_dense(b_dense), Format.DENSE),
+                (CscMatrix.from_dense(b_dense), Format.CSC),
+            ):
+                with _counted_kernels(fmt) as calls:
+                    out, report = sim.run_gemm(a, fmt, b, acf_b)
+                assert calls == {"stats": 1, "extract": 0}, (fmt, acf_b)
+                assert report.cycles.k_tiles > 1 and report.cycles.rounds > 1
+                np.testing.assert_allclose(out, a_dense @ b_dense)
 
 
 class TestDynamicRegistration:

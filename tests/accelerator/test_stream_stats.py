@@ -236,7 +236,9 @@ class TestStatsKernels:
             assert proto.stats is not None
             for tiles in tilings:
                 got = proto.stream_stats(a, tiles)
-                want = _stats_from_entries(proto.tile_entries(a, tiles), k)
+                want = _stats_from_entries(
+                    [proto.extract_entries(a, lo, hi) for lo, hi in tiles], k
+                )
                 for field in ("c_all", "c_nz", "runs"):
                     assert np.array_equal(
                         getattr(got, field), getattr(want, field)

@@ -4,32 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.edp import (
-    edp_table,
-    geomean_reduction,
-    normalized_edp,
-    reduction_percent,
-)
-from repro.analysis.tables import fmt_pct, fmt_sci, render_table
+from repro.analysis.edp import edp_table
+from repro.analysis.tables import render_table
 
 
 class TestEdp:
-    def test_normalized(self):
-        out = normalized_edp({"a": 2.0, "ours": 1.0}, "ours")
-        assert out == {"a": 2.0, "ours": 1.0}
-
-    def test_normalized_missing_reference(self):
-        with pytest.raises(KeyError):
-            normalized_edp({"a": 1.0}, "ours")
-
-    def test_reduction_percent_matches_paper_convention(self):
-        # A baseline at 4.69x our EDP is a '369% reduction'.
-        assert reduction_percent(4.69, 1.0) == pytest.approx(369.0)
-
-    def test_geomean_reduction(self):
-        tables = [{"base": 2.0, "ours": 1.0}, {"base": 8.0, "ours": 1.0}]
-        assert geomean_reduction(tables, "base", "ours") == pytest.approx(300.0)
-
     def test_edp_table_summary(self):
         per_wl = {
             "w1": {"base": 2.0, "ours": 1.0},
@@ -49,6 +28,3 @@ class TestTables:
         assert lines[0] == "T"
         assert all("|" in line for line in lines[1:] if "-" not in line)
 
-    def test_formatters(self):
-        assert fmt_sci(1234.5, 2) == "1.23e+03"
-        assert fmt_pct(12.345) == "12.3%"

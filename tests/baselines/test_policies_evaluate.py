@@ -11,10 +11,11 @@ from repro.baselines import (
     GpuModel,
     evaluate_all,
     evaluate_policy,
-    policy_by_name,
 )
 from repro.formats.registry import Format
 from repro.workloads import Kernel, suite_by_name
+
+POLICY = {policy.name: policy for policy in ALL_POLICIES}
 
 
 class TestPolicies:
@@ -32,28 +33,24 @@ class TestPolicies:
         }
 
     def test_tpu_single_candidate(self):
-        tpu = policy_by_name("Fix_Fix_None")
+        tpu = POLICY["Fix_Fix_None"]
         cands = list(tpu.candidates())
         assert cands == [((Format.DENSE, Format.DENSE), (Format.DENSE, Format.DENSE))]
         assert not tpu.zero_skipping
 
     def test_none_converter_forces_mcf_equals_acf(self):
-        extensor = policy_by_name("Flex_Flex_None")
+        extensor = POLICY["Flex_Flex_None"]
         for mcf, acf in extensor.candidates():
             assert mcf == acf
 
     def test_sigma_fixed_zvc_mcf(self):
-        sigma = policy_by_name("Fix_Flex_HW")
+        sigma = POLICY["Fix_Flex_HW"]
         for mcf, _acf in sigma.candidates():
             assert mcf == (Format.ZVC, Format.ZVC)
 
     def test_this_work_has_largest_space(self):
         sizes = {p.name: len(list(p.candidates())) for p in ALL_POLICIES}
         assert sizes["Flex_Flex_HW"] == max(sizes.values())
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(KeyError):
-            policy_by_name("nope")
 
 
 class TestEvaluation:
@@ -78,12 +75,12 @@ class TestEvaluation:
     def test_mint_beats_software_conversion(self):
         """Fig. 10's system-level consequence: HW conversion >= SW conversion."""
         wl = suite_by_name("speech1").matrix_workload(Kernel.SPMM)
-        hw = evaluate_policy(wl, policy_by_name("Flex_Flex_HW"))
+        hw = evaluate_policy(wl, POLICY["Flex_Flex_HW"])
         sw_cpu = evaluate_policy(
-            wl, policy_by_name("Flex_Flex_SW"), sw_device=CpuModel()
+            wl, POLICY["Flex_Flex_SW"], sw_device=CpuModel()
         )
         sw_gpu = evaluate_policy(
-            wl, policy_by_name("Flex_Flex_SW"), sw_device=GpuModel()
+            wl, POLICY["Flex_Flex_SW"], sw_device=GpuModel()
         )
         assert hw.edp <= sw_cpu.edp
         assert hw.edp <= sw_gpu.edp

@@ -21,6 +21,7 @@ from repro.formats import (
     EllMatrix,
     HicooTensor,
     RlcMatrix,
+    RlcTensor,
     ZvcMatrix,
 )
 from tests.conftest import make_sparse
@@ -73,6 +74,12 @@ class TestOtherMatrixCorruption:
         with pytest.raises(FormatError):
             RlcMatrix((2, 2), runs=[3, 1], levels=[1.0, 2.0])
 
+    def test_rlc_negative_run(self):
+        # A negative run would place its level before the stream's start,
+        # which numpy indexing wraps round into the last element.
+        with pytest.raises(FormatError, match="run lengths must be >= 0"):
+            RlcMatrix((2, 2), runs=[-1, 0], levels=[1.0, 2.0])
+
     def test_zvc_mask_all_zero_with_values(self):
         with pytest.raises(FormatError):
             ZvcMatrix((2, 2), [1.0], np.zeros(4, dtype=bool))
@@ -108,6 +115,10 @@ class TestOtherMatrixCorruption:
 
 
 class TestTensorCorruption:
+    def test_rlc_tensor_negative_run(self):
+        with pytest.raises(FormatError, match="run lengths must be >= 0"):
+            RlcTensor((1, 2, 2), runs=[0, -1], levels=[1.0, 2.0])
+
     def test_csf_ptr_endpoint(self, rng):
         csf = CsfTensor.from_dense(make_sparse(rng, (4, 4, 4), 0.3))
         if csf.nroots == 0:

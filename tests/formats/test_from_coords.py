@@ -27,9 +27,9 @@ NONZERO = st.floats(
 @st.composite
 def coordinates(draw, max_dim: int = 9):
     """A shape, ascending distinct row-major positions and nonzero values."""
-    m = draw(st.integers(1, max_dim))
-    k = draw(st.integers(1, max_dim))
-    picked = draw(st.sets(st.integers(0, m * k - 1)))
+    m = draw(st.integers(0, max_dim))
+    k = draw(st.integers(0, max_dim))
+    picked = draw(st.sets(st.integers(0, m * k - 1))) if m * k else set()
     flat = np.array(sorted(picked), dtype=np.int64)
     values = np.array(
         draw(st.lists(NONZERO, min_size=len(flat), max_size=len(flat))),
@@ -77,6 +77,13 @@ class TestFromCoordsEqualsFromDense:
         assert_coords_match_dense(
             fmt, shape, np.empty(0, np.int64), np.empty(0)
         )
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_dimension_stores_no_data(self, fmt, shape):
+        empty = np.empty(0, np.int64), np.empty(0)
+        assert_coords_match_dense(fmt, shape, *empty)
+        storage = matrix_class(fmt).from_coords(shape, *empty).storage()
+        assert storage.data_bits == 0
 
     @pytest.mark.parametrize("shape", [(1, 1), (6, 7), (1, 9), (9, 1)])
     def test_full(self, fmt, shape):

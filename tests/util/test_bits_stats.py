@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.util.bits import (
     bits_for_count,
     bits_for_index,
-    bits_to_bytes,
     ceil_div,
     ceil_log2,
 )
@@ -62,11 +61,6 @@ class TestCeilDiv:
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError):
             ceil_div(5, 0)
-
-    def test_bytes(self):
-        assert bits_to_bytes(1) == 1
-        assert bits_to_bytes(8) == 1
-        assert bits_to_bytes(9) == 2
 
 
 class TestStats:
