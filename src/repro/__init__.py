@@ -86,7 +86,6 @@ from repro.formats import (
     ZvcMatrix,
     ZvcTensor,
     matrix_class,
-    tensor_class,
 )
 from repro.hardware import AreaModel, DramChannel, EnergyModel
 from repro.mint import (
@@ -170,7 +169,6 @@ __all__ = [
     "RlcTensor",
     "ZvcTensor",
     "matrix_class",
-    "tensor_class",
     # accelerator
     "AcceleratorConfig",
     "WeightStationarySimulator",

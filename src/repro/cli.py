@@ -373,7 +373,6 @@ def _cmd_xp(args: argparse.Namespace) -> int:
         smoke=args.smoke,
         resume=args.resume,
         force=args.force,
-        isolate=args.isolate,
         store_root=args.store,
         out_dir=args.out,
         report=not args.no_report,
@@ -838,9 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="invalidate cached cells first")
     q.add_argument("--serial", action="store_true",
                    help="single-process execution (no fork pool)")
-    q.add_argument("--isolate", action="store_true",
-                   help="cold session + cleared caches per cell "
-                   "(the seed-script baseline)")
     q.add_argument("--processes", type=int, default=None,
                    help="fork-pool width (default: one per CPU)")
     q.add_argument("--store", default=None,

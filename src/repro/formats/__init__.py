@@ -32,7 +32,6 @@ from repro.formats.registry import (
     MATRIX_FORMATS,
     TENSOR_FORMATS,
     matrix_class,
-    tensor_class,
 )
 from repro.formats.rlc import RlcMatrix
 from repro.formats.tensor_coo import CooTensor
@@ -63,5 +62,4 @@ __all__ = [
     "RlcTensor",
     "ZvcTensor",
     "matrix_class",
-    "tensor_class",
 ]

@@ -111,6 +111,25 @@ class _EncodedBase(ABC):
         )
 
 
+def check_distinct(
+    ptr: np.ndarray, ids: np.ndarray, minor_dim: int, name: str
+) -> None:
+    """Reject a repeated cell in a compressed layout (CSR, CSC).
+
+    *ptr* splits *ids* (in range) into one segment per major index.  Ids
+    strictly ascending inside every segment are distinct, so encoder
+    output pays one comparison; only out-of-order segments pay for the
+    sort.
+    """
+    out_of_order = ids[1:] <= ids[:-1]
+    starts = ptr[1:-1]
+    out_of_order[starts[(starts > 0) & (starts < len(ids))] - 1] = False
+    if out_of_order.any():
+        major = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+        if len(np.unique(major * minor_dim + ids)) != len(ids):
+            raise FormatError(f"{name} contains duplicate coordinates")
+
+
 def check_coords(
     shape: tuple[int, int], flat: np.ndarray, values: np.ndarray
 ) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from repro.formats.base import (
     MatrixFormat,
     StorageBreakdown,
     check_coords,
+    check_distinct,
     coords_rows_cols,
 )
 from repro.formats.registry import Format
@@ -60,6 +61,7 @@ class CscMatrix(MatrixFormat):
             raise FormatError("CSC col_ptr must be non-decreasing")
         if n and (self.row_ids.min() < 0 or self.row_ids.max() >= self.shape[0]):
             raise FormatError("CSC row_ids out of range")
+        check_distinct(self.col_ptr, self.row_ids, self.shape[0], "CSC")
 
     @classmethod
     def from_coords(

@@ -16,6 +16,7 @@ from repro.formats.base import (
     MatrixFormat,
     StorageBreakdown,
     check_coords,
+    check_distinct,
     coords_rows_cols,
 )
 from repro.formats.registry import Format
@@ -59,6 +60,7 @@ class CsrMatrix(MatrixFormat):
             raise FormatError("CSR row_ptr must be non-decreasing")
         if n and (self.col_ids.min() < 0 or self.col_ids.max() >= self.shape[1]):
             raise FormatError("CSR col_ids out of range")
+        check_distinct(self.row_ptr, self.col_ids, self.shape[1], "CSR")
 
     @classmethod
     def from_coords(

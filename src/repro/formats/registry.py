@@ -1,7 +1,7 @@
 """Format enumeration and class registry.
 
 A single :class:`Format` enum names every compression format in the paper;
-the registry maps (format, operand kind) to the implementing class.  SAGE's
+the registry maps a matrix format to its implementing class.  SAGE's
 search spaces (:mod:`repro.sage.spaces`) and the baseline accelerator
 policies (Table II) are expressed in terms of these enum members.
 """
@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Type
 from repro.errors import FormatError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.formats.base import MatrixFormat, TensorFormat
+    from repro.formats.base import MatrixFormat
 
 
 class Format(Enum):
@@ -88,25 +88,3 @@ def matrix_class(fmt: Format) -> "Type[MatrixFormat]":
         return table[fmt]
     except KeyError:
         raise FormatError(f"{fmt} is not a matrix format") from None
-
-
-def tensor_class(fmt: Format) -> "Type[TensorFormat]":
-    """Return the 3-D tensor class implementing *fmt*."""
-    from repro.formats.csf import CsfTensor
-    from repro.formats.hicoo import HicooTensor
-    from repro.formats.tensor_coo import CooTensor
-    from repro.formats.tensor_dense import DenseTensor
-    from repro.formats.tensor_flat import RlcTensor, ZvcTensor
-
-    table: dict[Format, Type[TensorFormat]] = {
-        Format.DENSE: DenseTensor,
-        Format.COO: CooTensor,
-        Format.CSF: CsfTensor,
-        Format.HICOO: HicooTensor,
-        Format.RLC: RlcTensor,
-        Format.ZVC: ZvcTensor,
-    }
-    try:
-        return table[fmt]
-    except KeyError:
-        raise FormatError(f"{fmt} is not a 3-D tensor format") from None

@@ -21,7 +21,7 @@ from repro.sage.calibrate import (
     build_table,
     load_table,
 )
-from repro.sage.cost_model import CostBreakdown, evaluate_matrix_combo, evaluate_tensor_combo
+from repro.sage.cost_model import CostBreakdown
 from repro.sage.pipeline import PipelinePlan, PipelineStage, plan_chain
 from repro.sage.predictor import Sage, SageDecision
 from repro.sage.spaces import (
@@ -31,8 +31,6 @@ from repro.sage.spaces import (
     OUTPUT_MCF,
     TENSOR_ACF,
     TENSOR_MCF,
-    matrix_combos,
-    tensor_combos,
 )
 
 __all__ = [
@@ -49,14 +47,10 @@ __all__ = [
     "PipelinePlan",
     "PipelineStage",
     "plan_chain",
-    "evaluate_matrix_combo",
-    "evaluate_tensor_combo",
     "MATRIX_MCF",
     "MATRIX_ACF_STREAMED",
     "MATRIX_ACF_STATIONARY",
     "TENSOR_MCF",
     "TENSOR_ACF",
     "OUTPUT_MCF",
-    "matrix_combos",
-    "tensor_combos",
 ]

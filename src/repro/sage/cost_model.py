@@ -855,43 +855,3 @@ def price_matrix_io(
         conv=conv,
         clock_hz=cfg.clock_hz,
     )
-
-
-def evaluate_matrix_combo(
-    workload: MatrixWorkload,
-    mcf: tuple[Format, Format],
-    acf: tuple[Format, Format],
-    *,
-    config: AcceleratorConfig | None = None,
-    dram: DramChannel | None = None,
-    provider: ConversionProvider | None = mint_provider,
-    flexible_noc: bool = True,
-) -> CostBreakdown | None:
-    """Price one candidate; ``None`` when it needs an unavailable converter.
-
-    A one-cell :func:`price_matrix_menu`.
-    """
-    menu = price_matrix_menu(
-        workload, (mcf,), (acf,), config=config, dram=dram,
-        provider=provider, flexible_noc=flexible_noc,
-    )
-    return menu.row(0) if menu else None
-
-
-def evaluate_tensor_combo(
-    workload: TensorWorkload,
-    mcf: tuple[Format, Format],
-    acf: tuple[Format, Format],
-    *,
-    config: AcceleratorConfig | None = None,
-    dram: DramChannel | None = None,
-    provider: ConversionProvider | None = mint_provider,
-) -> CostBreakdown | None:
-    """Price one tensor-kernel candidate (SpTTM or MTTKRP).
-
-    A one-cell :func:`price_tensor_menu`.
-    """
-    menu = price_tensor_menu(
-        workload, (mcf,), (acf,), config=config, dram=dram, provider=provider
-    )
-    return menu.row(0) if menu else None

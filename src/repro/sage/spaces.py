@@ -14,7 +14,6 @@ Dense, COO and CSF (the Table III ACFt values).
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator
 
 from repro.formats.registry import Format
 
@@ -83,16 +82,6 @@ def matrix_grid(
     return tuple(product(mcf_a, mcf_b)), tuple(product(acf_a, acf_b))
 
 
-def matrix_combos(**space) -> Iterator[tuple[FormatPair, FormatPair]]:
-    """Enumerate ((mcf_a, mcf_b), (acf_a, acf_b)) candidates.
-
-    The cells of :func:`matrix_grid` (same keywords) in row-major order,
-    which is the order ties keep in a ranking.  Candidates share one
-    tuple per pair.
-    """
-    return product(*matrix_grid(**space))
-
-
 def tensor_grid(
     *,
     fixed_mcf: FormatPair | None = None,
@@ -105,9 +94,3 @@ def tensor_grid(
     if fixed_mcf is not None:
         mcf_t, mcf_f = (fixed_mcf[0],), (fixed_mcf[1],)
     return tuple(product(mcf_t, mcf_f)), tuple(product(acf_t, acf_f))
-
-
-def tensor_combos(**space) -> Iterator[tuple[FormatPair, FormatPair]]:
-    """Enumerate tensor-kernel candidates ((mcf_t, mcf_f), (acf_t, acf_f)),
-    the cells of :func:`tensor_grid` (same keywords) in row-major order."""
-    return product(*tensor_grid(**space))

@@ -12,8 +12,6 @@ Entry points: :func:`~repro.tune.search.run_tune` (library),
 
 from repro.tune.objective import (
     OBJECTIVES,
-    TUNE_EVAL_VERSION,
-    TUNE_GRID_NAME,
     evaluate_with_session,
     point_area_mm2,
     tune_suite,
@@ -46,8 +44,6 @@ __all__ = [
     "OBJECTIVES",
     "ParamSpace",
     "STRATEGIES",
-    "TUNE_EVAL_VERSION",
-    "TUNE_GRID_NAME",
     "TuneConfig",
     "TuneEntry",
     "TunePoint",

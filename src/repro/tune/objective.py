@@ -15,15 +15,14 @@ One evaluation prices a whole workload suite on one :class:`TunePoint`:
   and the flexible-PE extension) plus the shared merged MINT converter,
   scaled quadratically by tech node.
 
-Evaluations key into the :mod:`repro.xp.artifacts` store under the
-``tune_grid`` identity, shared with the xp experiment of the same name,
-so sweeps resume and ablation-seeded cells are never recomputed.
+This evaluation is the measure of the ``tune_grid`` xp experiment, and
+``repro tune`` prices its points as that experiment's cells, so sweeps
+resume and ablation-seeded cells are never recomputed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Mapping
 
 from repro.api.options import PredictOptions
@@ -35,31 +34,15 @@ from repro.workloads.spec import Kernel, MatrixWorkload
 from repro.workloads.suite import MATRIX_SUITE
 
 __all__ = [
-    "EvalIdentity",
     "OBJECTIVES",
-    "TUNE_EVAL_VERSION",
-    "TUNE_GRID_NAME",
     "evaluate_with_session",
     "point_area_mm2",
     "suite_names",
     "tune_suite",
 ]
 
-#: The artifact-store identity shared by the tuner and the ``tune_grid``
-#: xp experiment — same name + version + params ⇒ same cache cell.
-TUNE_GRID_NAME = "tune_grid"
-TUNE_EVAL_VERSION = 1
-
 #: The minimized objective keys, in report order.
 OBJECTIVES = ("cycles", "energy_j", "area_mm2")
-
-
-@dataclass(frozen=True)
-class EvalIdentity:
-    """Duck-typed stand-in for ``ArtifactStore.cell_key``'s experiment."""
-
-    name: str = TUNE_GRID_NAME
-    version: int = TUNE_EVAL_VERSION
 
 
 # ----------------------------------------------------------------- suites --
@@ -133,8 +116,8 @@ def point_area_mm2(point: TunePoint, model: AreaModel = DEFAULT_AREA) -> float:
 def evaluate_with_session(session, params: Mapping) -> dict:
     """Price one tune cell (a ``{point, suite, fidelity}`` param dict).
 
-    Shared by the tuner workers and the ``tune_grid`` xp experiment so
-    both produce byte-identical results for the same cell.  *session* is
+    The measure of the ``tune_grid`` xp experiment, through which the
+    tuner prices every point.  *session* is
     any :class:`~repro.api.session.Session`-shaped object; the point's
     hardware travels in the options, so local and server backends price
     identically.

@@ -2,10 +2,12 @@
 
 A run sweeps a :class:`~repro.tune.space.ParamSpace` (anchored at
 ``paper_default``, optionally widened with the ablation seed points)
-through the :mod:`~repro.tune.objective` evaluation, fanned across the
-:func:`~repro.util.pool.fork_map` pool, and keyed into the
-:class:`~repro.xp.artifacts.ArtifactStore` so interrupted or repeated
-sweeps resume instead of recomputing.
+as cells of the registered ``tune_grid`` experiment, whose measure is the
+:mod:`~repro.tune.objective` evaluation.  Each pricing pass is one
+:func:`~repro.xp.runner.run_cells` call: the xp runner's executor fans
+the cells across the fork pool and keys them into the artifact store,
+so interrupted or repeated sweeps resume instead of recomputing, and
+tune and ``repro xp run tune_grid`` share every cell.
 
 Strategies
 ----------
@@ -25,22 +27,18 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from repro.errors import ConfigError
-from repro.obs import collect_spans, registry, span
-from repro.tune.objective import (
-    OBJECTIVES,
-    EvalIdentity,
-    evaluate_with_session,
-    suite_names,
-)
+from repro.obs import registry, span
+from repro.tune.objective import OBJECTIVES, suite_names
 from repro.tune.pareto import dominated_counts, hypervolume_fraction, pareto_front
 from repro.tune.space import ParamSpace, TunePoint, ablation_seed_points, space
-from repro.util.pool import fork_map
 from repro.xp.artifacts import ArtifactStore
+from repro.xp.registry import get_experiment
+from repro.xp.runner import RunConfig, run_cells
 
 __all__ = ["STRATEGIES", "TuneConfig", "TuneEntry", "TuneResult", "run_tune"]
 
@@ -101,15 +99,11 @@ class TuneEntry:
     """One swept point and its (latest-fidelity) evaluation."""
 
     point: TunePoint
-    params: dict = field(default_factory=dict)
-    key: str = ""
     result: dict | None = None
     error: str | None = None
     fidelity: str = "analytical"
     cached: bool = False
     pruned: bool = False
-    elapsed_s: float = 0.0
-    spans: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -196,58 +190,6 @@ class TuneResult:
         }
 
 
-# --------------------------------------------------------------- the worker
-@dataclass(frozen=True)
-class _EvalJob:
-    """Picklable unit of work handed to the fork pool."""
-
-    params: tuple  # sorted (axis, value) pairs
-    key: str
-    backend: str
-
-
-#: Per-worker-process warm sessions, keyed by backend spec.
-_SESSIONS: dict = {}
-
-
-def _session_for(backend: str):
-    from repro.api.session import Session
-
-    session = _SESSIONS.get(backend)
-    if session is None:
-        session = _SESSIONS[backend] = Session(backend)
-    return session
-
-
-def _evaluate_cell(job: _EvalJob) -> TuneEntry:
-    """Pool task: price one point through a warm session."""
-    params = dict(job.params)
-    point = TunePoint.from_params(params["point"])
-    t0 = time.perf_counter()
-    try:
-        session = _session_for(job.backend)
-        with collect_spans() as spans:
-            result = evaluate_with_session(session, params)
-        return TuneEntry(
-            point=point,
-            params=params,
-            key=job.key,
-            result=result,
-            fidelity=str(params["fidelity"]),
-            elapsed_s=time.perf_counter() - t0,
-            spans=spans.summary() or None,
-        )
-    except Exception as exc:  # noqa: BLE001 - point failures are data
-        return TuneEntry(
-            point=point,
-            params=params,
-            key=job.key,
-            error=f"{type(exc).__name__}: {exc}",
-            fidelity=str(params["fidelity"]),
-            elapsed_s=time.perf_counter() - t0,
-        )
-
-
 # ----------------------------------------------------------------- the run
 def _selected_points(
     space_points: Sequence[TunePoint], config: TuneConfig
@@ -274,78 +216,35 @@ def _selected_points(
 
 
 def _evaluate(
-    entries: list[TuneEntry],
-    fidelity: str,
-    config: TuneConfig,
-    store: ArtifactStore,
-    identity: EvalIdentity,
+    entries: list[TuneEntry], fidelity: str, config: TuneConfig
 ) -> tuple[int, int]:
     """Price *entries* at *fidelity* in place; returns (executed, cached)."""
-    jobs: list[_EvalJob] = []
-    pending: dict[str, TuneEntry] = {}
-    cached = 0
-    for entry in entries:
-        params = {
-            "point": entry.point.params(),
+    grid = get_experiment("tune_grid")
+    cells = [
+        (grid, {
+            "point": e.point.params(),
             "suite": config.suite,
             "fidelity": fidelity,
-        }
-        key = store.cell_key(identity, params, backend=config.backend)
-        entry.params, entry.key, entry.fidelity = params, key, fidelity
-        record = store.load(identity.name, key) if config.resume else None
-        if record is not None and "result" in record:
-            entry.result = record["result"]
-            entry.cached = True
-            entry.elapsed_s = float(record.get("elapsed_s", 0.0))
-            entry.spans = record.get("spans")
-            cached += 1
-            continue
-        entry.cached = False
-        pending[key] = entry
-        jobs.append(
-            _EvalJob(
-                params=tuple(sorted(params.items())),
-                key=key,
-                backend=config.backend,
-            )
-        )
-
-    def persist(outcome: TuneEntry) -> None:
-        # Runs in this process as results arrive: an interrupted sweep
-        # keeps every completed cell for the next --resume.  The record
-        # shape matches the xp runner's, so tune cells and tune_grid
-        # experiment cells are interchangeable cache content.
-        if outcome.ok:
-            store.store(
-                identity.name,
-                outcome.key,
-                {
-                    "experiment": identity.name,
-                    "params": outcome.params,
-                    "result": outcome.result,
-                    "elapsed_s": round(outcome.elapsed_s, 6),
-                    "spans": outcome.spans,
-                    "digest": store.config_digest(),
-                },
-            )
-
-    outcomes = fork_map(
-        _evaluate_cell,
-        jobs,
+        })
+        for e in entries
+    ]
+    states = run_cells(cells, RunConfig(
+        backend=config.backend,
         processes=config.processes,
-        consume=persist,
-    )
-    for outcome in outcomes:
-        entry = pending[outcome.key]
-        entry.result = outcome.result
-        entry.error = outcome.error
-        entry.elapsed_s = outcome.elapsed_s
-        entry.spans = outcome.spans
+        resume=config.resume,
+        store_root=config.store_root,
+    ))
+    for entry, state in zip(entries, states):
+        entry.fidelity = fidelity
+        entry.result, entry.error = state.result, state.error
+        entry.cached = state.cached
+    cached = sum(1 for e in entries if e.cached)
+    executed = len(entries) - cached
     if cached:
         _POINTS.inc(cached, outcome="cache_hit")
-    if jobs:
-        _POINTS.inc(len(jobs), outcome="swept")
-    return len(jobs), cached
+    if executed:
+        _POINTS.inc(executed, outcome="swept")
+    return executed, cached
 
 
 def run_tune(
@@ -358,10 +257,8 @@ def run_tune(
         space(space_or_name) if isinstance(space_or_name, str) else space_or_name
     )
     t0 = time.perf_counter()
-    store = ArtifactStore(config.store_root)
-    identity = EvalIdentity()
     if config.force:
-        store.invalidate(identity.name)
+        ArtifactStore(config.store_root).invalidate("tune_grid")
 
     entries = [
         TuneEntry(point=p)
@@ -370,9 +267,7 @@ def run_tune(
     executed = cached = pruned = 0
 
     if config.strategy == "halving":
-        n_exec, n_hit = _evaluate(
-            entries, config.fidelity, config, store, identity
-        )
+        n_exec, n_hit = _evaluate(entries, config.fidelity, config)
         executed += n_exec
         cached += n_hit
         screened = [e for e in entries if e.ok]
@@ -393,15 +288,11 @@ def run_tune(
         pruned = sum(1 for e in entries if e.pruned)
         if pruned:
             _POINTS.inc(pruned, outcome="pruned")
-        n_exec, n_hit = _evaluate(
-            survivors, config.confirm_fidelity, config, store, identity
-        )
+        n_exec, n_hit = _evaluate(survivors, config.confirm_fidelity, config)
         executed += n_exec
         cached += n_hit
     else:
-        executed, cached = _evaluate(
-            entries, config.fidelity, config, store, identity
-        )
+        executed, cached = _evaluate(entries, config.fidelity, config)
 
     # The front is drawn over confirmed (non-pruned) evaluations; pruned
     # points stay in ``entries`` for the report's dominated-count stats.

@@ -1031,10 +1031,9 @@ def _tune_seed_param_axis() -> tuple:
     version=1,
 )
 def measure_tune_grid(session, params):
-    # The tuner's own objective, byte-for-byte: both sides build params
-    # through TunePoint.params() and share artifact cells (same name,
-    # version and canonical param JSON), so an xp run pre-seeds a tune
-    # sweep and vice versa.
+    # The tuner's objective.  `repro tune` prices its points as cells of
+    # this experiment through the same executor, so an xp run pre-seeds
+    # a tune sweep and vice versa.
     from repro.tune.objective import evaluate_with_session
 
     return evaluate_with_session(session, params)

@@ -13,8 +13,9 @@ seed scripts hand-rolled twenty times:
    all experiments, so a wide grid saturates the pool even when single
    experiments are narrow.  Every worker measures through a process-wide
    warm :class:`~repro.api.session.Session` (local or ``tcp://``
-   backend); ``isolate=True`` instead gives every cell a cold session and
-   cleared planner caches, as if each figure ran in its own process.
+   backend).  The resume check, execution, validation and persistence
+   are :func:`run_cells`, through which ``repro tune`` also prices its
+   points, as ``tune_grid`` cells.
 4. **Validate** each result against the experiment's expected-shape
    schema and persist it to the store.
 5. **Check** each completed grid (cached cells included) against the
@@ -45,6 +46,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from repro.obs import collect_spans, span
 from repro.util.pool import fork_map
@@ -57,6 +59,7 @@ __all__ = [
     "RunConfig",
     "RunSummary",
     "default_out_dir",
+    "run_cells",
     "run_experiments",
 ]
 
@@ -86,9 +89,6 @@ class RunConfig:
         Skip cells already in the artifact store.
     force:
         Invalidate the selected experiments' cached cells first.
-    isolate:
-        Cold session + cleared planner caches per cell, as if each ran in
-        a process of its own (implies no cross-cell warmth).
     store_root, out_dir:
         Artifact store location and report/journal directory (defaults:
         ``benchmarks/out/xp/store`` and ``benchmarks/out``).
@@ -108,7 +108,6 @@ class RunConfig:
     smoke: bool = False
     resume: bool = False
     force: bool = False
-    isolate: bool = False
     store_root: Path | str | None = None
     out_dir: Path | str | None = None
     report: bool = True
@@ -235,7 +234,6 @@ class RunSummary:
             "smoke": self.config.smoke,
             "resume": self.config.resume,
             "force": self.config.force,
-            "isolate": self.config.isolate,
             "processes": self.config.processes,
             "cells": self.total_cells,
             "executed_cells": self.executed_cells,
@@ -260,26 +258,19 @@ class _CellJob:
     params: tuple  # sorted (axis, value) pairs
     key: str
     backend: str
-    isolate: bool
 
 
 #: Per-worker-process warm sessions, keyed by backend spec.
 _SESSIONS: dict = {}
 
 
-def _session_for(backend: str, isolate: bool):
+def _session_for(backend: str):
     from repro.api.session import Session
 
-    if isolate:
-        # The seed-script baseline: no warmth carried between cells.
-        from repro.mint.cost import shared_planner
-
-        shared_planner().cache_clear()
-        return Session(backend), True
     session = _SESSIONS.get(backend)
     if session is None:
         session = _SESSIONS[backend] = Session(backend)
-    return session, False
+    return session
 
 
 def _execute_cell(job: _CellJob) -> CellState:
@@ -288,16 +279,12 @@ def _execute_cell(job: _CellJob) -> CellState:
     t0 = time.perf_counter()
     try:
         exp = get_experiment(job.experiment)
-        session, transient = _session_for(job.backend, job.isolate)
-        try:
-            with collect_spans() as spans, span(
-                "xp.cell", experiment=job.experiment
-            ):
-                measured = exp.measure(session, params)
-            result = exp.validate_result(params, measured)
-        finally:
-            if transient:
-                session.close()
+        session = _session_for(job.backend)
+        with collect_spans() as spans, span(
+            "xp.cell", experiment=job.experiment
+        ):
+            measured = exp.measure(session, params)
+        result = exp.validate_result(params, measured)
         return CellState(
             params=params,
             key=job.key,
@@ -312,6 +299,79 @@ def _execute_cell(job: _CellJob) -> CellState:
             error=f"{type(exc).__name__}: {exc}",
             elapsed_s=time.perf_counter() - t0,
         )
+
+
+def run_cells(
+    cells: Sequence[tuple[Experiment, dict]],
+    config: RunConfig,
+) -> list[CellState]:
+    """Answer ``(experiment, params)`` cells; states come back in input order.
+
+    Under ``resume`` (or ``cached_only``) a cell already in the artifact
+    store is answered from its record.  The rest run as one
+    :func:`~repro.util.pool.fork_map` batch, each persisted as it arrives,
+    so an interrupted batch keeps every completed cell for the next
+    resume.  ``cached_only`` runs nothing: an uncached cell comes back as
+    a bare placeholder (neither ``ok`` nor ``cached``).
+    """
+    store = ArtifactStore(config.store_root)
+    resume = config.resume or config.cached_only
+    states: list[CellState] = []
+    pending: list[_CellJob] = []
+    slots: list[int] = []
+    for exp, params in cells:
+        key = store.cell_key(exp, params, backend=config.backend)
+        record = store.load(exp.name, key) if resume else None
+        if record is not None and "result" in record:
+            states.append(
+                CellState(
+                    params=params,
+                    key=key,
+                    result=record["result"],
+                    elapsed_s=float(record.get("elapsed_s", 0.0)),
+                    cached=True,
+                    spans=record.get("spans"),
+                )
+            )
+            continue
+        states.append(CellState(params=params, key=key))
+        if not config.cached_only:
+            slots.append(len(states) - 1)
+            pending.append(
+                _CellJob(
+                    experiment=exp.name,
+                    params=tuple(sorted(params.items())),
+                    key=key,
+                    backend=config.backend,
+                )
+            )
+
+    owner = {job.key: job.experiment for job in pending}
+
+    def persist(cell: CellState) -> None:
+        if cell.ok:
+            store.store(
+                owner[cell.key],
+                cell.key,
+                {
+                    "experiment": owner[cell.key],
+                    "params": cell.params,
+                    "result": cell.result,
+                    "elapsed_s": round(cell.elapsed_s, 6),
+                    "spans": cell.spans,
+                    "digest": store.config_digest(),
+                },
+            )
+
+    outcomes = fork_map(
+        _execute_cell,
+        pending,
+        processes=config.processes,
+        consume=persist,
+    )
+    for slot, outcome in zip(slots, outcomes):
+        states[slot] = outcome
+    return states
 
 
 # ------------------------------------------------------------------ the run
@@ -334,77 +394,23 @@ def run_experiments(
     # every count; first mention wins.
     names = list(dict.fromkeys(names))
     experiments = [get_experiment(n) for n in names]
-    store = ArtifactStore(config.store_root)
 
     if config.force:
+        store = ArtifactStore(config.store_root)
         for exp in experiments:
             store.invalidate(exp.name)
 
-    resume = config.resume or config.cached_only
+    grid = [
+        (exp, params)
+        for exp in experiments
+        for params in exp.scenarios(smoke=config.smoke)
+    ]
     runs = {exp.name: ExperimentRun(experiment=exp) for exp in experiments}
-    owner: dict[str, str] = {}  # cell key -> experiment name
-    pending: list[_CellJob] = []
-    for exp in experiments:
-        for params in exp.scenarios(smoke=config.smoke):
-            key = store.cell_key(exp, params, backend=config.backend)
-            cached = store.load(exp.name, key) if resume else None
-            if cached is not None and "result" in cached:
-                runs[exp.name].cells.append(
-                    CellState(
-                        params=params,
-                        key=key,
-                        result=cached["result"],
-                        elapsed_s=float(cached.get("elapsed_s", 0.0)),
-                        cached=True,
-                        spans=cached.get("spans"),
-                    )
-                )
-                continue
-            if config.cached_only:
-                runs[exp.name].skipped += 1
-                continue
-            owner[key] = exp.name
-            pending.append(
-                _CellJob(
-                    experiment=exp.name,
-                    params=tuple(sorted(params.items())),
-                    key=key,
-                    backend=config.backend,
-                    isolate=config.isolate,
-                )
-            )
-            runs[exp.name].cells.append(
-                CellState(params=params, key=key)
-            )  # placeholder, filled below
-
-    def persist(cell: CellState) -> None:
-        # Runs in this process as each result arrives, so an interrupted
-        # batch keeps every completed cell for the next --resume.
-        if cell.ok:
-            store.store(
-                owner[cell.key],
-                cell.key,
-                {
-                    "experiment": owner[cell.key],
-                    "params": cell.params,
-                    "result": cell.result,
-                    "elapsed_s": round(cell.elapsed_s, 6),
-                    "spans": cell.spans,
-                    "digest": store.config_digest(),
-                },
-            )
-
-    outcomes = fork_map(
-        _execute_cell,
-        pending,
-        processes=config.processes,
-        consume=persist,
-    )
-    by_key = {o.key: o for o in outcomes}
-    for run in runs.values():
-        run.cells = [
-            by_key.get(c.key, c) if not c.cached else c for c in run.cells
-        ]
+    for (exp, _), state in zip(grid, run_cells(grid, config)):
+        if config.cached_only and not state.cached:
+            runs[exp.name].skipped += 1
+        else:
+            runs[exp.name].cells.append(state)
 
     for run in runs.values():
         if run.failed or run.skipped:

@@ -180,8 +180,8 @@ class TestBeatCount:
 
 @st.composite
 def _stored_operands(draw):
-    """(k, {format: operand}): one set of stored (row, col, value) cells,
-    explicit zeros included, as CSR (repeated cells allowed), COO, ELL
+    """(k, {format: operand}): one set of distinct stored (row, col, value)
+    cells, explicit zeros included, as CSR (rows in draw order), COO, ELL
     (with extra padding slots) and Dense encodings."""
     m = draw(st.integers(1, 6))
     k = draw(st.integers(1, 14))
@@ -189,6 +189,7 @@ def _stored_operands(draw):
         st.tuples(st.integers(0, m - 1), st.integers(0, k - 1),
                   st.sampled_from((0.0, 1.0, -2.5))),
         max_size=3 * m,
+        unique_by=lambda cell: cell[:2],
     ))
     cells.sort(key=lambda cell: cell[0])  # row-major, in-row order kept
     rows = np.asarray([c[0] for c in cells], dtype=np.int64)
@@ -202,16 +203,11 @@ def _stored_operands(draw):
     for r in range(m):
         ell_cols[r, : counts[r]] = cols[rows == r]
         ell_vals[r, : counts[r]] = vals[rows == r]
-    first = {}
-    for index, (r, c, _v) in enumerate(cells):
-        first.setdefault((r, c), index)
-    unique = sorted(first.values())
     dense = np.zeros((m, k))
     dense[rows, cols] = vals
     return k, {
         Format.CSR: CsrMatrix((m, k), vals, cols, row_ptr),
-        Format.COO: CooMatrix((m, k), vals[unique], rows[unique],
-                              cols[unique]),
+        Format.COO: CooMatrix((m, k), vals, rows, cols),
         Format.ELL: EllMatrix((m, k), ell_vals, ell_cols),
         Format.DENSE: DenseMatrix.from_dense(dense),
     }

@@ -11,9 +11,10 @@ from repro.analysis.compactness import (
     transfer_energy_sweep,
 )
 from repro.errors import FormatError
-from repro.formats import matrix_class, tensor_class
+from repro.formats import matrix_class
 from repro.formats.registry import Format
 from repro.workloads import random_sparse_matrix
+from tests.conftest import tensor_class
 from tests.workloads._synthetic_tensor import random_sparse_tensor
 
 EXACT_MATRIX = [Format.DENSE, Format.COO, Format.CSR, Format.CSC, Format.ZVC]

@@ -12,6 +12,28 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+def tensor_class(fmt):
+    """The 3-D tensor class implementing *fmt*."""
+    from repro.formats import (
+        CooTensor,
+        CsfTensor,
+        DenseTensor,
+        HicooTensor,
+        RlcTensor,
+        ZvcTensor,
+    )
+    from repro.formats.registry import Format
+
+    return {
+        Format.DENSE: DenseTensor,
+        Format.COO: CooTensor,
+        Format.CSF: CsfTensor,
+        Format.HICOO: HicooTensor,
+        Format.RLC: RlcTensor,
+        Format.ZVC: ZvcTensor,
+    }[fmt]
+
+
 def make_sparse(rng, shape, density):
     """Dense ndarray with ~density fraction of nonzeros in (0.1, 1]."""
     mask = rng.random(shape) < density

@@ -58,11 +58,25 @@ class TestCsrCorruption:
         with pytest.raises(FormatError):
             CsrMatrix(csr.shape, csr.values[:-1], csr.col_ids, csr.row_ptr)
 
+    def test_repeated_cell(self):
+        # Decoding would keep only the last copy while the report and
+        # storage() bill both.
+        with pytest.raises(FormatError, match="duplicate"):
+            CsrMatrix((1, 2), [1.0, 2.0], [0, 0], [0, 2])
+
+    def test_unsorted_distinct_columns_pass(self):
+        csr = CsrMatrix((1, 3), [1.0, 2.0], [2, 0], [0, 2])
+        assert csr.to_dense().tolist() == [[2.0, 0.0, 1.0]]
+
 
 class TestOtherMatrixCorruption:
     def test_coo_negative_index(self, rng):
         with pytest.raises(FormatError):
             CooMatrix((4, 4), [1.0], [-1], [0])
+
+    def test_csc_repeated_cell(self):
+        with pytest.raises(FormatError, match="duplicate"):
+            CscMatrix((2, 1), [1.0, 2.0], [0, 0], [0, 2])
 
     def test_csc_ptr_wrong_length(self, rng):
         csc = CscMatrix.from_dense(make_sparse(rng, (5, 6), 0.4))

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.formats import matrix_class, tensor_class
+from repro.formats import matrix_class
 from repro.formats.registry import Format
 from repro.mint import conversions as mx
 from repro.mint import tensor_conversions as tx
 from repro.mint.blockset import BlockSet
-from tests.conftest import make_sparse
+from tests.conftest import make_sparse, tensor_class
 
 MATRIX_CONVERSIONS = [
     (Format.CSR, Format.CSC, mx.csr_to_csc),

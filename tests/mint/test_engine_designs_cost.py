@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConversionError
-from repro.formats import MATRIX_FORMATS, TENSOR_FORMATS, matrix_class, tensor_class
+from repro.formats import MATRIX_FORMATS, TENSOR_FORMATS, matrix_class
 from repro.formats.registry import Format
 from repro.mint import (
     MintDesign,
@@ -22,7 +22,7 @@ from repro.mint.designs import (
     divmod_fraction,
 )
 from repro.mint.engine import find_path
-from tests.conftest import make_sparse
+from tests.conftest import make_sparse, tensor_class
 
 
 class TestEngine:

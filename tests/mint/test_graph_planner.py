@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 
 import numpy as np
@@ -463,7 +464,7 @@ class TestConcurrentFirstUse:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(src)},
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

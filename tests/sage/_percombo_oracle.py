@@ -9,6 +9,8 @@ terms.  The bodies are kept verbatim (including their summation order) so
 
 from __future__ import annotations
 
+from itertools import product
+
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.perf_model import (
     analytical_gemm_stats,
@@ -27,8 +29,22 @@ from repro.sage.cost_model import (
     MatrixIoPlan,
     mint_provider,
 )
-from repro.sage.spaces import OUTPUT_MCF
+from repro.sage.spaces import OUTPUT_MCF, matrix_grid, tensor_grid
 from repro.workloads.spec import Kernel, MatrixWorkload, TensorWorkload
+
+
+def matrix_combos(**space):
+    """Enumerate ((mcf_a, mcf_b), (acf_a, acf_b)) candidates.
+
+    The cells of :func:`~repro.sage.spaces.matrix_grid` (same keywords)
+    in row-major order, which is the order ties keep in a ranking.
+    """
+    return product(*matrix_grid(**space))
+
+
+def tensor_combos(**space):
+    """The cells of :func:`~repro.sage.spaces.tensor_grid`, row-major."""
+    return product(*tensor_grid(**space))
 
 
 def _output_plan(

@@ -7,11 +7,24 @@ import pytest
 from repro.formats.registry import Format
 from repro.mint.cost import ConversionCost
 from repro.sage.cost_model import (
-    evaluate_matrix_combo,
-    evaluate_tensor_combo,
     mint_provider,
+    price_matrix_menu,
+    price_tensor_menu,
 )
 from repro.workloads.spec import Kernel, MatrixWorkload, TensorWorkload
+
+
+def evaluate_matrix_combo(workload, mcf, acf, **kw):
+    """One candidate priced as a one-cell menu; ``None`` if infeasible."""
+    menu = price_matrix_menu(workload, (mcf,), (acf,), **kw)
+    return menu.row(0) if menu else None
+
+
+def evaluate_tensor_combo(workload, mcf, acf, **kw):
+    """One tensor-kernel candidate priced as a one-cell menu."""
+    menu = price_tensor_menu(workload, (mcf,), (acf,), **kw)
+    return menu.row(0) if menu else None
+
 
 WL = MatrixWorkload(
     name="unit",

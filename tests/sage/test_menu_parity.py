@@ -15,7 +15,12 @@ from itertools import product
 
 import pytest
 
-from _percombo_oracle import evaluate_matrix_combo, evaluate_tensor_combo
+from _percombo_oracle import (
+    evaluate_matrix_combo,
+    evaluate_tensor_combo,
+    matrix_combos,
+    tensor_combos,
+)
 from repro.baselines import ALL_POLICIES, evaluate_policy
 from repro.baselines.cpu import CpuModel
 from repro.baselines.evaluate import sw_provider_factory
@@ -30,8 +35,6 @@ from repro.sage.spaces import (
     MATRIX_MCF,
     TENSOR_ACF,
     TENSOR_MCF,
-    matrix_combos,
-    tensor_combos,
 )
 from repro.tune.space import TunePoint
 from repro.workloads import MATRIX_SUITE, TENSOR_SUITE, Kernel

@@ -11,8 +11,8 @@ from repro.sage.spaces import (
     MATRIX_ACF_STATIONARY,
     MATRIX_ACF_STREAMED,
     MATRIX_MCF,
-    matrix_combos,
-    tensor_combos,
+    matrix_grid,
+    tensor_grid,
 )
 from repro.workloads.spec import Kernel, MatrixWorkload, TensorWorkload
 
@@ -139,15 +139,17 @@ class TestTensorPredictions:
 
     def test_tensor_space_size(self):
         d = self.SAGE.predict_tensor(self._wl((30, 30, 30), 0.1))
-        expected = len(list(tensor_combos()))
+        mcfs, acfs = tensor_grid()
+        expected = len(mcfs) * len(acfs)
         assert len(d.ranking) == expected
 
 
 class TestCombos:
     def test_matrix_combo_count(self):
-        assert len(list(matrix_combos())) == 6 * 6 * 4 * 2
+        mcfs, acfs = matrix_grid()
+        assert len(mcfs) * len(acfs) == 6 * 6 * 4 * 2
 
     def test_fixed_mcf_combo_count(self):
-        combos = list(matrix_combos(fixed_mcf=(Format.CSR, Format.CSC)))
-        assert len(combos) == 4 * 2
-        assert all(mcf == (Format.CSR, Format.CSC) for mcf, _ in combos)
+        mcfs, acfs = matrix_grid(fixed_mcf=(Format.CSR, Format.CSC))
+        assert mcfs == ((Format.CSR, Format.CSC),)
+        assert len(acfs) == 4 * 2

@@ -1,4 +1,4 @@
-"""run_tune: strategies, artifact-cache resume, obs, and xp parity."""
+"""run_tune: strategies, artifact-cache resume, obs, xp parity, executor."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from repro.tune import (
     run_tune,
     space,
 )
-from repro.tune.objective import EvalIdentity, evaluate_with_session
+from repro.tune.objective import evaluate_with_session
 
 TINY_SPACE = ParamSpace(
     {"num_pes": (1024, 2048), "pe_buffer_bytes": (256, 512)}, name="tiny4"
@@ -194,19 +194,64 @@ class TestXpParity:
         assert summary.executed_cells == 0
         assert summary.cached_cells == len(result.entries)
 
-    def test_identity_matches_registered_experiment(self):
-        from repro.xp.registry import load_paper_suite, get_experiment
 
-        load_paper_suite()
-        exp = get_experiment("tune_grid")
-        identity = EvalIdentity()
-        assert exp.name == identity.name
-        assert exp.version == identity.version
-        # The experiment's measure fn IS the tuner objective.
-        assert exp.measure.__module__ == "repro.xp.paper"
-        import inspect
+class TestOneExecutor:
+    """Tune points are ``tune_grid`` cells run by the xp runner's executor."""
 
-        assert "evaluate_with_session" in inspect.getsource(exp.measure)
+    @staticmethod
+    def _pool_maps() -> float:
+        # Cells price through Session.predict, whose own (single-process)
+        # fork_map calls count under path=sequential; only the sweep's
+        # batches reach the pool.
+        counter = registry().counter("repro_pool_maps_total")
+        return counter.value(path="pool")
+
+    def test_grid_run_is_one_pool_map(self, tmp_path):
+        before = self._pool_maps()
+        result = run_tune(TINY_SPACE, tiny_config(tmp_path))
+        assert result.executed == 4
+        assert self._pool_maps() - before == 1
+
+    def test_halving_run_is_one_pool_map_per_rung(self, tmp_path):
+        before = self._pool_maps()
+        # eta=2 keeps two of four points, so the confirm rung is a batch.
+        result = run_tune(
+            TINY_SPACE, tiny_config(tmp_path, strategy="halving", eta=2)
+        )
+        assert result.executed == 4 + sum(
+            1 for e in result.entries if not e.pruned
+        )
+        assert self._pool_maps() - before == 2
+
+    def test_tune_cell_record_is_the_xp_record(self, tmp_path):
+        from repro.xp import ArtifactStore, RunConfig, run_experiments
+
+        tuned = run_tune(
+            space("paper_default"),
+            TuneConfig(store_root=tmp_path / "tune", budget=3, report=False),
+        )
+        assert tuned.ok and tuned.executed == 3
+        summary = run_experiments(
+            ["tune_grid"],
+            RunConfig(store_root=tmp_path / "xp", out_dir=tmp_path / "out",
+                      report=False, record=False),
+        )
+        assert summary.ok
+        tune_store = ArtifactStore(tmp_path / "tune")
+        xp_store = ArtifactStore(tmp_path / "xp")
+        keys = [p.stem for p in (tmp_path / "tune" / "tune_grid").iterdir()]
+        assert len(keys) == 3
+
+        def comparable(record: dict) -> dict:
+            return {
+                k: v for k, v in record.items()
+                if k not in ("elapsed_s", "spans")
+            }
+
+        for key in keys:
+            assert comparable(tune_store.load("tune_grid", key)) == (
+                comparable(xp_store.load("tune_grid", key))
+            )
 
 
 class TestObjective:
