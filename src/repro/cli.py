@@ -482,14 +482,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.accelerator.config import AcceleratorConfig
     from repro.sage.calibrate import GRIDS, build_table, load_table
     from repro.xp.artifacts import ArtifactStore
 
     store = ArtifactStore(args.store) if args.store else ArtifactStore()
-    config = AcceleratorConfig.paper_default()
     if args.inspect:
-        table = load_table(store, config)
+        table = load_table(store)
         if table is None:
             print(
                 "no (non-stale) calibration table for this accelerator "
@@ -504,14 +502,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         return 0
     suite = "smoke" if args.smoke else (args.suite or "smoke")
     build = build_table(
-        GRIDS[suite],
-        store=store,
-        config=config,
-        resume=args.resume,
-        force=args.force,
+        GRIDS[suite], store=store, resume=args.resume, force=args.force
     )
+    record = build.record()
     if args.json:
-        _emit_json(build.record())
+        _emit_json(record)
         return 0
     print(
         f"calibrated {build.workloads} workloads on grid {build.grid!r} "
@@ -519,11 +514,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         f"in {build.wall_s:.2f}s -> {len(build.table.cells)} cells"
     )
     print(f"table: {build.table_path}")
-    worst = max(
-        (stats.p95_rel_err for stats in build.table.cells.values()),
-        default=0.0,
+    print(
+        f"worst per-cell p95 relative error: {record['worst_p95_rel_err']:.4f}"
     )
-    print(f"worst per-cell p95 relative error: {worst:.4f}")
     return 0
 
 

@@ -14,7 +14,12 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import MatrixFormat, StorageBreakdown, coords_to_dense
+from repro.formats.base import (
+    MatrixFormat,
+    StorageBreakdown,
+    check_distinct,
+    coords_to_dense,
+)
 from repro.formats.registry import Format
 from repro.util.bits import bits_for_count, bits_for_index, ceil_div
 from repro.util.validation import check_dense_matrix
@@ -91,6 +96,7 @@ class BsrMatrix(MatrixFormat):
             self.block_col_ids.min() < 0 or self.block_col_ids.max() >= self.block_cols
         ):
             raise FormatError("BSR block_col_ids out of range")
+        check_distinct(self.block_row_ptr, self.block_col_ids, self.block_cols, "BSR")
 
     @classmethod
     def from_coords(

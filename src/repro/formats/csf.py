@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import StorageBreakdown, TensorFormat
+from repro.formats.base import StorageBreakdown, TensorFormat, check_distinct
 from repro.formats.registry import Format
 from repro.formats.tensor_coo import CooTensor
 from repro.util.bits import bits_for_count, bits_for_index
@@ -68,6 +68,15 @@ class CsfTensor(TensorFormat):
         for name, ptr in (("x_ptr", self.x_ptr), ("y_ptr", self.y_ptr)):
             if np.any(np.diff(ptr) < 0):
                 raise FormatError(f"CSF {name} must be non-decreasing")
+        # A root is stored once, a fiber once per root, a leaf once per fiber.
+        for name, ids, ptr, dim in (
+            ("x_ids", self.x_ids, np.array([0, n0]), self.shape[0]),
+            ("y_ids", self.y_ids, self.x_ptr, self.shape[1]),
+            ("z_ids", self.z_ids, self.y_ptr, self.shape[2]),
+        ):
+            if len(ids) and (ids.min() < 0 or ids.max() >= dim):
+                raise FormatError(f"CSF {name} out of range")
+            check_distinct(ptr, ids, dim, f"CSF {name}")
 
     # ----------------------------------------------------------- construction
     @classmethod

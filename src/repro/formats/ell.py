@@ -22,6 +22,7 @@ from repro.formats.base import (
     MatrixFormat,
     StorageBreakdown,
     check_coords,
+    check_distinct,
     coords_rows_cols,
 )
 from repro.formats.registry import Format
@@ -69,6 +70,9 @@ class EllMatrix(MatrixFormat):
             cols = self.col_ids[real]
             if cols.min() < 0 or cols.max() >= k:
                 raise FormatError("ELL col_ids out of range")
+            ptr = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum(np.count_nonzero(real, axis=1), out=ptr[1:])
+            check_distinct(ptr, cols, k, "ELL")
         if np.any(self.values[~real] != 0.0):
             raise FormatError("ELL padding slots must hold zero values")
 

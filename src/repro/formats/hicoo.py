@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.base import StorageBreakdown, TensorFormat
+from repro.formats.base import StorageBreakdown, TensorFormat, check_distinct
 from repro.formats.registry import Format
 from repro.util.bits import bits_for_count, bits_for_index, ceil_div
 from repro.util.validation import check_dense_tensor
@@ -70,6 +70,11 @@ class HicooTensor(TensorFormat):
                 raise FormatError("HiCOO bptr endpoints must be 0 and nnz")
             if np.any(np.diff(self.bptr) <= 0):
                 raise FormatError("HiCOO blocks must be non-empty and ordered")
+            grid = [ceil_div(s, b) for s, b in zip(self.shape, self.block_shape)]
+            if self.block_ids.min() < 0 or np.any(self.block_ids.max(0) >= grid):
+                raise FormatError("HiCOO block_ids out of the block grid")
+            blocks = np.ravel_multi_index(self.block_ids.T, grid)
+            check_distinct(np.array([0, len(blocks)]), blocks, 1, "HiCOO block_ids")
         elif n:
             raise FormatError("HiCOO with entries must have blocks")
         for axis in range(3):
@@ -78,6 +83,9 @@ class HicooTensor(TensorFormat):
                 or self.elem_offsets[:, axis].max() >= self.block_shape[axis]
             ):
                 raise FormatError("HiCOO element offsets out of block range")
+        if n:  # an offset is stored once inside its block
+            offsets = np.ravel_multi_index(self.elem_offsets.T, self.block_shape)
+            check_distinct(self.bptr, offsets, np.prod(self.block_shape), "HiCOO")
 
     @classmethod
     def from_dense(

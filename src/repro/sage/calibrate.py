@@ -34,13 +34,14 @@ same base at decision time, keeping training and inference symmetric.
 Persistence
 -----------
 
-Every grid cell is cached through the :class:`~repro.xp.artifacts.
-ArtifactStore` (so ``repro calibrate --resume`` re-executes nothing),
-and the aggregated table is stored under a key derived from the
-accelerator-config digest, the wire-schema version and
-:data:`GRID_VERSION` — a hardware or schema change silently invalidates
-the stale table (:func:`load_table` returns ``None``; the predictor then
-demands a rebuild instead of applying wrong factors).
+Each training workload is one cell of the xp cell executor
+(:func:`~repro.xp.runner.run_cells`), cached in the artifact store (so
+``repro calibrate --resume`` re-executes nothing), and the aggregated
+table is stored under a key derived from the accelerator-config digest,
+the wire-schema version and :data:`GRID_VERSION` — a hardware or schema
+change silently invalidates the stale table (:func:`load_table` returns
+``None``; the predictor then demands a rebuild instead of applying wrong
+factors).
 
 Everything here is deterministic: operand seeds derive from workload
 names, sample aggregation iterates in sorted order — rebuilding a table
@@ -63,7 +64,7 @@ from repro.accelerator.perf_model import analytical_gemm_stats
 from repro.accelerator.protocols import streamable_formats
 from repro.accelerator.simulator import WeightStationarySimulator
 from repro.api.options import WIRE_SCHEMA_VERSION
-from repro.errors import PredictionError, SimulationError
+from repro.errors import PredictionError
 from repro.formats.csc import CscMatrix
 from repro.formats.dense import DenseMatrix
 from repro.formats.registry import Format, matrix_class
@@ -463,16 +464,16 @@ def _acf_pairs() -> tuple[tuple[Format, Format], ...]:
     )
 
 
-def _measure_workload(
-    workload: MatrixWorkload, config: AcceleratorConfig
-) -> list[dict]:
+def _measure_workload(session, params: Mapping) -> dict:
     """Analytical-vs-simulated compute samples for one training workload.
 
-    Its seeded operands are drawn as coordinates and encoded once per
-    ACF straight from them (no dense array is built); the batch is
-    simulated once, reports only.
+    The measure of a calibration cell (*session* is unused): its seeded
+    operands are drawn as coordinates and encoded once per ACF straight
+    from them (no dense array is built); the batch is simulated once on
+    the paper-default config, reports only.
     """
-    seed = _workload_seed(workload)
+    workload = MatrixWorkload.from_dict(params["workload"])
+    config, seed = AcceleratorConfig.paper_default(), params["seed"]
     a_shape, b_shape = (workload.m, workload.k), (workload.k, workload.n)
     a_coords = random_sparse_coords(*a_shape, workload.nnz_a, seed)
     b_coords = random_sparse_coords(*b_shape, workload.nnz_b, seed + 1)
@@ -480,19 +481,17 @@ def _measure_workload(
     encoded_b: dict[Format, object] = {}
     jobs, metas = [], []
     for acf_a, acf_b in _acf_pairs():
-        try:
-            run = analytical_gemm_stats(
-                workload.m,
-                workload.k,
-                workload.n,
-                workload.nnz_a,
-                workload.nnz_b,
-                analytical_base_acf(acf_a),
-                acf_b,
-                config,
-            )
-        except SimulationError:  # pragma: no cover - base ACFs are modelled
-            continue
+        # Base ACFs are modelled; a SimulationError here fails the cell.
+        run = analytical_gemm_stats(
+            workload.m,
+            workload.k,
+            workload.n,
+            workload.nnz_a,
+            workload.nnz_b,
+            analytical_base_acf(acf_a),
+            acf_b,
+            config,
+        )
         if acf_a not in encoded_a:
             encoded_a[acf_a] = matrix_class(acf_a).from_coords(
                 a_shape, *a_coords
@@ -500,9 +499,7 @@ def _measure_workload(
         if acf_b not in encoded_b:
             cls = CscMatrix if acf_b is Format.CSC else DenseMatrix
             encoded_b[acf_b] = cls.from_coords(b_shape, *b_coords)
-        jobs.append(
-            (encoded_a[acf_a], acf_a, encoded_b[acf_b], acf_b)
-        )
+        jobs.append((encoded_a[acf_a], acf_a, encoded_b[acf_b], acf_b))
         metas.append(
             {
                 "acf_a": acf_a.value,
@@ -521,7 +518,7 @@ def _measure_workload(
                 "sim_energy_j": run.energy.total_j,
             }
         )
-    return samples
+    return {"samples": samples}
 
 
 # ------------------------------------------------------------- aggregation
@@ -589,14 +586,6 @@ def _aggregate(
 
 
 @dataclass(frozen=True)
-class _CellIdentity:
-    """The artifact-store experiment identity of the calibration grid."""
-
-    name: str = CELL_EXPERIMENT
-    version: int = GRID_VERSION
-
-
-@dataclass(frozen=True)
 class CalibrationBuild:
     """Result of one :func:`build_table` run (the CLI's JSON record)."""
 
@@ -637,7 +626,6 @@ def build_table(
     grid: CalibrationGrid,
     *,
     store: "ArtifactStore | None" = None,
-    config: AcceleratorConfig | None = None,
     resume: bool = False,
     force: bool = False,
 ) -> CalibrationBuild:
@@ -645,49 +633,51 @@ def build_table(
 
     ``resume=True`` answers grid cells already in the store without
     re-simulating (asserting zero re-execution is the CI smoke check);
-    ``force=True`` invalidates them first.  The aggregated table always
-    re-derives from the (cached or fresh) cell records and overwrites
-    the stored table — a refresh is just a re-run.
+    ``force=True`` invalidates them first.  A failed workload raises
+    :class:`CalibrationError` and stores no table.  The aggregated table
+    always re-derives from the (cached or fresh) cell records and
+    overwrites the stored table — a refresh is just a re-run.
     """
     from repro.xp.artifacts import ArtifactStore
+    from repro.xp.registry import Experiment
+    from repro.xp.runner import RunConfig, run_cells
 
     store = store if store is not None else ArtifactStore()
-    cfg = config or AcceleratorConfig.paper_default()
-    identity = _CellIdentity()
     if force:
         store.invalidate(CELL_EXPERIMENT)
     t0 = time.perf_counter()
-    measured: list[tuple[MatrixWorkload, dict]] = []
-    executed = cached = 0
-    for workload in grid.workloads():
-        params = {
-            "workload": workload.to_dict(),
-            "grid": grid.name,
-            "config": _config_digest(cfg),
-            "seed": _workload_seed(workload),
-        }
-        key = store.cell_key(identity, params)
-        record = store.load(CELL_EXPERIMENT, key) if resume else None
-        if record is None:
-            t_cell = time.perf_counter()
-            samples = _measure_workload(workload, cfg)
-            record = {
-                "params": params,
-                "samples": samples,
-                "elapsed_s": time.perf_counter() - t_cell,
-            }
-            store.store(CELL_EXPERIMENT, key, record)
-            executed += 1
-        else:
-            cached += 1
-        measured.append((workload, record))
-    table = _aggregate(measured, grid, cfg)
-    path = store.store(TABLE_EXPERIMENT, _table_key(cfg), table.to_dict())
+    # Unregistered; the cells are laid out here, so the matrix names grids.
+    experiment = Experiment(
+        name=CELL_EXPERIMENT, kind="table", anchor="calibrated tier",
+        title="Analytical vs simulated samples of one training workload",
+        matrix={"grid": tuple(GRIDS)}, measure=_measure_workload,
+        schema=("samples",), version=GRID_VERSION,
+    )
+    workloads = grid.workloads()
+    states = run_cells(
+        [
+            (experiment, {"workload": w.to_dict(), "grid": grid.name,
+                          "seed": _workload_seed(w)})
+            for w in workloads
+        ],
+        RunConfig(processes=1, resume=resume, store_root=store.root),
+    )
+    for workload, state in zip(workloads, states):
+        if not state.ok:
+            raise CalibrationError(
+                f"calibration workload {workload.name!r} failed: {state.error}"
+            )
+    config = AcceleratorConfig.paper_default()
+    table = _aggregate(
+        [(w, s.result) for w, s in zip(workloads, states)], grid, config
+    )
+    path = store.store(TABLE_EXPERIMENT, _table_key(config), table.to_dict())
+    cached = sum(state.cached for state in states)
     return CalibrationBuild(
         table=table,
         grid=grid.name,
-        workloads=len(measured),
-        executed=executed,
+        workloads=len(states),
+        executed=len(states) - cached,
         cached=cached,
         wall_s=time.perf_counter() - t0,
         table_path=path,

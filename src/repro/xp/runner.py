@@ -15,7 +15,8 @@ seed scripts hand-rolled twenty times:
    warm :class:`~repro.api.session.Session` (local or ``tcp://``
    backend).  The resume check, execution, validation and persistence
    are :func:`run_cells`, through which ``repro tune`` also prices its
-   points, as ``tune_grid`` cells.
+   points, as ``tune_grid`` cells, and ``repro calibrate`` its training
+   workloads.
 4. **Validate** each result against the experiment's expected-shape
    schema and persist it to the store.
 5. **Check** each completed grid (cached cells included) against the
@@ -254,7 +255,7 @@ class RunSummary:
 class _CellJob:
     """Picklable unit of work handed to the fork pool."""
 
-    experiment: str
+    experiment: Experiment
     params: tuple  # sorted (axis, value) pairs
     key: str
     backend: str
@@ -274,15 +275,13 @@ def _session_for(backend: str):
 
 
 def _execute_cell(job: _CellJob) -> CellState:
-    """Measure one cell: resolve, run through Session, validate."""
+    """Measure one cell through the Session and validate its result."""
     params = dict(job.params)
     t0 = time.perf_counter()
+    exp = job.experiment
     try:
-        exp = get_experiment(job.experiment)
         session = _session_for(job.backend)
-        with collect_spans() as spans, span(
-            "xp.cell", experiment=job.experiment
-        ):
+        with collect_spans() as spans, span("xp.cell", experiment=exp.name):
             measured = exp.measure(session, params)
         result = exp.validate_result(params, measured)
         return CellState(
@@ -307,12 +306,13 @@ def run_cells(
 ) -> list[CellState]:
     """Answer ``(experiment, params)`` cells; states come back in input order.
 
-    Under ``resume`` (or ``cached_only``) a cell already in the artifact
-    store is answered from its record.  The rest run as one
-    :func:`~repro.util.pool.fork_map` batch, each persisted as it arrives,
-    so an interrupted batch keeps every completed cell for the next
-    resume.  ``cached_only`` runs nothing: an uncached cell comes back as
-    a bare placeholder (neither ``ok`` nor ``cached``).
+    The experiments need not be registered.  Under ``resume`` (or
+    ``cached_only``) a cell already in the artifact store is answered from
+    its record.  The rest run as one :func:`~repro.util.pool.fork_map`
+    batch, each persisted as it arrives, so an interrupted batch keeps
+    every completed cell for the next resume.  ``cached_only`` runs
+    nothing: an uncached cell comes back as a bare placeholder (neither
+    ``ok`` nor ``cached``).
     """
     store = ArtifactStore(config.store_root)
     resume = config.resume or config.cached_only
@@ -339,14 +339,14 @@ def run_cells(
             slots.append(len(states) - 1)
             pending.append(
                 _CellJob(
-                    experiment=exp.name,
+                    experiment=exp,
                     params=tuple(sorted(params.items())),
                     key=key,
                     backend=config.backend,
                 )
             )
 
-    owner = {job.key: job.experiment for job in pending}
+    owner = {job.key: job.experiment.name for job in pending}
 
     def persist(cell: CellState) -> None:
         if cell.ok:

@@ -308,7 +308,9 @@ class TestSimulateMany:
                     acf_a.value, acf_b.value,
                     run.cycles.total_cycles, run.energy.total_j,
                 ))
-            samples = calibrate._measure_workload(workload, cfg)
+            samples = calibrate._measure_workload(None, {
+                "workload": workload.to_dict(), "seed": seed,
+            })["samples"]
             assert [
                 (s["acf_a"], s["acf_b"], s["sim_cycles"], s["sim_energy_j"])
                 for s in samples

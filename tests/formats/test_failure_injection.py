@@ -18,12 +18,14 @@ from repro.formats import (
     CscMatrix,
     CsfTensor,
     CsrMatrix,
+    DiaMatrix,
     EllMatrix,
     HicooTensor,
     RlcMatrix,
     RlcTensor,
     ZvcMatrix,
 )
+from repro.formats.registry import MATRIX_FORMATS, TENSOR_FORMATS, Format
 from tests.conftest import make_sparse
 
 
@@ -166,3 +168,102 @@ class TestTensorCorruption:
         with pytest.raises(FormatError):
             HicooTensor(h.shape, h.values, bad, h.block_ids, h.elem_offsets,
                         block_shape=h.block_shape)
+
+
+#: Raw fields that store one cell twice, for every registered format
+#: whose layout can express a repeat, keyed by ``(kind, format)``.
+#: Decoding such fields keeps one copy while ``storage()`` bills both.
+REPEATED_CELL = {
+    ("matrix", Format.COO): lambda: CooMatrix((1, 2), [1.0, 2.0], [0, 0], [1, 1]),
+    ("matrix", Format.CSR): lambda: CsrMatrix((1, 2), [1.0, 2.0], [0, 0], [0, 2]),
+    ("matrix", Format.CSC): lambda: CscMatrix((2, 1), [1.0, 2.0], [0, 0], [0, 2]),
+    ("matrix", Format.BSR): lambda: BsrMatrix(
+        (2, 4), np.ones((2, 2, 2)), [0, 0], [0, 2]
+    ),
+    ("matrix", Format.DIA): lambda: DiaMatrix((2, 2), np.ones((2, 2)), [0, 0]),
+    ("matrix", Format.ELL): lambda: EllMatrix((1, 2), [[1.0, 2.0]], [[0, 0]]),
+    ("tensor", Format.COO): lambda: CooTensor(
+        (2, 2, 2), [1.0, 2.0], [0, 0], [0, 0], [0, 0]
+    ),
+    ("tensor", Format.CSF): lambda: CsfTensor(
+        (1, 1, 2), [0], [0, 1], [0], [0, 2], [0, 0], [1.0, 2.0]
+    ),
+    ("tensor", Format.HICOO): lambda: HicooTensor(
+        (1, 1, 2), [1.0, 2.0], [0, 2], [[0, 0, 0]], [[0, 0, 0], [0, 0, 0]]
+    ),
+}
+
+#: Formats with one slot per position (a bitmask, run lengths, the dense
+#: array itself): a cell's position follows from the layout, so no field
+#: can name it twice.
+POSITIONAL = {
+    (kind, fmt)
+    for kind in ("matrix", "tensor")
+    for fmt in (Format.DENSE, Format.RLC, Format.ZVC)
+}
+
+REGISTERED = [("matrix", f) for f in MATRIX_FORMATS] + [
+    ("tensor", f) for f in TENSOR_FORMATS
+]
+
+
+class TestRepeatedCell:
+    """A cell is stored at most once, in every registered format."""
+
+    def test_every_registered_format_is_covered(self):
+        assert not set(REPEATED_CELL) & POSITIONAL
+        assert set(REPEATED_CELL) | POSITIONAL == set(REGISTERED)
+
+    @pytest.mark.parametrize(
+        "case", sorted(REPEATED_CELL, key=str),
+        ids=lambda case: f"{case[0]}-{case[1].value}",
+    )
+    def test_repeated_cell_rejected(self, case):
+        with pytest.raises(FormatError):
+            REPEATED_CELL[case]()
+
+    def test_repeated_csf_root(self):
+        # Distinct cells, but root x=0 is stored twice: storage() would
+        # bill 18 metadata bits where the canonical tree bills 10.
+        with pytest.raises(FormatError, match="x_ids"):
+            CsfTensor((1, 1, 2), x_ids=[0, 0], x_ptr=[0, 1, 2],
+                      y_ids=[0, 0], y_ptr=[0, 1, 2], z_ids=[0, 1],
+                      values=[1.0, 2.0])
+
+    def test_repeated_csf_fiber(self):
+        with pytest.raises(FormatError, match="y_ids"):
+            CsfTensor((1, 2, 2), x_ids=[0], x_ptr=[0, 2], y_ids=[0, 0],
+                      y_ptr=[0, 1, 2], z_ids=[0, 1], values=[1.0, 2.0])
+
+    def test_repeated_hicoo_block(self):
+        # Distinct cells, but block [0, 0, 0] is stored twice: 18
+        # metadata bits where the canonical encoding bills 13.
+        with pytest.raises(FormatError, match="block_ids"):
+            HicooTensor((1, 1, 2), [1.0, 2.0], [0, 1, 2],
+                        [[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1]])
+
+    def test_hicoo_block_outside_grid(self):
+        with pytest.raises(FormatError, match="block grid"):
+            HicooTensor((2, 2, 2), [1.0], [0, 1], [[1, 0, 0]], [[0, 0, 0]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EllMatrix((1, 3), [[1.0, 2.0]], [[2, 0]]),
+            lambda: EllMatrix((2, 3), [[1.0, 0.0], [2.0, 3.0]],
+                              [[1, -1], [2, 0]]),
+            lambda: BsrMatrix((2, 4), np.ones((2, 2, 2)), [1, 0], [0, 2]),
+            lambda: CsfTensor((2, 2, 2), [1, 0], [0, 1, 2], [1, 1],
+                              [0, 2, 3], [1, 0, 1], [1.0, 2.0, 3.0]),
+            lambda: HicooTensor((4, 2, 2), [1.0, 2.0, 3.0], [0, 2, 3],
+                                [[1, 0, 0], [0, 0, 0]],
+                                [[1, 0, 0], [0, 0, 0], [0, 1, 1]]),
+        ],
+        ids=["ell", "ell-padded-row", "bsr", "csf", "hicoo"],
+    )
+    def test_distinct_out_of_order_fields_pass(self, build):
+        # Out-of-order but distinct fields take the sort path and pass.
+        fmt = build()
+        assert np.count_nonzero(fmt.to_dense()) == len(
+            np.asarray(fmt.values).nonzero()[0]
+        )

@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 from repro.accelerator.config import AcceleratorConfig
 from repro.errors import PredictionError
 from repro.formats.registry import Format
+from repro.obs.metrics import registry
+from repro.obs.trace import start_trace, stop_trace
+from repro.sage import calibrate
 from repro.sage.calibrate import (
     GRIDS,
     CalibrationError,
@@ -33,6 +36,7 @@ from repro.sage.predictor import SIM_CAP_ELEMENTS, Sage, SageDecision, _proxy_wo
 from repro.workloads.spec import Kernel
 from repro.workloads.suite import MATRIX_SUITE
 from repro.xp.artifacts import ArtifactStore
+from repro.xp.registry import experiment_names
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +84,68 @@ class TestBuild:
             GRIDS["tiny"], store=ArtifactStore(tmp_path / "fresh")
         )
         assert rebuilt.table.to_dict() == tiny_build.table.to_dict()
+
+
+class TestCellExecutor:
+    """Training workloads are cells of the xp runner's executor."""
+
+    @staticmethod
+    def _pool_maps() -> dict[str, float]:
+        counter = registry().counter("repro_pool_maps_total")
+        return {
+            path: counter.value(path=path) for path in ("sequential", "pool")
+        }
+
+    def test_build_is_one_sequential_map(self, tmp_path):
+        # Fanning the build out over a pool is a recorded negative result
+        # (peak RSS); the whole grid is one in-process fork_map.
+        before = self._pool_maps()
+        build_table(GRIDS["tiny"], store=ArtifactStore(tmp_path))
+        after = self._pool_maps()
+        assert after["sequential"] - before["sequential"] == 1
+        assert after["pool"] == before["pool"]
+
+    def test_failed_workload_raises_and_stores_no_table(
+        self, tmp_path, monkeypatch
+    ):
+        failing = GRIDS["tiny"].workloads()[3].name
+        measure = calibrate._measure_workload
+
+        def flaky(session, params):
+            if params["workload"]["name"] == failing:
+                raise RuntimeError("simulator fault")
+            return measure(session, params)
+
+        monkeypatch.setattr(calibrate, "_measure_workload", flaky)
+        store = ArtifactStore(tmp_path)
+        with pytest.raises(CalibrationError, match=failing):
+            build_table(GRIDS["tiny"], store=store)
+        assert load_table(store) is None
+        assert store.count(calibrate.TABLE_EXPERIMENT) == 0
+
+    def test_force_with_resume_re_executes_every_workload(
+        self, store, tiny_build
+    ):
+        forced = build_table(GRIDS["tiny"], store=store, resume=True,
+                             force=True)
+        assert forced.executed == forced.workloads == tiny_build.workloads
+        assert forced.cached == 0
+        assert forced.table.to_dict() == tiny_build.table.to_dict()
+
+    def test_cell_experiment_is_not_registered(self):
+        assert calibrate.CELL_EXPERIMENT not in experiment_names()
+
+    def test_traced_build_spans_one_cell_per_workload(self, tmp_path):
+        start_trace()
+        try:
+            build = build_table(GRIDS["tiny"], store=ArtifactStore(tmp_path))
+        finally:
+            events = stop_trace()
+        cells = [e for e in events if e["name"] == "xp.cell"]
+        assert len(cells) == build.workloads
+        assert {e["args"]["experiment"] for e in cells} == {
+            calibrate.CELL_EXPERIMENT
+        }
 
 
 class TestStaleness:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +53,23 @@ class TestConsoleScript:
         assert pyproject["tool"]["setuptools"]["packages"]["find"]["where"] == [
             "src"
         ]
+
+
+class TestImportFootprint:
+    def test_import_repro_loads_no_xp_module(self):
+        # The experiment runner is imported on first use (calibrate,
+        # tune, xp); a plain ``import repro`` must not pay for it.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        probe = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'repro.xp' or m.startswith('repro.xp.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
