@@ -61,9 +61,14 @@ FLOORS: dict[str, dict[str, float]] = {
         "json_vs_binary_rps": 0.7,
         "warm_p99_ms": {"max": 50.0},
     },
+    # The batch (one preparation per stationary operand, one beat count
+    # per batch, no output product) against one run_gemm per job: read
+    # 2.6-4.6x in twelve standalone runs (2-vCPU VM); the spread follows
+    # how long the float matmuls take, which varied ~8x between runs.
     "simulate_many.json": {
         "speedup_vectorized_vs_reference": 5.0,
         "speedup_batch_vs_reference": 5.0,
+        "speedup_batch_vs_vectorized": 1.3,
     },
     # The obs plane must stay within ~5% of REPRO_OBS=off on the predict
     # hot path (median of paired per-round ratios, measured ~0.98-1.05).

@@ -36,6 +36,7 @@ CLI pick it up automatically.  Unsupported lookups raise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -475,14 +476,28 @@ TENSOR_STREAM_PROTOCOLS.register(
 class StationaryOperand:
     """Array-resident view of one stationary operand.
 
-    ``values`` materializes the stored payload densely ((K, N), zeros where
-    nothing is stored); ``stored`` marks buffer-resident positions — for a
-    Dense layout that is every position ("to maintain correct buffer
-    indexing"), for CSC only the stored nonzeros.
+    ``values`` materializes the stored payload densely ((K, N), zeros
+    where nothing is stored).  ``positions`` holds the buffer-resident
+    positions as ``(k, column)`` index arrays in row-major order (the
+    order ``np.nonzero`` returns), or ``None`` when every position is
+    resident: a Dense layout stores zeros too "to maintain correct
+    buffer indexing", CSC only its stored entries (explicit zeros
+    included).  The simulator's per-k and per-(tile, column) counts come
+    from the positions, or from the shape alone when every position is
+    resident; :attr:`stored` is the dense mask, built on first read.
     """
 
     values: np.ndarray  # (K, N) float64
-    stored: np.ndarray  # (K, N) bool
+    positions: tuple[np.ndarray, np.ndarray] | None
+
+    @cached_property
+    def stored(self) -> np.ndarray:
+        """(K, N) bool: the buffer-resident positions."""
+        if self.positions is None:
+            return np.ones(self.values.shape, dtype=bool)
+        mask = np.zeros(self.values.shape, dtype=bool)
+        mask[self.positions] = True
+        return mask
 
 
 @dataclass(frozen=True)
@@ -551,21 +566,17 @@ def register_stationary_layout(
 @register_stationary_layout(Format.DENSE, entry_cost=1, matcher="direct")
 def _prepare_dense(b: MatrixFormat) -> StationaryOperand:
     """Dense columns store every value; the buffer answers every index."""
-    values = b.to_dense()
-    return StationaryOperand(
-        values=values, stored=np.ones(values.shape, dtype=bool)
-    )
+    return StationaryOperand(values=b.to_dense(), positions=None)
 
 
 @register_stationary_layout(Format.CSC, entry_cost=2, matcher="metadata")
 def _prepare_csc(b: MatrixFormat) -> StationaryOperand:
     """CSC columns store (value, row id) pairs; matching is by metadata."""
     csc = b if isinstance(b, CscMatrix) else CscMatrix.from_dense(b.to_dense())
-    values = np.zeros(csc.shape, dtype=np.float64)
-    stored = np.zeros(csc.shape, dtype=bool)
-    cols = np.repeat(
-        np.arange(csc.shape[1], dtype=np.int64), csc.col_lengths()
-    )
+    k, n = csc.shape
+    cols = np.repeat(np.arange(n, dtype=np.int64), csc.col_lengths())
+    values = np.zeros((k, n), dtype=np.float64)
     values[csc.row_ids, cols] = csc.values
-    stored[csc.row_ids, cols] = True
-    return StationaryOperand(values=values, stored=stored)
+    # Column-major storage, re-sorted into row-major positions.
+    flat = np.sort(csc.row_ids.astype(np.int64) * n + cols)
+    return StationaryOperand(values=values, positions=np.divmod(flat, max(n, 1)))

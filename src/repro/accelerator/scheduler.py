@@ -50,20 +50,17 @@ class Schedule:
         return len(self.rounds)
 
 
-def _uniform_tiles(k: int, num_tiles: int) -> tuple[tuple[int, int], ...]:
-    """Split [0, k) into *num_tiles* near-equal contiguous ranges."""
-    bounds = np.linspace(0, k, num_tiles + 1, dtype=np.int64)
-    return tuple((int(bounds[t]), int(bounds[t + 1])) for t in range(num_tiles))
-
-
-def _column_counts(
-    stored: np.ndarray, tiles: tuple[tuple[int, int], ...]
-) -> np.ndarray:
-    """Stored positions per (tile, column), shape ``(num_tiles, N)``."""
-    if not stored.size:
-        return np.zeros((len(tiles), stored.shape[1]), dtype=np.int64)
-    starts = [lo for lo, _hi in tiles]
-    return np.add.reduceat(stored, starts, axis=0, dtype=np.int64)
+def _column_counts(op: StationaryOperand, bounds: np.ndarray) -> np.ndarray:
+    """Stored positions per (tile, column), shape ``(num_tiles, N)``, for
+    the K tiles ``[bounds[t], bounds[t + 1])``."""
+    num_tiles, n = len(bounds) - 1, op.values.shape[1]
+    if op.positions is None:  # every position: each tile's width
+        return np.repeat(np.diff(bounds)[:, None], n, axis=1)
+    k, col = op.positions
+    tile = np.searchsorted(bounds, k, side="right") - 1
+    return np.bincount(
+        tile * n + col, minlength=num_tiles * n
+    ).reshape(num_tiles, n)
 
 
 def plan_k_tiles(
@@ -72,19 +69,22 @@ def plan_k_tiles(
     """Minimal uniform K-tiling so every (tile, column) footprint fits,
     with its ``(num_tiles, N)`` stored-position counts.
 
-    Candidate tilings are tried from the fewest tiles the fullest column
-    allows upwards; each costs one segment sum over the stored mask.
+    Candidate tilings (near-equal contiguous ranges) are tried from the
+    fewest tiles the fullest column allows upwards; each costs one
+    ``bincount`` over the stored positions, or nothing beyond the tile
+    widths when every position is stored.
     """
-    k = op.stored.shape[0]
-    per_col = op.stored.sum(axis=0)
-    max_footprint = (
-        layout.entry_cost * int(per_col.max()) if per_col.size else 0
-    )
-    num = max(1, ceil_div(max_footprint, capacity_entries))
+    k, n = op.values.shape
+    if op.positions is None:
+        fullest = k if n else 0
+    else:
+        fullest = int(np.bincount(op.positions[1], minlength=n).max(initial=0))
+    num = max(1, ceil_div(layout.entry_cost * fullest, capacity_entries))
     while num <= max(k, 1):
-        tiles = _uniform_tiles(k, num)
-        counts = _column_counts(op.stored, tiles)
+        bounds = np.linspace(0, k, num + 1, dtype=np.int64)
+        counts = _column_counts(op, bounds)
         if layout.entry_cost * counts.max(initial=0) <= capacity_entries:
+            tiles = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
             return tiles, counts
         num += 1
     raise SchedulingError(

@@ -16,16 +16,22 @@ A GEMM's report comes from one statistics pass per operand, not from an
 entry stream per K tile: the streamed operand's
 :class:`~repro.accelerator.stream.StreamStats` (per-k entry histograms,
 per-tile row runs, bus groups) and the stationary operand's per-k and
-per-(tile, round) stored counts, taken once per prepared operand.  The K
-tiles partition K and the rounds partition the columns, so issued,
-matched and compared MACs are dot products over K, loads a segment sum,
-and the stream's beats one composition of per-group packer transition
-tables.  The output product (:meth:`run_gemm`) comes from the same pass:
-one scatter of the statistics' entries and one matmul against the
-stationary values, which is what the PEs accumulate tile by tile and
-round by round.  Beyond that, entries are looked at only for the CAM
-spill runs of a sparse row-grouped stream (one small pattern GEMM per
-tile) and for the spill runs of a stream that interleaves rows (CSC).
+per-(tile, round) stored counts, taken once per prepared operand from
+its stored positions (from its shape alone when, as for Dense, every
+position is stored).  The K tiles partition K and the rounds partition
+the columns, so issued, matched and compared MACs are dot products over
+K, loads a segment sum, and the stream's beats a composition of
+per-group packer transition tables.  A batch (:meth:`simulate_many`)
+keeps only each GEMM's bus groups once its statistics are taken and
+counts the beats of all its GEMMs in one
+:func:`~repro.accelerator.stream.count_beats_many` call; :meth:`run_gemm`
+makes the same call for its one GEMM.  The output product
+(:meth:`run_gemm`) comes from the same pass: one scatter of the
+statistics' entries and one matmul against the stationary values, which
+is what the PEs accumulate tile by tile and round by round.  Beyond
+that, entries are looked at only for the CAM spill runs of a sparse
+row-grouped stream (one small pattern GEMM per tile) and for the spill
+runs of a stream that interleaves rows (CSC).
 The reports are pinned by the test suite against a per-beat PE model and
 a Python greedy packer kept there as oracles, along with the Fig. 6
 walkthrough's 8 / 3 / 4 streaming cycles and the closed-form analytical
@@ -34,6 +40,7 @@ cross-check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +59,7 @@ from repro.accelerator.scheduler import (
     compute_rounds,
     plan_k_tiles,
 )
-from repro.accelerator.stream import StreamStats
+from repro.accelerator.stream import BeatJob, StreamStats, count_beats_many
 from repro.errors import SimulationError
 from repro.formats.base import MatrixFormat
 from repro.formats.registry import Format
@@ -77,7 +84,9 @@ class _Stationary:
     per-k / per-tile statistics every GEMM against it reads.
 
     Built once per ``(id(b), acf_b)``; nothing in it depends on the
-    streamed operand.
+    streamed operand.  Every count comes from the operand's stored
+    positions (from its shape when every position is stored), not from
+    a dense mask.
     """
 
     def __init__(
@@ -91,10 +100,13 @@ class _Stationary:
         self.schedule = Schedule(
             k_tiles=tiles, rounds=compute_rounds(b.ncols, config.num_pes)
         )
-        k, n = operand.stored.shape
+        k, n = operand.values.shape
         self.bounds = np.asarray([lo for lo, _hi in tiles] + [k])
         #: stored positions per reduction index, over every column.
-        self.per_k = operand.stored.sum(axis=1, dtype=np.int64)
+        self.per_k = (
+            np.full(k, n, dtype=np.int64) if operand.positions is None
+            else np.bincount(operand.positions[0], minlength=k)
+        )
         #: stored positions per K tile, and columns with at least one.
         self.per_tile = per_tile_col.sum(axis=1)
         self.cols_per_tile = np.count_nonzero(per_tile_col, axis=1)
@@ -118,6 +130,23 @@ class _Stationary:
 _Prepared = dict[tuple[int, Format], _Stationary]
 
 
+@dataclass(frozen=True)
+class _Pending:
+    """One GEMM's report but for its stream beats, which are counted for
+    a whole batch at once: the stream's bus groups and every other
+    report input."""
+
+    groups: BeatJob
+    rounds: int
+    k_tiles: int
+    load_cycles: int
+    entries_loaded: int
+    issued: int
+    matched: int
+    compares: int
+    spills: int
+
+
 class WeightStationarySimulator:
     """Cycle-level simulator for one accelerator configuration."""
 
@@ -137,7 +166,9 @@ class WeightStationarySimulator:
         ``a`` must be encoded in ``acf_a`` (its class must match) and ``b``
         is re-encoded to the stationary layout internally if needed.
         """
-        return self._gemm(a, acf_a, b, acf_b, {}, output=True)
+        pending, out = self._gemm(a, acf_a, b, acf_b, {}, output=True)
+        (report,) = self._reports([pending])
+        return out, report
 
     def _gemm(
         self,
@@ -148,11 +179,11 @@ class WeightStationarySimulator:
         prepared: _Prepared,
         *,
         output: bool,
-    ) -> tuple[np.ndarray | None, RunReport]:
+    ) -> tuple[_Pending, np.ndarray | None]:
         """Validate, prepare the stationary side unless *prepared* already
-        holds it (keyed by ``(id(b), acf_b)``), then execute.  The output
-        is computed only when *output* is set (``None`` otherwise); the
-        report does not depend on it."""
+        holds it (keyed by ``(id(b), acf_b)``), then take the GEMM's
+        statistics: its report but for the beats, and its output when
+        *output* is set (``None`` otherwise)."""
         proto = stream_protocol_for(acf_a)
         if not proto.streamable:
             raise SimulationError(
@@ -175,41 +206,25 @@ class WeightStationarySimulator:
             if key not in prepared:
                 with span("accel.prepare"):
                     prepared[key] = _Stationary(layout, b, self.config)
-            out, report = self._run_vectorized(
-                a, proto, layout, prepared[key], output
-            )
-        _GEMMS.inc()
-        cycles = report.cycles
-        for phase, amount in (
-            ("load", cycles.load_cycles),
-            ("stream", cycles.stream_cycles),
-            ("compute", cycles.compute_cycles),
-            ("drain", cycles.drain_cycles),
-        ):
-            if amount:
-                _PHASE_CYCLES.inc(amount, phase=phase)
-        return out, report
+            return self._measure(a, proto, layout, prepared[key], output)
 
     # ------------------------------------------------- vectorized engine --
-    def _run_vectorized(
+    def _measure(
         self, a, proto: StreamProtocol, layout: StationaryLayout,
         st: _Stationary, output: bool,
-    ) -> tuple[np.ndarray | None, RunReport]:
-        """One GEMM's report, and its product when *output* is set, from
-        whole-operand statistics.
+    ) -> tuple[_Pending, np.ndarray | None]:
+        """One GEMM's report inputs, and its product when *output* is set,
+        from whole-operand statistics.
 
         Every streamed statistic is taken once per operand
         (:meth:`~repro.accelerator.protocols.StreamProtocol.stream_stats`)
         and every stationary one once per prepared operand, so the K
         tiles and column rounds only enter as segment sums: the tiles
-        partition K and the rounds partition the columns.
+        partition K and the rounds partition the columns.  Of the
+        statistics only the bus groups outlive the call.
         """
-        cfg = self.config
-        w = cfg.bus_slots
-        schedule = st.schedule
         n = st.operand.values.shape[1]
-        stats = proto.stream_stats(a, schedule.k_tiles)
-        stream_cycles = schedule.num_rounds * stats.beats(proto.spec, w)
+        stats = proto.stream_stats(a, st.schedule.k_tiles)
         num = int(stats.c_all.sum())
         if layout.matcher == "direct":
             # Indexable buffers answer every streamed element.
@@ -232,25 +247,53 @@ class WeightStationarySimulator:
                 spills = int(np.dot(stats.runs, st.cols_per_tile))
             else:
                 spills = _pattern_runs(stats.entries, a.nrows, st)
-
-        drain_cycles = ceil_div(spills, w) if spills else 0
-        compute_cycles = ceil_div(issued, cfg.total_macs) if issued else 0
-        cycles = CycleReport(
+        pending = _Pending(
+            groups=(*stats.groups, proto.spec),
+            rounds=st.schedule.num_rounds,
+            k_tiles=st.schedule.num_tiles,
             load_cycles=st.load_cycles,
-            stream_cycles=stream_cycles,
-            drain_cycles=drain_cycles,
-            compute_cycles=compute_cycles,
-            rounds=schedule.num_rounds,
-            k_tiles=schedule.num_tiles,
-            issued_macs=issued,
-            matched_macs=matched,
-            output_spills=spills,
+            entries_loaded=st.entries_loaded,
+            issued=issued,
+            matched=matched,
+            compares=compares,
+            spills=spills,
         )
-        energy = self._energy(
-            stream_cycles, st.entries_loaded, issued, compares, spills
-        )
-        out = _output(a, stats, st) if output else None
-        return out, RunReport(cycles=cycles, energy=energy)
+        return pending, _output(a, stats, st) if output else None
+
+    def _reports(self, pending: Sequence[_Pending]) -> list[RunReport]:
+        """The reports of *pending* GEMMs, their beats counted in one
+        :func:`~repro.accelerator.stream.count_beats_many` call."""
+        cfg = self.config
+        beats = count_beats_many([p.groups for p in pending], cfg.bus_slots)
+        reports = []
+        for p, stream_beats in zip(pending, beats.tolist()):
+            stream_cycles = p.rounds * stream_beats
+            cycles = CycleReport(
+                load_cycles=p.load_cycles,
+                stream_cycles=stream_cycles,
+                drain_cycles=ceil_div(p.spills, cfg.bus_slots),
+                compute_cycles=ceil_div(p.issued, cfg.total_macs),
+                rounds=p.rounds,
+                k_tiles=p.k_tiles,
+                issued_macs=p.issued,
+                matched_macs=p.matched,
+                output_spills=p.spills,
+            )
+            energy = self._energy(
+                stream_cycles, p.entries_loaded, p.issued, p.compares,
+                p.spills,
+            )
+            reports.append(RunReport(cycles=cycles, energy=energy))
+            _GEMMS.inc()
+            for phase, amount in (
+                ("load", cycles.load_cycles),
+                ("stream", cycles.stream_cycles),
+                ("compute", cycles.compute_cycles),
+                ("drain", cycles.drain_cycles),
+            ):
+                if amount:
+                    _PHASE_CYCLES.inc(amount, phase=phase)
+        return reports
 
     # ------------------------------------------------------------- batch --
     def simulate_many(self, jobs: Sequence[SimJob]) -> list[RunReport]:
@@ -262,7 +305,8 @@ class WeightStationarySimulator:
         :meth:`run_gemm` for the product).  Each report equals
         ``run_gemm(*job)[1]``.  As in :meth:`run_gemm`, each streamed
         operand's statistics are taken in one pass per GEMM; no entry
-        stream is built per K tile.
+        stream is built per K tile.  The stream beats of every GEMM are
+        then counted in one call for the whole batch.
 
         Each piece of work is done once per batch.  Jobs are keyed by
         operand identity, ``(id(a), acf_a, id(b), acf_b)``: a repeated job
@@ -279,17 +323,18 @@ class WeightStationarySimulator:
         Callers that need fan-out parallelize whole predictions or grid
         cells instead (:func:`~repro.util.pool.fork_map`).
         """
-        done: dict[tuple, RunReport] = {}
+        pending: dict[tuple, _Pending] = {}
         prepared: _Prepared = {}
-        reports = []
+        keys = []
         for a, acf_a, b, acf_b in jobs:
             key = (id(a), acf_a, id(b), acf_b)
-            if key not in done:
-                done[key] = self._gemm(
+            keys.append(key)
+            if key not in pending:
+                pending[key] = self._gemm(
                     a, acf_a, b, acf_b, prepared, output=False
-                )[1]
-            reports.append(done[key])
-        return reports
+                )[0]
+        done = dict(zip(pending, self._reports(list(pending.values()))))
+        return [done[key] for key in keys]
 
     # ----------------------------------------------------------- accounting
     def _energy(
@@ -407,7 +452,10 @@ def _interleaved_runs(entries, st: _Stationary) -> int:
     block_k = k[first]
     # Each block's matched columns, block-major, then stably by column.
     fan = per_k[block_k]
-    stored_k, stored_col = np.nonzero(st.operand.stored)
+    positions = st.operand.positions
+    stored_k, stored_col = (
+        np.nonzero(st.operand.stored) if positions is None else positions
+    )
     k_start = np.concatenate(([0], np.cumsum(per_k)))[block_k]
     block = np.repeat(np.arange(len(first)), fan)
     offset = np.arange(len(block)) - np.repeat(np.cumsum(fan) - fan, fan)

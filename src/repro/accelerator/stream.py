@@ -34,9 +34,11 @@ several beats pays its header in each.  On the Fig. 6 operands (W=5) this
 yields exactly 8 / 3 / 4 cycles for Dense / CSR / COO, which the test
 suite pins.  The only state the packer carries between groups is the
 open beat's free slots, so each group is a transition table over those
-``W + 1`` states: :func:`count_beats` composes the tables of every K
-tile's groups in log depth (the simulator's beat count), and
-:func:`pack_entries` prefix-scans them into the per-entry
+``W + 1`` states.  :func:`count_beats_many` is the simulator's beat
+count: it tables the groups of a whole batch of streams at once and
+composes each stream's tables, tile after tile, in log depth, every
+stream in the same numpy calls (:func:`count_beats` is its one-stream
+call).  :func:`pack_entries` prefix-scans the tables into the per-entry
 :class:`BeatPlan` that traces and the Fig. 6 walkthrough render.  No
 Python loop runs per group or per entry.
 """
@@ -44,7 +46,7 @@ Python loop runs per group or per entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -97,7 +99,7 @@ def _state_bits(bus_slots: int) -> int:
 
 
 def _transition_tables(
-    sizes: np.ndarray, spec: StreamSpec, bus_slots: int
+    sizes: np.ndarray, kinds: np.ndarray, slots: np.ndarray, bus_slots: int
 ) -> np.ndarray:
     """Each group's effect on the greedy packer, for every entry state.
 
@@ -106,26 +108,32 @@ def _transition_tables(
     before the first group).  A group of ``n`` entries opens a beat when
     its header plus one entry does not fit, fills the open beat, then
     spills the rest into fresh beats of ``epb`` entries each, paying its
-    header again in every one.
+    header again in every one.  Where one entry and its header do not fit
+    a beat, every entry is a beat of its own spanning several cycles and
+    no beat stays open.  An empty group changes nothing.
 
-    Row ``g``, column ``s`` encodes group ``g`` entered in state ``s`` as
-    ``beats_opened << _state_bits(W) | next_state``.  Requires
-    ``entry_slots + shared_slots <= W`` and ``n > 0``; groups of equal
-    size share one computed row.
+    Group ``g`` streams under the slot costs ``slots[kinds[g]]``, an
+    ``(entry_slots, shared_slots)`` row.  Row ``g``, column ``s`` encodes
+    group ``g`` entered in state ``s`` as ``beats_opened <<
+    _state_bits(W) | next_state``.
     """
-    es, ss, w = spec.entry_slots, spec.shared_slots, bus_slots
-    epb = (w - ss) // es
-    sizes, row = np.unique(sizes, return_inverse=True)
-    free = np.arange(w + 1, dtype=np.int64)[None, :]
+    w, bits = bus_slots, _state_bits(bus_slots)
     n = sizes[:, None]
-    opened = free < ss + es
-    free0 = np.where(opened, w, free)
-    take = np.minimum((free0 - ss) // es, n)
+    cost = slots[kinds]
+    es, ss = cost[:, :1], cost[:, 1:]
+    fits = es + ss  # a header and one entry
+    free = np.arange(w + 1, dtype=np.int64)[None, :]
+    opened = free < fits
+    room = np.where(opened, w, free) - ss  # after the group's header
+    take = np.minimum(room // es, n)  # entries into the open beat
     rem = n - take
-    more = -(-rem // epb)  # continuation beats (ceil)
-    last = rem - (more - 1) * epb  # entries in the last one
-    next_free = np.where(rem > 0, w - ss - last * es, free0 - ss - take * es)
-    return ((opened + more) << _state_bits(w) | next_free)[row.ravel()]
+    # The rest fills continuation beats of epb entries: ``more + 1`` of
+    # them, the last holding ``last + 1`` (``more == -1`` when none).
+    more, last = np.divmod(rem - 1, np.maximum((w - ss) // es, 1))
+    next_free = np.where(rem > 0, w - fits - last * es, room - n * es)
+    code = (opened + more + 1) << bits | next_free
+    code = np.where(fits > w, n * -(-fits // w) << bits, code)
+    return np.where(n > 0, code, free)
 
 
 def _then(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -151,28 +159,85 @@ def _power(tables: np.ndarray, repeats: np.ndarray) -> np.ndarray:
         tables = _then(tables, tables)
 
 
-def _group_tables(
-    sizes: np.ndarray,
-    tiles: np.ndarray,
-    repeats: np.ndarray,
-    spec: StreamSpec,
-    bus_slots: int,
-) -> np.ndarray:
-    """Tables of the nonempty groups, with each tile's start a reset.
+#: One :func:`count_beats_many` job: a stream's bus groups ``(sizes,
+#: tiles, repeats)``, as :attr:`StreamStats.groups` holds them, and the
+#: spec they stream under.
+BeatJob = tuple[np.ndarray, np.ndarray, np.ndarray, StreamSpec]
 
-    A tile is streamed on its own (the packer starts it from no open
-    beat), so the first group of each tile reads state ``0`` whatever
-    state the previous tile left: its table row is its state-0 column.
+
+def count_beats_many(jobs: Sequence[BeatJob], bus_slots: int) -> np.ndarray:
+    """Bus beats to stream every tile of each job once, greedily packed:
+    one count per job.
+
+    Group ``g`` of a job (stream order) carries ``sizes[g]`` entries,
+    padding included, and occurs ``repeats[g]`` times in a row in tile
+    ``tiles[g]`` (non-decreasing); empty groups carry no header.  The
+    groups of every job are stacked and tabled at once, each under its
+    job's spec.  A tile is streamed on its own (the packer starts it from
+    no open beat), so the first group of each tile reads state ``0``
+    whatever state the group before it left: its row is its state-0
+    column.  Each job's rows then compose pairwise in log depth, every
+    job in the same numpy calls (padded with identity tables, so that no
+    pair spans two jobs), until no job has more than 16, which are read
+    off from state ``0``.
     """
-    keep = (sizes > 0) & (repeats > 0)
-    sizes, tiles, repeats = sizes[keep], tiles[keep], repeats[keep]
-    tables = _transition_tables(sizes, spec, bus_slots)
-    if (repeats != 1).any():
-        tables = _power(tables, repeats)
-    reset = np.ones(len(sizes), dtype=bool)
-    reset[1:] = tiles[1:] != tiles[:-1]
-    tables[reset] = tables[reset, :1]
-    return tables
+    if not jobs:
+        return np.zeros(0, dtype=np.int64)
+    kinds: dict[tuple[int, int], int] = {}
+    kind_of, heights = [], []
+    for sizes, _tiles, _repeats, spec in jobs:
+        key = (spec.entry_slots, spec.shared_slots)
+        kind_of.append(kinds.setdefault(key, len(kinds)))
+        heights.append(len(sizes))
+    sizes, tiles, repeats = (
+        np.concatenate([np.asarray(job[part], dtype=np.int64) for job in jobs])
+        for part in range(3)
+    )
+    reset = np.ones(len(sizes), dtype=np.int64)  # first group of a tile
+    np.not_equal(tiles[1:], tiles[:-1], out=reset[1:], casting="unsafe")
+    # Groups of equal size, slot costs, repeat count and reset share one
+    # table.  The mixed-radix key is below 2 * kinds * (largest size + 1)
+    # * (largest repeat count + 1), far from 2**63 for real operands.
+    slots = np.asarray(list(kinds), dtype=np.int64)
+    radix = int(repeats.max(initial=0)) + 1
+    kind = np.repeat(np.asarray(kind_of, dtype=np.int64), heights)
+    cells, row = np.unique(
+        ((sizes * len(slots) + kind) * radix + repeats) * 2 + reset,
+        return_inverse=True,
+    )
+    cells, cell_reset = np.divmod(cells, 2)
+    cells, cell_repeats = np.divmod(cells, radix)
+    tables = _transition_tables(*np.divmod(cells, len(slots)), slots, bus_slots)
+    if (cell_repeats != 1).any():
+        tables = _power(tables, cell_repeats)
+    starts = cell_reset.astype(bool)
+    tables[starts] = tables[starts, :1]
+    # Pad every job with the identity table (no beats, same state), the
+    # last row here, to a multiple of 2**levels rows, enough levels to
+    # leave each job at most 16 rows.
+    tables = np.concatenate([tables, np.arange(tables.shape[1])[None, :]])
+    row = row.ravel()
+    levels = ((max(1, *heights) - 1) // 16).bit_length()
+    pads = [-h % (1 << levels) for h in heights]
+    if any(pads):
+        parts, at = [], 0
+        for h, pad in zip(heights, pads):
+            parts += [row[at:at + h], np.full(pad, len(tables) - 1)]
+            at += h
+        row = np.concatenate(parts)
+    tables = tables[row]
+    for _level in range(levels):
+        tables = _then(tables[0::2], tables[1::2])
+    bits = _state_bits(bus_slots)
+    rows, beats, at = tables.tolist(), [], 0
+    for left in [(h + pad) >> levels for h, pad in zip(heights, pads)]:
+        code = 0
+        for table in rows[at:at + left]:
+            state = code & ((1 << bits) - 1)
+            code += table[state] - state
+        beats.append(code >> bits)
+        at += left
+    return np.asarray(beats, dtype=np.int64)
 
 
 def count_beats(
@@ -182,31 +247,8 @@ def count_beats(
     spec: StreamSpec,
     bus_slots: int,
 ) -> int:
-    """Bus beats to stream every tile once, greedily packed.
-
-    Group ``g`` (stream order) carries ``sizes[g]`` entries, padding
-    included, and occurs ``repeats[g]`` times in a row in tile
-    ``tiles[g]`` (non-decreasing); empty groups carry no header.  The
-    per-group transition tables compose pairwise in log depth until a
-    handful are left, which are then read off from state ``0``.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    repeats = np.asarray(repeats, dtype=np.int64)
-    if spec.entry_slots + spec.shared_slots > bus_slots:
-        # Degenerate wide-entry case: every entry is its own multi-cycle beat.
-        return int(np.dot(sizes, repeats)) * spec.span_cycles(bus_slots)
-    tables = _group_tables(sizes, np.asarray(tiles), repeats, spec, bus_slots)
-    while len(tables) > 16:
-        pairs = len(tables) // 2 * 2
-        tables = np.concatenate(
-            [_then(tables[0:pairs:2], tables[1:pairs:2]), tables[pairs:]]
-        )
-    bits = _state_bits(bus_slots)
-    code = 0
-    for row in tables.tolist():
-        state = code & ((1 << bits) - 1)
-        code += row[state] - state
-    return code >> bits
+    """:func:`count_beats_many` of one job."""
+    return int(count_beats_many([(sizes, tiles, repeats, spec)], bus_slots)[0])
 
 
 def _group_layout(
@@ -218,11 +260,14 @@ def _group_layout(
     beat; the continuation beats carry ``epb`` entries each except the
     last.  The state before each group is an inclusive prefix scan of the
     transition tables (Hillis-Steele, log depth) read at state ``0``.
+    Groups must be nonempty and ``entry_slots + shared_slots <= W``.
     """
     es, ss = spec.entry_slots, spec.shared_slots
     bits = _state_bits(bus_slots)
-    ones = np.ones(len(sizes), dtype=np.int64)
-    tables = _group_tables(sizes, np.zeros_like(sizes), ones, spec, bus_slots)
+    keys, row = np.unique(sizes, return_inverse=True)
+    tables = _transition_tables(
+        keys, np.zeros_like(keys), np.asarray([(es, ss)]), bus_slots
+    )[row.ravel()]
     step = 1
     while step < len(tables):
         tables = np.concatenate(
@@ -272,7 +317,7 @@ class BeatPlan:
 
     Parallel entry arrays in stream order plus each entry's owning beat,
     for traces, the Fig. 6 walkthrough and the per-beat test oracle (the
-    simulator itself only counts beats, :func:`count_beats`).
+    simulator itself only counts beats, :func:`count_beats_many`).
     ``k == PAD_K`` entries are padding slots: they occupy bus slots (and
     therefore cycles) but are discarded by the PEs.
     """
@@ -327,7 +372,7 @@ class StreamStats:
     #: (T,) int64: output-row runs per tile.  A run starts at a tile's
     #: first entry and at every entry whose row differs from the last's.
     runs: np.ndarray
-    #: Bus groups in stream order, as :func:`count_beats` takes them:
+    #: Bus groups in stream order, as :func:`count_beats_many` takes them:
     #: ``(sizes, tiles, repeats)``, padding slots included.
     groups: tuple[np.ndarray, np.ndarray, np.ndarray]
     #: ``(i, k, tile, v)`` of every entry, or ``None`` when every row

@@ -4,13 +4,17 @@
 groups, one integer of state (the open beat's free slots) carried from
 group to group.  ``repro.accelerator.stream`` computes the same layout by
 composing per-group transition tables in log depth; the tests pin the two
-equal.  :func:`compute_k_tiles`, :func:`build_schedule` and
+equal.
+
+:func:`plan_k_tiles_from_mask` and :func:`stationary_sums` derive the
+K tiling and the stationary statistics of a prepared operand from its
+dense (K x N) stored mask, one segment sum over the mask per candidate
+tiling; the simulator derives the same from the stored positions
+(:func:`~repro.accelerator.scheduler.plan_k_tiles` and
+``simulator._Stationary``), and the tests pin the two equal.
+:func:`compute_k_tiles`, :func:`build_schedule` and
 :func:`stationary_entries_loaded` are the scheduler's whole-operand
-views, which the simulator never needs: it builds its
-:class:`~repro.accelerator.scheduler.Schedule` from the tiles and
-(tile x column) counts of
-:func:`~repro.accelerator.scheduler.plan_k_tiles` and from
-:func:`~repro.accelerator.scheduler.compute_rounds`.
+views over the mask derivation, which the simulator never needs.
 """
 
 from __future__ import annotations
@@ -19,11 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.protocols import (
+    StationaryLayout,
     StationaryOperand,
     stationary_layout_for,
 )
-from repro.accelerator.scheduler import Schedule, compute_rounds, plan_k_tiles
+from repro.accelerator.scheduler import Schedule, compute_rounds
 from repro.accelerator.stream import StreamSpec
 from repro.errors import SchedulingError
 from repro.formats.base import MatrixFormat
@@ -89,6 +95,76 @@ def stream_cycle_count(
     return beats
 
 
+def _uniform_tiles(k: int, num_tiles: int) -> tuple[tuple[int, int], ...]:
+    """Split [0, k) into *num_tiles* near-equal contiguous ranges."""
+    bounds = np.linspace(0, k, num_tiles + 1, dtype=np.int64)
+    return tuple((int(bounds[t]), int(bounds[t + 1])) for t in range(num_tiles))
+
+
+def column_counts(
+    stored: np.ndarray, tiles: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """Stored positions per (tile, column), shape ``(num_tiles, N)``."""
+    if not stored.size:
+        return np.zeros((len(tiles), stored.shape[1]), dtype=np.int64)
+    starts = [lo for lo, _hi in tiles]
+    return np.add.reduceat(stored, starts, axis=0, dtype=np.int64)
+
+
+def plan_k_tiles_from_mask(
+    stored: np.ndarray, layout: StationaryLayout, capacity_entries: int
+) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """Minimal uniform K-tiling so every (tile, column) footprint fits,
+    with its ``(num_tiles, N)`` counts, from the (K, N) stored mask."""
+    k = stored.shape[0]
+    per_col = stored.sum(axis=0)
+    max_footprint = (
+        layout.entry_cost * int(per_col.max()) if per_col.size else 0
+    )
+    num = max(1, -(-max_footprint // capacity_entries))
+    while num <= max(k, 1):
+        tiles = _uniform_tiles(k, num)
+        counts = column_counts(stored, tiles)
+        if layout.entry_cost * counts.max(initial=0) <= capacity_entries:
+            return tiles, counts
+        num += 1
+    raise SchedulingError(
+        f"PE buffer of {capacity_entries} entries cannot hold even a "
+        f"single-k {layout.format} column slice"
+    )
+
+
+def stationary_sums(
+    op: StationaryOperand, layout: StationaryLayout,
+    config: AcceleratorConfig,
+) -> dict:
+    """Schedule and per-k / per-tile / per-(tile, round) statistics of a
+    prepared operand, from its dense stored mask."""
+    stored = op.stored
+    tiles, per_tile_col = plan_k_tiles_from_mask(
+        stored, layout, config.pe_buffer_entries
+    )
+    rounds = compute_rounds(stored.shape[1], config.num_pes)
+    per_k = stored.sum(axis=1, dtype=np.int64)
+    round_starts = [lo for lo, _hi in rounds]
+    loaded = layout.entry_cost * (
+        np.add.reduceat(per_tile_col, round_starts, axis=1)
+        if stored.shape[1] else per_tile_col
+    )
+    return {
+        "schedule": Schedule(k_tiles=tiles, rounds=rounds),
+        "per_k": per_k,
+        "per_tile": per_tile_col.sum(axis=1),
+        "cols_per_tile": np.count_nonzero(per_tile_col, axis=1),
+        "match_per_k": (
+            np.count_nonzero(op.values, axis=1)
+            if layout.matcher == "direct" else per_k
+        ),
+        "entries_loaded": int(loaded.sum()),
+        "load_cycles": int((-(-loaded // config.bus_slots)).sum()),
+    }
+
+
 def compute_k_tiles(
     b: MatrixFormat | StationaryOperand,
     acf_b: Format,
@@ -101,7 +177,7 @@ def compute_k_tiles(
     """
     layout = stationary_layout_for(acf_b)
     op = b if isinstance(b, StationaryOperand) else layout.prepare(b)
-    return plan_k_tiles(op, layout, capacity_entries)[0]
+    return plan_k_tiles_from_mask(op.stored, layout, capacity_entries)[0]
 
 
 def build_schedule(

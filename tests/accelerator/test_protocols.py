@@ -462,7 +462,7 @@ class TestDynamicRegistration:
                                     matcher="metadata")
         def _prepare_ell(b) -> StationaryOperand:
             values = b.to_dense()
-            return StationaryOperand(values=values, stored=values != 0.0)
+            return StationaryOperand(values=values, positions=np.nonzero(values))
 
         try:
             a_dense = make_sparse(rng, (6, 7), 0.4)
