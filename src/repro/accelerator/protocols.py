@@ -476,28 +476,32 @@ TENSOR_STREAM_PROTOCOLS.register(
 class StationaryOperand:
     """Array-resident view of one stationary operand.
 
-    ``values`` materializes the stored payload densely ((K, N), zeros
-    where nothing is stored).  ``positions`` holds the buffer-resident
-    positions as ``(k, column)`` index arrays in row-major order (the
-    order ``np.nonzero`` returns), or ``None`` when every position is
-    resident: a Dense layout stores zeros too "to maintain correct
-    buffer indexing", CSC only its stored entries (explicit zeros
-    included).  The simulator's per-k and per-(tile, column) counts come
-    from the positions, or from the shape alone when every position is
-    resident; :attr:`stored` is the dense mask, built on first read.
+    ``source`` is the operand as encoded for the layout.  ``positions``
+    holds the buffer-resident positions as ``(k, column)`` index arrays
+    in row-major order (the order ``np.nonzero`` returns), or ``None``
+    when every position is resident: a Dense layout stores zeros too "to
+    maintain correct buffer indexing", CSC only its stored entries
+    (explicit zeros included).  A metadata layout matches against its
+    stored positions, so its ``prepare`` hook always returns them.  The
+    simulator's per-k, per-(tile, column) and spill counts come from the
+    positions, or from :attr:`shape` alone when every position is
+    resident; :attr:`values` is the dense payload, built on first read
+    (by the output product and a direct matcher's nonzero counts only).
     """
 
-    values: np.ndarray  # (K, N) float64
+    source: MatrixFormat
     positions: tuple[np.ndarray, np.ndarray] | None
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(K, N)."""
+        return self.source.shape
+
     @cached_property
-    def stored(self) -> np.ndarray:
-        """(K, N) bool: the buffer-resident positions."""
-        if self.positions is None:
-            return np.ones(self.values.shape, dtype=bool)
-        mask = np.zeros(self.values.shape, dtype=bool)
-        mask[self.positions] = True
-        return mask
+    def values(self) -> np.ndarray:
+        """(K, N) float64: the stored payload, zeros where nothing is
+        stored."""
+        return self.source.to_dense()
 
 
 @dataclass(frozen=True)
@@ -566,17 +570,15 @@ def register_stationary_layout(
 @register_stationary_layout(Format.DENSE, entry_cost=1, matcher="direct")
 def _prepare_dense(b: MatrixFormat) -> StationaryOperand:
     """Dense columns store every value; the buffer answers every index."""
-    return StationaryOperand(values=b.to_dense(), positions=None)
+    return StationaryOperand(source=b, positions=None)
 
 
 @register_stationary_layout(Format.CSC, entry_cost=2, matcher="metadata")
 def _prepare_csc(b: MatrixFormat) -> StationaryOperand:
     """CSC columns store (value, row id) pairs; matching is by metadata."""
     csc = b if isinstance(b, CscMatrix) else CscMatrix.from_dense(b.to_dense())
-    k, n = csc.shape
+    n = csc.shape[1]
     cols = np.repeat(np.arange(n, dtype=np.int64), csc.col_lengths())
-    values = np.zeros((k, n), dtype=np.float64)
-    values[csc.row_ids, cols] = csc.values
     # Column-major storage, re-sorted into row-major positions.
     flat = np.sort(csc.row_ids.astype(np.int64) * n + cols)
-    return StationaryOperand(values=values, positions=np.divmod(flat, max(n, 1)))
+    return StationaryOperand(source=csc, positions=np.divmod(flat, max(n, 1)))

@@ -53,7 +53,7 @@ class Schedule:
 def _column_counts(op: StationaryOperand, bounds: np.ndarray) -> np.ndarray:
     """Stored positions per (tile, column), shape ``(num_tiles, N)``, for
     the K tiles ``[bounds[t], bounds[t + 1])``."""
-    num_tiles, n = len(bounds) - 1, op.values.shape[1]
+    num_tiles, n = len(bounds) - 1, op.shape[1]
     if op.positions is None:  # every position: each tile's width
         return np.repeat(np.diff(bounds)[:, None], n, axis=1)
     k, col = op.positions
@@ -74,7 +74,7 @@ def plan_k_tiles(
     ``bincount`` over the stored positions, or nothing beyond the tile
     widths when every position is stored.
     """
-    k, n = op.values.shape
+    k, n = op.shape
     if op.positions is None:
         fullest = k if n else 0
     else:

@@ -28,10 +28,11 @@ counts the beats of all its GEMMs in one
 makes the same call for its one GEMM.  The output product
 (:meth:`run_gemm`) comes from the same pass: one scatter of the
 statistics' entries and one matmul against the stationary values, which
-is what the PEs accumulate tile by tile and round by round.  Beyond
-that, entries are looked at only for the CAM spill runs of a sparse
-row-grouped stream (one small pattern GEMM per tile) and for the spill
-runs of a stream that interleaves rows (CSC).
+is what the PEs accumulate tile by tile and round by round; only it
+builds the dense stationary values.  Beyond that, entries are looked at
+only for the CAM spill runs of a sparse row-grouped stream (one keyed
+pass over all tiles ORing per-k column bitsets, integer ops only) and
+for the spill runs of a stream that interleaves rows (CSC).
 The reports are pinned by the test suite against a per-beat PE model and
 a Python greedy packer kept there as oracles, along with the Fig. 6
 walkthrough's 8 / 3 / 4 streaming cycles and the closed-form analytical
@@ -41,6 +42,7 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +102,12 @@ class _Stationary:
         self.schedule = Schedule(
             k_tiles=tiles, rounds=compute_rounds(b.ncols, config.num_pes)
         )
-        k, n = operand.values.shape
+        if layout.matcher != "direct" and operand.positions is None:
+            raise SimulationError(
+                f"{layout.format} matches by metadata, so its prepare hook "
+                "must return the stored positions"
+            )
+        k, n = operand.shape
         self.bounds = np.asarray([lo for lo, _hi in tiles] + [k])
         #: stored positions per reduction index, over every column.
         self.per_k = (
@@ -124,6 +131,25 @@ class _Stationary:
         )
         self.entries_loaded = int(loaded.sum())
         self.load_cycles = int((-(-loaded // config.bus_slots)).sum())
+
+    @cached_property
+    def column_words(self) -> np.ndarray:
+        """(K, ceil(N / 64)) uint64 column bitsets of a metadata buffer:
+        bit ``c % 64`` of word ``c // 64`` of row k is set when column c
+        stores k.  Built from the stored positions on first read."""
+        k, n = self.operand.shape
+        width = -(-n // 64)
+        words = np.zeros(k * width, dtype=np.uint64)
+        pos_k, col = self.operand.positions
+        slot = pos_k * width + (col >> 6)
+        if len(slot):
+            # Row-major positions: each word's bits are adjacent.
+            starts = np.flatnonzero(
+                np.concatenate(([True], slot[1:] != slot[:-1]))
+            )
+            bits = np.left_shift(np.uint64(1), (col & 63).astype(np.uint64))
+            words[slot[starts]] = np.bitwise_or.reduceat(bits, starts)
+        return words.reshape(k, width)
 
 
 #: Prepared stationary operands, by (id(b), acf_b).
@@ -223,7 +249,7 @@ class WeightStationarySimulator:
         partition K and the rounds partition the columns.  Of the
         statistics only the bus groups outlive the call.
         """
-        n = st.operand.values.shape[1]
+        n = st.operand.shape[1]
         stats = proto.stream_stats(a, st.schedule.k_tiles)
         num = int(stats.c_all.sum())
         if layout.matcher == "direct":
@@ -246,7 +272,7 @@ class WeightStationarySimulator:
                 # Oreg run per PE column holding anything of the tile.
                 spills = int(np.dot(stats.runs, st.cols_per_tile))
             else:
-                spills = _pattern_runs(stats.entries, a.nrows, st)
+                spills = _pattern_runs(stats.entries, st)
         pending = _Pending(
             groups=(*stats.groups, proto.spec),
             rounds=st.schedule.num_rounds,
@@ -401,29 +427,26 @@ def _by_tile(entries):
     return i[order], k[order], tile[order], bounds
 
 
-def _pattern_runs(entries, m: int, st: _Stationary) -> int:
+def _pattern_runs(entries, st: _Stationary) -> int:
     """Oreg runs of a row-grouped stream against a metadata buffer.
 
     Each row of a tile opens one run per PE column that stores a k the
-    row streams in that tile.  Per tile, a float32 GEMM of the 0/1
-    streamed pattern (active rows x active k) and the stored mask counts
-    those (row, column) pairs exactly: a sum of positive terms never
-    rounds to zero.
+    row streams in that tile: the columns set in the OR of those k's
+    :attr:`~_Stationary.column_words`.  Entries are keyed by (row,
+    tile), which a stream listing each row's k in ascending order
+    already visits in order (sorted otherwise); one ``reduceat`` ORs
+    every key's words and a popcount sums the runs.
     """
-    if not len(entries[0]):
+    i, k, tile, _v = entries
+    if not len(k):
         return 0
-    i, k, _tile, bounds = _by_tile(entries)
-    spills = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo == hi:
-            continue
-        rows, row_at = _active(i[lo:hi], m)
-        ks, k_at = _active(k[lo:hi], len(st.per_k))
-        pattern = np.zeros((len(rows), len(ks)), dtype=np.float32)
-        pattern[row_at, k_at] = 1
-        hits = pattern @ st.operand.stored[ks].astype(np.float32)
-        spills += int(np.count_nonzero(hits))
-    return spills
+    key = i * st.schedule.num_tiles + tile
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key, k = key[order], k[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    hits = np.bitwise_or.reduceat(st.column_words[k], starts, axis=0)
+    return int(np.bitwise_count(hits).sum(dtype=np.int64))
 
 
 def _interleaved_runs(entries, st: _Stationary) -> int:
@@ -452,10 +475,7 @@ def _interleaved_runs(entries, st: _Stationary) -> int:
     block_k = k[first]
     # Each block's matched columns, block-major, then stably by column.
     fan = per_k[block_k]
-    positions = st.operand.positions
-    stored_k, stored_col = (
-        np.nonzero(st.operand.stored) if positions is None else positions
-    )
+    stored_col = st.operand.positions[1]
     k_start = np.concatenate(([0], np.cumsum(per_k)))[block_k]
     block = np.repeat(np.arange(len(first)), fan)
     offset = np.arange(len(block)) - np.repeat(np.cumsum(fan) - fan, fan)

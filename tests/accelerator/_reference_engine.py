@@ -29,7 +29,7 @@ from repro.errors import SimulationError
 from repro.formats.base import MatrixFormat
 from repro.formats.registry import Format
 from repro.util.bits import ceil_div
-from tests.accelerator._stream_oracle import compute_k_tiles
+from tests.accelerator._stream_oracle import compute_k_tiles, stored_mask
 
 
 class PE:
@@ -165,9 +165,10 @@ def reference_gemm(
             f"not {layout.format}"
         )
     stationary = layout.prepare(b)
+    stored = stored_mask(stationary)
     k_tiles = compute_k_tiles(stationary, acf_b, config.pe_buffer_entries)
     rounds = compute_rounds(b.ncols, config.num_pes)
-    m, n = a.nrows, stationary.values.shape[1]
+    m, n = a.nrows, stationary.shape[1]
     out = np.zeros((m, n), dtype=np.float64)
     load_cycles = stream_cycles = 0
     issued = matched = compares = spills = 0
@@ -187,7 +188,7 @@ def reference_gemm(
                 if layout.format is Format.DENSE:
                     pe.load_dense(stationary.values[k_lo:k_hi, j], k_lo)
                 else:
-                    rows = np.flatnonzero(stationary.stored[k_lo:k_hi, j])
+                    rows = np.flatnonzero(stored[k_lo:k_hi, j])
                     pe.load_csc(rows + k_lo, stationary.values[rows + k_lo, j])
                 entries_loaded += pe.footprint_entries
                 pes.append(pe)

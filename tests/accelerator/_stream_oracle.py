@@ -15,6 +15,12 @@ tiling; the simulator derives the same from the stored positions
 :func:`compute_k_tiles`, :func:`build_schedule` and
 :func:`stationary_entries_loaded` are the scheduler's whole-operand
 views over the mask derivation, which the simulator never needs.
+:func:`stored_mask` builds that mask from the stored positions.
+
+:func:`pattern_runs` counts the CAM spill runs of a row-grouped stream
+with one float32 pattern GEMM per K tile against the stored mask; the
+simulator counts them from per-k column bitsets in one keyed pass
+(``simulator._pattern_runs``), and the tests pin the two equal.
 """
 
 from __future__ import annotations
@@ -95,6 +101,48 @@ def stream_cycle_count(
     return beats
 
 
+def stored_mask(op: StationaryOperand) -> np.ndarray:
+    """(K, N) bool: the buffer-resident positions of a prepared operand."""
+    if op.positions is None:
+        return np.ones(op.shape, dtype=bool)
+    mask = np.zeros(op.shape, dtype=bool)
+    mask[op.positions] = True
+    return mask
+
+
+def _active(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of *index* (ascending) and each entry's
+    position among them."""
+    on = np.zeros(size, dtype=bool)
+    on[index] = True
+    return np.flatnonzero(on), (np.cumsum(on) - 1)[index]
+
+
+def pattern_runs(entries, m: int, op: StationaryOperand) -> int:
+    """Oreg runs of a row-grouped stream against a metadata buffer.
+
+    *entries* are a statistics pass's ``(i, k, tile, v)``.  Each row of
+    a tile opens one run per PE column that stores a k the row streams
+    in that tile.  Per tile, a float32 GEMM of the 0/1 streamed pattern
+    (active rows x active k) and the stored mask counts those (row,
+    column) pairs exactly: a sum of positive terms never rounds to zero.
+    """
+    i, k, tile, _v = entries
+    if not len(k):
+        return 0
+    stored = stored_mask(op)
+    spills = 0
+    for t in np.unique(tile):
+        sel = tile == t
+        rows, row_at = _active(i[sel], m)
+        ks, k_at = _active(k[sel], stored.shape[0])
+        pattern = np.zeros((len(rows), len(ks)), dtype=np.float32)
+        pattern[row_at, k_at] = 1
+        hits = pattern @ stored[ks].astype(np.float32)
+        spills += int(np.count_nonzero(hits))
+    return spills
+
+
 def _uniform_tiles(k: int, num_tiles: int) -> tuple[tuple[int, int], ...]:
     """Split [0, k) into *num_tiles* near-equal contiguous ranges."""
     bounds = np.linspace(0, k, num_tiles + 1, dtype=np.int64)
@@ -140,7 +188,7 @@ def stationary_sums(
 ) -> dict:
     """Schedule and per-k / per-tile / per-(tile, round) statistics of a
     prepared operand, from its dense stored mask."""
-    stored = op.stored
+    stored = stored_mask(op)
     tiles, per_tile_col = plan_k_tiles_from_mask(
         stored, layout, config.pe_buffer_entries
     )
@@ -177,7 +225,7 @@ def compute_k_tiles(
     """
     layout = stationary_layout_for(acf_b)
     op = b if isinstance(b, StationaryOperand) else layout.prepare(b)
-    return plan_k_tiles_from_mask(op.stored, layout, capacity_entries)[0]
+    return plan_k_tiles_from_mask(stored_mask(op), layout, capacity_entries)[0]
 
 
 def build_schedule(
@@ -201,4 +249,4 @@ def stationary_entries_loaded(b: MatrixFormat, acf_b: Format) -> int:
     neither the tiling nor the rounds.
     """
     layout = stationary_layout_for(acf_b)
-    return layout.entry_cost * int(layout.prepare(b).stored.sum())
+    return layout.entry_cost * int(stored_mask(layout.prepare(b)).sum())

@@ -461,8 +461,9 @@ class TestDynamicRegistration:
         @register_stationary_layout(Format.ELL, entry_cost=2,
                                     matcher="metadata")
         def _prepare_ell(b) -> StationaryOperand:
-            values = b.to_dense()
-            return StationaryOperand(values=values, positions=np.nonzero(values))
+            return StationaryOperand(
+                source=b, positions=np.nonzero(b.to_dense())
+            )
 
         try:
             a_dense = make_sparse(rng, (6, 7), 0.4)
@@ -472,6 +473,22 @@ class TestDynamicRegistration:
                 EllMatrix.from_dense(b_dense), Format.ELL,
             )
             np.testing.assert_allclose(out, a_dense @ b_dense)
+        finally:
+            del STATIONARY_LAYOUTS._table[Format.ELL]
+
+    def test_metadata_layout_must_return_positions(self, sim, rng):
+        @register_stationary_layout(Format.ELL, entry_cost=2,
+                                    matcher="metadata")
+        def _prepare_ell(b) -> StationaryOperand:
+            return StationaryOperand(source=b, positions=None)
+
+        try:
+            b_dense = make_sparse(rng, (7, 4), 0.5)
+            with pytest.raises(SimulationError, match="stored positions"):
+                sim.run_gemm(
+                    CsrMatrix.from_dense(make_sparse(rng, (6, 7), 0.4)),
+                    Format.CSR, EllMatrix.from_dense(b_dense), Format.ELL,
+                )
         finally:
             del STATIONARY_LAYOUTS._table[Format.ELL]
 

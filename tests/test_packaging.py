@@ -49,6 +49,10 @@ class TestConsoleScript:
         attr = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"]
         assert attr == "repro.__version__"
 
+    def test_numpy_floor_declared(self, pyproject):
+        # The simulator's spill count popcounts with np.bitwise_count.
+        assert pyproject["project"]["dependencies"] == ["numpy>=2.0"]
+
     def test_packages_found_under_src(self, pyproject):
         assert pyproject["tool"]["setuptools"]["packages"]["find"]["where"] == [
             "src"
