@@ -38,7 +38,7 @@ def main() -> None:
     workloads = [
         layer_gemm(layer, PruningStrategy.GLOBAL_70) for layer in layers
     ]
-    decisions = session.predict(workloads)  # one batched call, pooled
+    decisions = session.predict(workloads)  # one batched call
     for layer, wl, d in zip(layers, workloads, decisions):
         _act, w_sp = layer.sparsities(PruningStrategy.GLOBAL_70)
         print(

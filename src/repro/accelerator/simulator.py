@@ -346,8 +346,8 @@ class WeightStationarySimulator:
         The batches SAGE's cycle tier and the calibration build submit are
         a handful of GEMMs on small proxies, which a process pool would
         spend more on forking and result shipping than on simulation.
-        Callers that need fan-out parallelize whole predictions or grid
-        cells instead (:func:`~repro.util.pool.fork_map`).
+        Callers that need fan-out parallelize whole grid cells instead
+        (:func:`~repro.util.pool.fork_map`).
         """
         pending: dict[tuple, _Pending] = {}
         prepared: _Prepared = {}

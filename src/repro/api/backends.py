@@ -5,9 +5,9 @@ The same calling code runs in-process or against a running
 fronts many execution targets:
 
 * :class:`LocalBackend` wraps an in-process
-  :class:`~repro.sage.predictor.Sage` and a fingerprint-keyed
-  :class:`~repro.serve.cache.DecisionCache` per fidelity tier.  Batches
-  fan out across :func:`~repro.util.pool.fork_map`.
+  :class:`~repro.sage.predictor.Sage` and an exact fingerprint-keyed
+  :class:`~repro.serve.cache.DecisionCache` per fidelity tier.  A batch
+  is a loop over the single-workload path, in this process.
 * :class:`RemoteBackend` wraps a
   :class:`~repro.serve.client.ServeClient`; options travel in the
   versioned wire schema (:data:`~repro.api.options.WIRE_SCHEMA_VERSION`)
@@ -56,7 +56,7 @@ class Backend(Protocol):
         ...
 
     def close(self) -> None:
-        """Release held resources (connections, pools)."""
+        """Release held resources (remote connections)."""
         ...
 
 
@@ -68,27 +68,19 @@ def _relabel(decision: SageDecision, name: str) -> SageDecision:
 
 
 class LocalBackend:
-    """In-process predictions with a warm decision cache.
+    """In-process predictions with a warm, exact decision cache.
 
-    ``near_hit`` defaults off (unlike the serve layer) so local sessions
-    stay exact by default; turn it on to trade exactness for throughput
-    the same way a near-hit server does.
+    Unlike a near-hit server, the cache answers only exact fingerprint
+    matches, so a local session never trades exactness for throughput.
     """
 
-    def __init__(
-        self,
-        sage: Sage | None = None,
-        *,
-        cache_size: int = 1024,
-        near_hit: bool = False,
-    ) -> None:
+    def __init__(self, sage: Sage | None = None) -> None:
         self.sage = sage or Sage()
         # One cache per registered tier: a calibrated decision must never
         # alias (nor be served from) an analytical entry for the same
         # workload fingerprint.
         self._caches = {
-            fidelity: DecisionCache(cache_size, near_hit=near_hit)
-            for fidelity in FIDELITIES
+            fidelity: DecisionCache(1024) for fidelity in FIDELITIES
         }
 
     # ------------------------------------------------------------- Backend
@@ -116,30 +108,7 @@ class LocalBackend:
     def predict_batch(
         self, workloads: Sequence[Workload], options: PredictOptions
     ) -> list[SageDecision]:
-        if options.restricts_search or options.overrides_hardware:
-            return self.sage.predict_many(list(workloads), options=options)
-        cache = self._caches[options.local_fidelity]
-        decisions: list[SageDecision | None] = []
-        misses: list[int] = []
-        for index, workload in enumerate(workloads):
-            cached = cache.get(fingerprint_of(workload, self.sage.config))
-            decisions.append(cached)
-            if cached is None:
-                misses.append(index)
-        if misses:
-            full = dataclasses.replace(options, top_k=None)
-            computed = self.sage.predict_many(
-                [workloads[i] for i in misses], options=full
-            )
-            for index, decision in zip(misses, computed):
-                cache.put(
-                    fingerprint_of(workloads[index], self.sage.config), decision
-                )
-                decisions[index] = decision
-        return [
-            truncate_ranking(_relabel(d, wl.name), options.top_k)
-            for d, wl in zip(decisions, workloads)  # type: ignore[arg-type]
-        ]
+        return [self.predict_one(wl, options) for wl in workloads]
 
     def describe(self) -> str:
         return "local"
@@ -164,11 +133,9 @@ class RemoteBackend:
     for the same workload and options.
     """
 
-    def __init__(
-        self, host: str, port: int, *, timeout: float = 150.0
-    ) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host, self.port = host, port
-        self.client = ServeClient(host, port, timeout=timeout)
+        self.client = ServeClient(host, port)
 
     @staticmethod
     def _top(options: PredictOptions) -> int:

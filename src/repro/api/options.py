@@ -3,7 +3,7 @@
 One option object replaces the four differently-shaped ``Sage.predict*``
 keyword sets: :class:`PredictOptions` consolidates every search knob the
 predictor understands (fidelity tier, search-space restrictions, ranking
-truncation, local fan-out width), and :class:`RunOptions` adds the
+truncation, hardware overrides), and :class:`RunOptions` adds the
 convert+simulate knobs of the end-to-end :meth:`Session.run` pipeline.
 
 Both are frozen dataclasses with JSON-safe ``to_wire``/``from_wire`` forms.
@@ -122,9 +122,6 @@ class PredictOptions:
     top_k:
         Ranking prefix kept on the returned decision (``None`` = full
         ranking).  ``best`` is always retained.
-    processes:
-        Local batch fan-out width for one-call-many-workloads predictions
-        (ignored by remote backends: the server owns its own pool).
     config:
         Evaluate against this :class:`~repro.accelerator.config.\
 AcceleratorConfig` instead of the backend's resident one (accepts the
@@ -153,7 +150,6 @@ AcceleratorConfig` instead of the backend's resident one (accepts the
     mcf_a_space: tuple[Format, ...] | None = None
     mcf_b_space: tuple[Format, ...] | None = None
     top_k: int | None = None
-    processes: int | None = None
     config: AcceleratorConfig | None = None
     dram_gbps: float | None = None
 
@@ -169,8 +165,6 @@ AcceleratorConfig` instead of the backend's resident one (accepts the
                 object.__setattr__(self, name, _format_space(space, name=name))
         if self.top_k is not None and self.top_k < 1:
             raise PredictionError("top_k must be a positive ranking length")
-        if self.processes is not None and self.processes < 1:
-            raise PredictionError("processes must be positive")
         if self.config is not None and not isinstance(self.config, AcceleratorConfig):
             object.__setattr__(
                 self, "config", AcceleratorConfig.from_dict(self.config)
@@ -244,7 +238,6 @@ AcceleratorConfig` instead of the backend's resident one (accepts the
                 else [f.value for f in self.mcf_b_space]
             ),
             "top_k": self.top_k,
-            "processes": self.processes,
         }
         if self.config is not None:
             wire["config"] = self.config.to_dict()
@@ -258,10 +251,12 @@ AcceleratorConfig` instead of the backend's resident one (accepts the
 
         Unknown keys are rejected so schema typos fail loudly instead of
         silently running an unrestricted search (the exact failure mode
-        this object exists to eliminate).
+        this object exists to eliminate).  The one exception is
+        ``processes``, a batch fan-out width that earlier schema-2
+        clients always sent: it is accepted and ignored.
         """
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - known - {"processes"})
         if unknown:
             raise PredictionError(
                 f"unknown PredictOptions field(s) {', '.join(unknown)} "
@@ -274,9 +269,6 @@ AcceleratorConfig` instead of the backend's resident one (accepts the
             mcf_a_space=data.get("mcf_a_space"),
             mcf_b_space=data.get("mcf_b_space"),
             top_k=(None if data.get("top_k") is None else int(data["top_k"])),
-            processes=(
-                None if data.get("processes") is None else int(data["processes"])
-            ),
             config=data.get("config"),
             dram_gbps=(
                 None if data.get("dram_gbps") is None else float(data["dram_gbps"])
@@ -317,11 +309,6 @@ class RunOptions:
     verify:
         Check the simulator's output against a numpy matmul of the
         materialized operands (raises ``SimulationError`` on mismatch).
-    max_sim_elements:
-        Largest operand (logical elements) simulated at exact scale;
-        bigger workloads execute through a density-preserving proxy and
-        the scale travels on the result (``None`` = the sage cycle tier's
-        cap).
 
     Example
     -------
@@ -334,11 +321,6 @@ class RunOptions:
     predict: PredictOptions = field(default_factory=PredictOptions)
     seed: int = 0
     verify: bool = True
-    max_sim_elements: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_sim_elements is not None and self.max_sim_elements < 1:
-            raise PredictionError("max_sim_elements must be positive")
 
     def to_wire(self) -> dict:
         """JSON-safe wire form (inverse of :meth:`from_wire`)."""
@@ -346,7 +328,6 @@ class RunOptions:
             "predict": self.predict.to_wire(),
             "seed": self.seed,
             "verify": self.verify,
-            "max_sim_elements": self.max_sim_elements,
         }
 
     @classmethod
@@ -363,9 +344,4 @@ class RunOptions:
             predict=PredictOptions.from_wire(data.get("predict", {})),
             seed=int(data.get("seed", 0)),
             verify=bool(data.get("verify", True)),
-            max_sim_elements=(
-                None
-                if data.get("max_sim_elements") is None
-                else int(data["max_sim_elements"])
-            ),
         )

@@ -9,7 +9,7 @@ accelerator, Sec. IV).  ``Session`` is that flow as one object::
     with Session() as session:                      # in-process
         decision = session.predict(workload)
         decisions = session.predict(suite)          # batch-first: list in,
-                                                    # list out, pooled
+                                                    # list out
         result = session.run(workload)              # the whole Fig. 1b
                                                     # pipeline
 
@@ -79,9 +79,6 @@ class Session:
     options:
         Session-wide default :class:`PredictOptions`; per-call options
         override.
-    timeout, cache_size, near_hit:
-        Backend tuning, forwarded to :class:`RemoteBackend` (``timeout``)
-        or :class:`LocalBackend` (the rest).
 
     Example
     -------
@@ -100,19 +97,12 @@ class Session:
         *,
         config: AcceleratorConfig | None = None,
         options: PredictOptions | None = None,
-        timeout: float = 150.0,
-        cache_size: int = 1024,
-        near_hit: bool = False,
     ) -> None:
         self.config = config or AcceleratorConfig.paper_default()
         self.options = options or PredictOptions()
         if isinstance(backend, str):
             if backend == "local":
-                self._backend: Backend = LocalBackend(
-                    Sage(config=config),
-                    cache_size=cache_size,
-                    near_hit=near_hit,
-                )
+                self._backend: Backend = LocalBackend(Sage(config=config))
             elif backend.startswith("tcp://"):
                 host, _, port = backend[len("tcp://"):].partition(":")
                 if not host or not port.isdigit():
@@ -120,7 +110,7 @@ class Session:
                         f"malformed backend URL {backend!r} "
                         f"(expected tcp://host:port)"
                     )
-                self._backend = RemoteBackend(host, int(port), timeout=timeout)
+                self._backend = RemoteBackend(host, int(port))
             else:
                 raise ConfigError(
                     f"unknown backend {backend!r} (expected 'local', a "
@@ -148,8 +138,9 @@ class Session:
 
         A single workload (object or wire dict) returns one
         :class:`SageDecision`; a sequence returns a list in input order,
-        fanned out via the local process pool or coalesced into one
-        server round trip depending on the backend.  ``overrides`` are
+        each workload answered in-process exactly as a single predict
+        would be, or the whole list coalesced into one server round trip,
+        depending on the backend.  ``overrides`` are
         :class:`PredictOptions` fields (``fidelity="cycle"``,
         ``fixed_mcf=...``, ...) applied on top of *options*.
 
@@ -246,8 +237,7 @@ class Session:
             a_dense, b_dense = np.asarray(a, float), np.asarray(b, float)
             a_coords, b_coords = dense_to_coords(a_dense), dense_to_coords(b_dense)
         else:
-            cap = opts.max_sim_elements or SIM_CAP_ELEMENTS
-            sim_wl = _proxy_workload(wl, cap)
+            sim_wl = _proxy_workload(wl, SIM_CAP_ELEMENTS)
             a_dense = b_dense = None
             a_coords = random_sparse_coords(
                 sim_wl.m, sim_wl.k, sim_wl.nnz_a, opts.seed
@@ -294,7 +284,7 @@ class Session:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Release the backend (remote connections, pools)."""
+        """Release the backend (a remote connection)."""
         self._backend.close()
 
     def __enter__(self) -> "Session":

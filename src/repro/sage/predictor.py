@@ -78,7 +78,6 @@ from repro.sage.spaces import (
     matrix_grid,
     tensor_grid,
 )
-from repro.util.pool import fork_map
 from repro.workloads.spec import MatrixWorkload, TensorWorkload
 from repro.workloads.synthetic import random_sparse_coords
 
@@ -240,7 +239,7 @@ class Sage:
         #: default artifact store on first calibrated prediction (see
         #: :meth:`ensure_calibration`); pass one explicitly for scratch
         #: stores or embedded servers.  Plain attribute, so it pickles
-        #: into serve shards / predict_many workers with the predictor.
+        #: into serve shards with the predictor.
         self.calibration = calibration
 
     def ensure_calibration(self) -> CalibrationTable:
@@ -428,31 +427,6 @@ class Sage:
         if isinstance(workload, TensorWorkload):
             return self.predict_tensor(workload, options=opts)
         return self.predict_matrix(workload, options=opts)
-
-    def predict_many(
-        self,
-        workloads: Sequence[MatrixWorkload | TensorWorkload],
-        *,
-        options: PredictOptions | None = None,
-        processes: int | None = None,
-        fidelity: str | None = None,
-    ) -> list[SageDecision]:
-        """Predict a whole workload suite, fanned across a process pool.
-
-        Decisions are returned in input order.  The fan-out is the shared
-        :func:`~repro.util.pool.fork_map` machinery (sequential degradation
-        on pool-less platforms, unpicklable inputs, daemonic callers).
-        Conversion routes depend only on each operand's statistics, so a
-        worker answers exactly as this process would.  The full option set
-        (search restrictions, ``top_k``) applies to every workload in the
-        batch; ``processes`` bounds the pool width.
-        """
-        opts = resolve_options(options, processes=processes, fidelity=fidelity)
-        return fork_map(
-            _predict_one,
-            [(self, wl, opts) for wl in workloads],
-            processes=opts.processes,
-        )
 
     # ------------------------------------------------------ cycle fidelity --
     def _cycle_rerank(
@@ -676,10 +650,3 @@ def _proxy_workload(wl: MatrixWorkload, cap_elements: int) -> MatrixWorkload:
         dtype_bits=wl.dtype_bits,
     )
 
-
-def _predict_one(
-    job: tuple[Sage, MatrixWorkload | TensorWorkload, PredictOptions]
-) -> SageDecision:
-    """Pool task: one workload through the (pickled) predictor."""
-    sage, workload, options = job
-    return sage.predict(workload, options=options)

@@ -215,14 +215,13 @@ def _shard_main(in_q, out_q, sage: Sage, fidelity: str) -> None:
         if msg is None:
             out_q.put(None)
             return
-        key, wl_dict = msg
+        key, workload = msg
         if isinstance(key, str) and key.startswith(_METRICS_KEY):
             # In-band metrics poll: answer with this shard's registry
             # snapshot through the ordinary result queue.
             out_q.put((key, obs_metrics.registry().snapshot(), None))
             continue
         try:
-            workload = workload_from_dict(wl_dict)
             with span("serve.shard_predict", workload=workload.name):
                 decision = sage.predict(workload, fidelity=fidelity)
             out_q.put((key, decision, None))
@@ -230,7 +229,7 @@ def _shard_main(in_q, out_q, sage: Sage, fidelity: str) -> None:
             _LOG.warning(
                 "shard %d prediction failed for %r",
                 os.getpid(),
-                wl_dict.get("name") if isinstance(wl_dict, dict) else wl_dict,
+                workload.name,
                 exc_info=True,
             )
             out_q.put((key, None, f"{type(exc).__name__}: {exc}"))
@@ -709,17 +708,13 @@ class SageServer:
         workloads = message.get("workloads")
         if not isinstance(workloads, list):
             return self._reject("predict_many needs a workloads list"), None
-        if bypass is not None:
-            # Restricted batches skip cache/coalescing anyway; fan them
-            # across the predictor's process pool in one go instead of
-            # searching serially per workload on this handler thread.
-            return self._predict_many_bypass(workloads, bypass, limit), None
-        requests = [self._submit(wl) for wl in workloads]
+        requests = [self._submit(wl, bypass) for wl in workloads]
         replies = [self._reply_one(req, limit) for req in requests]
         failed = next((r for r in replies if not r["ok"]), None)
         if failed is not None:
-            # All-or-nothing reply; the siblings that did succeed are
-            # already cached, so a corrected resend costs only hits.
+            # All-or-nothing reply.  Cacheable siblings that did succeed
+            # are already cached, so a corrected resend re-pays only the
+            # failed and the bypassed workloads.
             return failed, None
         return {
             "ok": True,
@@ -815,43 +810,6 @@ class SageServer:
             return dataclasses.replace(options, fidelity=self.serve.fidelity)
         return options
 
-    def _predict_many_bypass(
-        self,
-        workloads: list,
-        options: PredictOptions,
-        limit: int,
-    ) -> dict:
-        """Restricted batch: one pooled ``predict_many``, no cache.
-
-        All-or-nothing like the cacheable path; nothing is cached, so a
-        corrected resend re-pays the whole batch (restricted searches are
-        cheap relative to the unrestricted cross-product).
-        """
-        t_submit = time.perf_counter()
-        self._requests.inc(len(workloads), event="submitted")
-        self._requests.inc(len(workloads), event="bypassed")
-        try:
-            parsed = [workload_from_dict(wl) for wl in workloads]
-            decisions = self._sage.predict_many(
-                parsed, options=self._effective_options(options)
-            )
-        except Exception as exc:  # noqa: BLE001 - reported in-band
-            _LOG.warning("restricted batch predict failed", exc_info=True)
-            # All-or-nothing: every workload of the batch failed.
-            self._requests.inc(len(workloads), event="error")
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        elapsed = time.perf_counter() - t_submit
-        self._requests.inc(len(decisions), event="served")
-        self._stage_seconds.observe(elapsed, stage="total")
-        self._latency.observe(elapsed, outcome="bypassed")
-        return {
-            "ok": True,
-            "decisions": [
-                d.to_wire(top=None if limit <= 0 else limit)
-                for d in decisions
-            ],
-        }
-
     def _submit(
         self, workload: dict, bypass: PredictOptions | None = None
     ) -> _PendingRequest:
@@ -933,7 +891,7 @@ class SageServer:
             self._shards[fp.shard(len(self._shards))] if self._shards else None
         )
         if shard is not None and shard.proc.is_alive():
-            shard.in_q.put((key, workload))
+            shard.in_q.put((key, parsed))
         else:
             # No shards configured, or this one died (OOM, kill): compute
             # on this worker thread, which would block in _reply_one

@@ -133,7 +133,6 @@ def evaluate_with_session(session, params: Mapping) -> dict:
         fidelity=fidelity,
         config=point.accelerator_config(),
         dram_gbps=point.dram_gbps,
-        processes=1,  # the tuner owns the outer fan-out
         top_k=1,
     )
     with span("tune.evaluate", suite=suite, fidelity=fidelity,

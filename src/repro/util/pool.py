@@ -1,11 +1,11 @@
 """Shared fork-pool fan-out with graceful sequential degradation.
 
-Every batch frontend — :meth:`repro.sage.predictor.Sage.predict_many`,
-the xp grid runner and the tuner — needs the same shape of machinery:
-fan a list of picklable jobs across a fork-context process pool,
-preserve input order, and degrade to in-process execution on any
-platform that cannot run a pool at all instead of failing.  This module
-is that machinery, factored once.
+Its one caller is the xp cell executor
+(:func:`repro.xp.runner.run_cells`), through which the xp grid runner,
+the tuner and the calibration builder fan out their cells.  It fans a
+list of picklable jobs across a fork-context process pool, preserves
+input order, and degrades to in-process execution on any platform that
+cannot run a pool at all instead of failing.
 
 Each job crosses into a worker as one pickle: ``(fn, item)`` is
 serialized once in the parent, and the worker unpickles and calls it.

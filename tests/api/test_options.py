@@ -51,15 +51,14 @@ class TestPredictOptionsValidation:
         with pytest.raises(PredictionError, match="must not be empty"):
             PredictOptions(mcf_b_space=())
 
-    @pytest.mark.parametrize("field,value", [("top_k", 0), ("processes", 0)])
-    def test_nonpositive_counts_rejected(self, field, value):
+    def test_nonpositive_top_k_rejected(self):
         with pytest.raises(PredictionError):
-            PredictOptions(**{field: value})
+            PredictOptions(top_k=0)
 
     def test_spaces_mark_restriction(self):
         assert PredictOptions(mcf_a_space=(Format.CSR,)).restricts_search
         assert PredictOptions(mcf_b_space=(Format.DENSE,)).restricts_search
-        assert not PredictOptions(top_k=3, processes=2).restricts_search
+        assert not PredictOptions(top_k=3).restricts_search
 
 
 class TestHardwareOverrides:
@@ -142,7 +141,7 @@ class TestPredictOptionsWire:
         "opts",
         [
             PredictOptions(),
-            PredictOptions(fidelity="cycle", top_k=3, processes=2),
+            PredictOptions(fidelity="cycle", top_k=3),
             PredictOptions(
                 fixed_mcf=(Format.CSR, Format.DENSE),
                 mcf_a_space=(Format.CSR, Format.COO),
@@ -162,6 +161,15 @@ class TestPredictOptionsWire:
         with pytest.raises(PredictionError, match="unknown PredictOptions"):
             PredictOptions.from_wire({"fidelity": "analytical", "mcf": ["CSR"]})
 
+    def test_legacy_processes_key_accepted_and_ignored(self):
+        # Earlier schema-2 clients sent a batch fan-out width on every
+        # request, null or a count.
+        wire = PredictOptions(top_k=3).to_wire()
+        assert "processes" not in wire
+        for processes in (None, 4):
+            legacy = {**wire, "processes": processes}
+            assert PredictOptions.from_wire(legacy) == PredictOptions(top_k=3)
+
     def test_schema_constants_consistent(self):
         assert WIRE_SCHEMA_VERSION in SUPPORTED_WIRE_SCHEMAS
         assert set(FIDELITIES) == {"analytical", "calibrated", "cycle"}
@@ -173,7 +181,6 @@ class TestRunOptions:
             predict=PredictOptions(fidelity="cycle", top_k=2),
             seed=7,
             verify=False,
-            max_sim_elements=1 << 12,
         )
         assert RunOptions.from_wire(json.loads(json.dumps(opts.to_wire()))) == opts
 
@@ -186,7 +193,3 @@ class TestRunOptions:
         with pytest.raises(PredictionError, match="unknown RunOptions") as err:
             RunOptions.from_wire(data)
         assert name in str(err.value)
-
-    def test_nonpositive_cap_rejected(self):
-        with pytest.raises(PredictionError, match="max_sim_elements"):
-            RunOptions(max_sim_elements=0)

@@ -15,6 +15,7 @@ from repro.api import (
 from repro.errors import ConfigError, PredictionError, SimulationError
 from repro.formats.registry import Format, matrix_class
 from repro.sage import Sage
+from repro.sage.predictor import SIM_CAP_ELEMENTS
 from repro.workloads import random_sparse_matrix
 from repro.workloads.spec import Kernel, MatrixWorkload, TensorWorkload
 from tests.accelerator._reference_engine import reference_gemm
@@ -188,11 +189,12 @@ class TestRunPipeline:
     def test_oversized_workload_runs_via_proxy(self):
         wl = MatrixWorkload("big", Kernel.SPMM, m=4096, k=4096, n=2048,
                             nnz_a=400_000, nnz_b=4096 * 2048)
-        result = self.SESSION.run(
-            wl, RunOptions(max_sim_elements=1 << 10, verify=True)
-        )
+        result = self.SESSION.run(wl, RunOptions(verify=True))
+        assert result.verified
         assert result.sim_scale < 1.0
         assert result.sim_workload.m < wl.m
+        sim = result.sim_workload
+        assert max(sim.m * sim.k, sim.k * sim.n) <= SIM_CAP_ELEMENTS
         # Density is preserved by the proxy (within rounding).
         assert result.sim_workload.density_a == pytest.approx(
             wl.density_a, rel=0.35

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.errors import PredictionError
 from repro.formats.registry import Format
 from repro.sage.predictor import Sage, SageDecision, _proxy_workload
@@ -98,15 +99,15 @@ class TestValidation:
         with pytest.raises(PredictionError, match="analytical-only"):
             Sage().predict_tensor(wl, fidelity="cycle")
 
-    def test_predict_many_checks_fidelity_upfront(self):
+    def test_batch_checks_fidelity_upfront(self):
         with pytest.raises(PredictionError, match="unknown fidelity"):
-            Sage().predict_many([_wl()], fidelity="oracular")
+            Session().predict([_wl()], fidelity="oracular")
 
 
 class TestBatchCycleTier:
-    def test_predict_many_at_cycle_fidelity(self):
+    def test_batch_at_cycle_fidelity(self):
         workloads = [_wl(), _wl(m=80, density=0.3)]
-        decisions = Sage().predict_many(workloads, fidelity="cycle",
-                                        processes=2)
+        with Session() as session:
+            decisions = session.predict(workloads, fidelity="cycle")
         assert [d.fidelity for d in decisions] == ["cycle", "cycle"]
         assert [d.workload_name for d in decisions] == ["fid", "fid"]

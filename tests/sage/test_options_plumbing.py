@@ -1,6 +1,6 @@
 """Satellite fix: every Sage entry point honors the full option set.
 
-Before the Session redesign, ``predict``/``predict_many`` silently dropped
+Before the Session redesign, ``predict`` and batch predicts silently dropped
 the search-restriction kwargs that ``predict_matrix`` accepted, and
 ``predict_tensor`` ignored unsupported ones.  These tests pin the
 consolidated contract.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Session
 from repro.api.options import PredictOptions
 from repro.errors import PredictionError
 from repro.formats.registry import Format
@@ -49,17 +50,17 @@ class TestGenericEntryPoints:
             wl, options=opts
         )
 
-    def test_predict_many_accepts_options(self):
+    def test_batch_accepts_options(self):
         wls = [_spmm(f"many{i}", m=160 + 20 * i) for i in range(3)]
         opts = PredictOptions(fixed_mcf=(Format.CSR, Format.DENSE), top_k=2)
-        decisions = SAGE.predict_many(wls, options=opts, processes=1)
+        decisions = Session().predict(wls, opts)
         assert all(d.best.mcf == (Format.CSR, Format.DENSE) for d in decisions)
         assert all(len(d.ranking) == 2 for d in decisions)
 
-    def test_predict_many_matches_singles(self):
+    def test_batch_matches_singles(self):
         wls = [_spmm(f"s{i}", m=150 + 30 * i) for i in range(2)]
         opts = PredictOptions(mcf_b_space=(Format.ZVC, Format.DENSE))
-        batch = SAGE.predict_many(wls, options=opts, processes=1)
+        batch = Session().predict(wls, opts)
         singles = [SAGE.predict(wl, options=opts) for wl in wls]
         assert batch == singles
 

@@ -159,12 +159,16 @@ class TestStatsLedger:
 
     def test_rejected_messages_count_one_error_each(self):
         good, bad = _wl(672).to_dict(), {"kind": "graph"}
+        pinned = PredictOptions(fixed_mcf=("CSR", "Dense")).to_wire()
         messages = [
             {"op": "predict", "workload": bad},
             {"op": "frobnicate"},
             {"op": "predict", "workload": good, "schema_version": 99},
             # One error per failed workload, not one per message.
             {"op": "predict_many", "workloads": [good, bad, bad]},
+            # The same count when the batch bypasses the cache.
+            {"op": "predict_many", "workloads": [good, bad, bad],
+             "schema_version": 2, "options": pinned},
         ]
         bodies = [json.dumps(m).encode() for m in messages] + [b"not json"]
         with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
@@ -175,16 +179,22 @@ class TestStatsLedger:
                 if reply is None:
                     reply = srv._handle_decoded(decoded, False)[0]
                 replies.append(json.loads(reply))
-            requests = srv.stats()["requests"]
-        assert [r["ok"] for r in replies] == [False] * 5
+            stats = srv.stats()
+        requests = stats["requests"]
+        assert [r["ok"] for r in replies] == [False] * 6
         assert "unknown workload kind 'graph'" in replies[0]["error"]
         assert "unknown op" in replies[1]["error"]
         assert "schema_version" in replies[2]["error"]
         assert "unknown workload kind 'graph'" in replies[3]["error"]
-        assert replies[4]["error"].startswith("WireError: ")
-        assert requests["errors"] == 6
-        assert requests["served"] == 1
+        assert "unknown workload kind 'graph'" in replies[4]["error"]
+        assert replies[5]["error"].startswith("WireError: ")
+        assert requests["errors"] == 8
+        assert requests["served"] == 2
         assert requests["submitted"] == requests["served"] + requests["errors"]
+        # One bypassed latency sample per bypassed workload.
+        assert requests["bypassed"] == 1
+        bypassed = stats["latency_by_outcome_ms"]["bypassed"]
+        assert bypassed["count"] == requests["bypassed"]
 
     def test_timed_out_miss_counts_an_error_and_its_latency(self):
         sage = _HeldSage()

@@ -7,6 +7,7 @@ import socket
 
 import pytest
 
+from repro.api import Session
 from repro.api.options import PredictOptions, WIRE_SCHEMA_VERSION
 from repro.errors import ServeError
 from repro.formats.registry import Format
@@ -197,14 +198,15 @@ class TestOptionsOverTheWire:
             decisions = client.predict_many(suite, options=opts)
             after = client.stats()["requests"]["bypassed"]
         assert all(d.best.mcf == (Format.CSR, Format.CSC) for d in decisions)
-        assert after == before + len(suite)  # pooled bypass, not cached
+        assert after == before + len(suite)  # one bypass each, not cached
 
     def test_restricted_predict_many_matches_local(self, server):
         suite = [_wl(m=272), _wl(m=296)]
         opts = PredictOptions(mcf_a_space=(Format.COO, Format.CSR), top_k=2)
         with ServeClient(*server.address) as client:
             served = client.predict_many(suite, top=0, options=opts)
-        local = Sage().predict_many(suite, options=opts, processes=1)
+        with Session() as session:
+            local = session.predict(suite, opts)
         assert [d.to_wire() for d in served] == [d.to_wire() for d in local]
 
     def test_stats_advertise_schema_versions(self, server):

@@ -2,8 +2,8 @@
 
 The full run (238 decisions) compares two trees; here a subset that still
 spans every tier checks that the digest repeats, that a pickle round trip
-of the decisions leaves it unchanged (serve shards and ``predict_many``
-workers ship decisions by pickle), and that it covers whole rankings.
+of the decisions leaves it unchanged (serve shards and xp pool workers
+ship decisions by pickle), and that it covers whole rankings.
 """
 
 from __future__ import annotations
