@@ -29,10 +29,13 @@ makes the same call for its one GEMM.  The output product
 (:meth:`run_gemm`) comes from the same pass: one scatter of the
 statistics' entries and one matmul against the stationary values, which
 is what the PEs accumulate tile by tile and round by round; only it
-builds the dense stationary values.  Beyond that, entries are looked at
-only for the CAM spill runs of a sparse row-grouped stream (one keyed
-pass over all tiles ORing per-k column bitsets, integer ops only) and
-for the spill runs of a stream that interleaves rows (CSC).
+builds the dense stationary values.  Given the inputs' coordinates,
+:meth:`run_gemm` first checks that those entries and values hold
+exactly the inputs' nonzeros, so the product is of the right operands.
+Beyond that, entries are looked at only for the CAM spill runs of a
+sparse row-grouped stream (one keyed pass over all tiles ORing per-k
+column bitsets, integer ops only) and for the spill runs of a stream
+that interleaves rows (CSC).
 The reports are pinned by the test suite against a per-beat PE model and
 a Python greedy packer kept there as oracles, along with the Fig. 6
 walkthrough's 8 / 3 / 4 streaming cycles and the closed-form analytical
@@ -79,6 +82,10 @@ _PHASE_CYCLES = registry().counter(
 #: One simulate_many job: (streamed operand, its ACF, stationary operand,
 #: its ACF) — exactly the run_gemm signature.
 SimJob = tuple[MatrixFormat, Format, MatrixFormat, Format]
+
+#: A matrix's nonzeros as ``(flat, values)``: ascending distinct row-major
+#: positions and the values there (what ``MatrixFormat.from_coords`` takes).
+Coords = tuple[np.ndarray, np.ndarray]
 
 
 class _Stationary:
@@ -186,13 +193,29 @@ class WeightStationarySimulator:
         acf_a: Format,
         b: MatrixFormat,
         acf_b: Format,
+        *,
+        inputs: tuple[Coords, Coords] | None = None,
     ) -> tuple[np.ndarray, RunReport]:
         """Execute ``O = A @ B`` and return (output, report).
 
         ``a`` must be encoded in ``acf_a`` (its class must match) and ``b``
         is re-encoded to the stationary layout internally if needed.
+
+        *inputs*, when given, are the nonzeros A and B were encoded from
+        (``(flat, values)`` each, as :data:`Coords`), and the operands the
+        GEMM reads are checked against them exactly: the entries the
+        statistics pass streams (the dense array of a Dense stream) must
+        scatter to A's nonzeros, none dropped, moved, duplicated or
+        altered (streamed zeros are allowed), and the stationary buffer's
+        values must hold B's nonzeros, each at a stored position of a
+        metadata layout.  A mismatch raises
+        :class:`~repro.errors.SimulationError`.  The check reads what the
+        product is formed from, in O(nnz + K·N); it does not form a second
+        product.
         """
-        pending, out = self._gemm(a, acf_a, b, acf_b, {}, output=True)
+        pending, out = self._gemm(
+            a, acf_a, b, acf_b, {}, output=True, inputs=inputs
+        )
         (report,) = self._reports([pending])
         return out, report
 
@@ -205,11 +228,13 @@ class WeightStationarySimulator:
         prepared: _Prepared,
         *,
         output: bool,
+        inputs: tuple[Coords, Coords] | None = None,
     ) -> tuple[_Pending, np.ndarray | None]:
         """Validate, prepare the stationary side unless *prepared* already
         holds it (keyed by ``(id(b), acf_b)``), then take the GEMM's
         statistics: its report but for the beats, and its output when
-        *output* is set (``None`` otherwise)."""
+        *output* is set (``None`` otherwise), after checking the operands
+        against *inputs* when given (see :meth:`run_gemm`)."""
         proto = stream_protocol_for(acf_a)
         if not proto.streamable:
             raise SimulationError(
@@ -232,12 +257,15 @@ class WeightStationarySimulator:
             if key not in prepared:
                 with span("accel.prepare"):
                     prepared[key] = _Stationary(layout, b, self.config)
-            return self._measure(a, proto, layout, prepared[key], output)
+            return self._measure(
+                a, proto, layout, prepared[key], output, inputs
+            )
 
     # ------------------------------------------------- vectorized engine --
     def _measure(
         self, a, proto: StreamProtocol, layout: StationaryLayout,
         st: _Stationary, output: bool,
+        inputs: tuple[Coords, Coords] | None,
     ) -> tuple[_Pending, np.ndarray | None]:
         """One GEMM's report inputs, and its product when *output* is set,
         from whole-operand statistics.
@@ -251,6 +279,8 @@ class WeightStationarySimulator:
         """
         n = st.operand.shape[1]
         stats = proto.stream_stats(a, st.schedule.k_tiles)
+        if inputs is not None:
+            _check_operands(a, proto, stats, st, *inputs)
         num = int(stats.c_all.sum())
         if layout.matcher == "direct":
             # Indexable buffers answer every streamed element.
@@ -409,6 +439,69 @@ def _output(a, stats: StreamStats, st: _Stationary) -> np.ndarray:
     out = np.zeros((a.nrows, bd.shape[1]), dtype=np.float64)
     out[rows] = s_vals @ bd[ks]
     return out
+
+
+def _check_operands(
+    a, proto: StreamProtocol, stats: StreamStats, st: _Stationary,
+    a_nz: Coords, b_nz: Coords,
+) -> None:
+    """Raise :class:`~repro.errors.SimulationError` unless the streamed
+    entries hold exactly A's nonzeros *a_nz* and the stationary buffers
+    exactly B's nonzeros *b_nz* (see
+    :meth:`WeightStationarySimulator.run_gemm`)."""
+    a_flat, a_vals = _nonzeros(*a_nz)
+    if stats.entries is None:
+        streamed = _dense_holds(a.values, a_flat, a_vals)
+    else:
+        i, k, _tile, v = stats.entries
+        kept = v != 0.0
+        if not kept.all():
+            i, k, v = i[kept], k[kept], v[kept]
+        flat = i.astype(np.int64, copy=False) * a.ncols + k
+        if np.any(flat[1:] <= flat[:-1]):  # not row-major: sort to compare
+            order = np.argsort(flat, kind="stable")
+            flat, v = flat[order], v[order]
+        # Sorted and as long as the strictly ascending input, so equal
+        # only with no entry dropped, moved, repeated or altered.
+        streamed = np.array_equal(flat, a_flat) and np.array_equal(v, a_vals)
+    if not streamed:
+        raise SimulationError(
+            f"the {proto.format} stream does not carry exactly the "
+            "streamed operand's input nonzeros"
+        )
+    b_flat, b_vals = _nonzeros(*b_nz)
+    operand = st.operand
+    held = _dense_holds(operand.values, b_flat, b_vals)
+    if held and operand.positions is not None:
+        k_pos, col = operand.positions
+        stored = np.zeros(operand.values.size, dtype=bool)
+        stored[k_pos * operand.shape[1] + col] = True
+        held = bool(stored[b_flat].all())
+    if not held:
+        raise SimulationError(
+            f"the {operand.source.format} stationary buffers do not hold "
+            "exactly the stationary operand's input nonzeros"
+        )
+
+
+def _nonzeros(flat: np.ndarray, values: np.ndarray) -> Coords:
+    """*flat* and *values* without the positions that hold zero."""
+    kept = values != 0.0
+    return (flat, values) if kept.all() else (flat[kept], values[kept])
+
+
+def _dense_holds(
+    dense: np.ndarray, flat: np.ndarray, values: np.ndarray
+) -> bool:
+    """Whether *dense* holds *values* at *flat* (ascending distinct
+    row-major positions) and zeros everywhere else."""
+    if len(flat) == dense.size:  # every position: *values* is the array
+        return np.array_equal(dense.ravel(), values)
+    return (
+        np.count_nonzero(dense) == len(flat)
+        and (not len(flat) or flat[-1] < dense.size)
+        and np.array_equal(dense.ravel()[flat], values)
+    )
 
 
 def _active(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

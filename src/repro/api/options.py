@@ -307,8 +307,11 @@ class RunOptions:
         RNG seed for materializing operands from workload statistics
         (ignored when the caller supplies concrete operands).
     verify:
-        Check the simulator's output against a numpy matmul of the
-        materialized operands (raises ``SimulationError`` on mismatch).
+        Check that the operands the simulator computed with hold exactly
+        the materialized operands' nonzeros: the streamed entries A's,
+        the stationary buffers B's (raises ``SimulationError`` on any
+        dropped, moved, repeated or altered nonzero).  The output is the
+        product of those operands; no second product is formed.
 
     Example
     -------

@@ -46,8 +46,9 @@ class RunResult:
         Fraction of the workload's ``m*k*n`` volume that was simulated;
         ``1.0`` means exact scale.
     verified:
-        ``True`` when the output was checked against numpy, ``None`` when
-        verification was disabled.
+        ``True`` when the operands the simulator computed with were
+        checked to hold exactly the input nonzeros (``RunOptions.verify``),
+        ``None`` when verification was disabled.
 
     Example
     -------
@@ -129,7 +130,8 @@ class RunResult:
         ]
         if self.verified is not None:
             lines.append(
-                "  output verified against numpy"
+                "  output verified: its operands held exactly the input "
+                "nonzeros"
                 if self.verified
                 else "  output NOT verified"
             )

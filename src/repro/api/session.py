@@ -36,7 +36,7 @@ from repro.api.backends import Backend, LocalBackend, RemoteBackend, Workload
 from repro.api.options import PredictOptions, RunOptions, resolve_options
 from repro.api.result import RunResult
 from repro.errors import ConfigError, PredictionError, SimulationError
-from repro.formats.base import coords_to_dense, dense_to_coords
+from repro.formats.base import dense_to_coords
 from repro.formats.registry import matrix_class
 from repro.mint.engine import MintEngine
 from repro.obs import span
@@ -192,11 +192,13 @@ class Session:
         Operands are drawn from the workload statistics as coordinates
         (deterministic in ``options.seed``) unless concrete dense arrays
         *a* and *b* are supplied, and each MCF is encoded from its
-        operand's nonzeros; a generated operand becomes a dense array only
-        for the ``options.verify`` check, which compares the output with
-        numpy's dense ``a @ b``.  Workloads larger than the simulation cap
-        execute through a density-preserving proxy whose scale is recorded
-        on the result.
+        operand's nonzeros.  The ``options.verify`` check hands those
+        coordinates to the simulator, which checks that the entries it
+        streams and the stationary buffers it multiplies against hold
+        exactly A's and B's nonzeros, with no second product (see
+        :meth:`~repro.accelerator.simulator.WeightStationarySimulator.run_gemm`).
+        Workloads larger than the simulation cap execute through a
+        density-preserving proxy whose scale is recorded on the result.
 
         Example
         -------
@@ -234,11 +236,10 @@ class Session:
                     f"the workload ({wl.m}x{wl.k} @ {wl.k}x{wl.n})"
                 )
             sim_wl = wl
-            a_dense, b_dense = np.asarray(a, float), np.asarray(b, float)
-            a_coords, b_coords = dense_to_coords(a_dense), dense_to_coords(b_dense)
+            a_coords = dense_to_coords(np.asarray(a, float))
+            b_coords = dense_to_coords(np.asarray(b, float))
         else:
             sim_wl = _proxy_workload(wl, SIM_CAP_ELEMENTS)
-            a_dense = b_dense = None
             a_coords = random_sparse_coords(
                 sim_wl.m, sim_wl.k, sim_wl.nnz_a, opts.seed
             )
@@ -255,19 +256,9 @@ class Session:
 
         sim = WeightStationarySimulator(self.config)
         out, report = sim.run_gemm(
-            a_acf, decision.acf[0], b_acf, decision.acf[1]
+            a_acf, decision.acf[0], b_acf, decision.acf[1],
+            inputs=(a_coords, b_coords) if opts.verify else None,
         )
-        verified: bool | None = None
-        if opts.verify:
-            if a_dense is None:  # generated operands are densified only here
-                a_dense = coords_to_dense(a_shape, *a_coords)
-                b_dense = coords_to_dense(b_shape, *b_coords)
-            if not np.allclose(out, a_dense @ b_dense):
-                raise SimulationError(
-                    f"simulated output of {wl.name} disagrees with numpy "
-                    f"(ACF=({decision.acf[0]},{decision.acf[1]}))"
-                )
-            verified = True
         return RunResult(
             workload=wl,
             sim_workload=sim_wl,
@@ -279,7 +270,7 @@ class Session:
             sim_scale=(
                 (sim_wl.m * sim_wl.k * sim_wl.n) / (wl.m * wl.k * wl.n)
             ),
-            verified=verified,
+            verified=True if opts.verify else None,
         )
 
     # ------------------------------------------------------------ lifecycle

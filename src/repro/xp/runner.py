@@ -274,15 +274,30 @@ def _session_for(backend: str):
     return session
 
 
+class _LazySession:
+    """The worker's warm Session for one backend, built on first use.
+
+    A measure that never reads its session (a calibration cell's, say)
+    leaves no Session behind in the worker.
+    """
+
+    __slots__ = ("_backend",)
+
+    def __init__(self, backend: str) -> None:
+        self._backend = backend
+
+    def __getattr__(self, name: str):
+        return getattr(_session_for(self._backend), name)
+
+
 def _execute_cell(job: _CellJob) -> CellState:
     """Measure one cell through the Session and validate its result."""
     params = dict(job.params)
     t0 = time.perf_counter()
     exp = job.experiment
     try:
-        session = _session_for(job.backend)
         with collect_spans() as spans, span("xp.cell", experiment=exp.name):
-            measured = exp.measure(session, params)
+            measured = exp.measure(_LazySession(job.backend), params)
         result = exp.validate_result(params, measured)
         return CellState(
             params=params,

@@ -11,6 +11,10 @@ deterministic rebuilds) and the table's validation invariants
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +135,28 @@ class TestCellExecutor:
         assert forced.executed == forced.workloads == tiny_build.workloads
         assert forced.cached == 0
         assert forced.table.to_dict() == tiny_build.table.to_dict()
+
+    def test_build_leaves_no_warm_session(self, tmp_path):
+        # Calibration cells ignore their session: a fresh process that
+        # builds a table never builds a Session.
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(root / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        code = (
+            "from repro.sage.calibrate import GRIDS, build_table\n"
+            "from repro.xp import runner\n"
+            "from repro.xp.artifacts import ArtifactStore\n"
+            f"build_table(GRIDS['tiny'], store=ArtifactStore({str(tmp_path)!r}))\n"
+            "print(len(runner._SESSIONS))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
     def test_cell_experiment_is_not_registered(self):
         assert calibrate.CELL_EXPERIMENT not in experiment_names()

@@ -12,6 +12,7 @@ import json
 import uuid
 from pathlib import Path
 
+from repro.xp import runner
 from repro.xp.artifacts import ArtifactStore
 from repro.xp.registry import Experiment, register
 from repro.xp.runner import RunConfig, run_experiments
@@ -34,6 +35,10 @@ def _failing_measure(session, params):
 
 def _wrong_shape_measure(session, params):
     return {"not_in_schema": 1}
+
+
+def _config_reading_measure(session, params):
+    return {"x2": params["x"] * 2, "pes": session.config.num_pes}
 
 
 def _toy(
@@ -99,6 +104,31 @@ class TestExecution:
         page = (tmp_path / "out" / "xp" / f"{exp.name}.md").read_text()
         assert exp.name in rollup
         assert "x2" in page and "measured" in page
+
+
+class TestWarmSession:
+    """A worker builds its Session on first use, and only then."""
+
+    def test_measure_ignoring_its_session_builds_none(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(runner, "_SESSIONS", {})
+        exp = _toy(tmp_path)
+        assert run_experiments([exp.name], _cfg(tmp_path)).ok
+        assert runner._SESSIONS == {}
+
+    def test_measure_reading_its_session_builds_one(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(runner, "_SESSIONS", {})
+        exp = _toy(tmp_path, measure=_config_reading_measure)
+        summary = run_experiments([exp.name], _cfg(tmp_path))
+        assert summary.ok
+        assert list(runner._SESSIONS) == ["local"]
+        pes = runner._SESSIONS["local"].config.num_pes
+        assert [c.result["pes"] for c in summary.experiments[0].cells] == [
+            pes
+        ] * 3
 
 
 class TestResume:
