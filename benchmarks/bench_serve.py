@@ -6,8 +6,8 @@ requests per pass) three ways:
 * **naive** — the pre-serve integration style: every request constructs
   ``Sage()`` and runs the full MCF/ACF search in-process;
 * **server cold** — first pass through a freshly started
-  :class:`~repro.serve.server.SageServer` (every request is a cache miss
-  and fans out to the shard pool);
+  :class:`~repro.serve.server.SageServer` (every request is a cache miss,
+  searched in the server process);
 * **server warm** — repeat passes, where the
   :class:`~repro.serve.cache.DecisionCache` answers over TCP.
 
@@ -58,11 +58,11 @@ def measure() -> dict:
         Sage().predict(wl)
     naive_s = time.perf_counter() - t0
 
-    config = ServeConfig(port=0, shards=2)
+    config = ServeConfig(port=0)
     with SageServer(serve=config) as server:
         with ServeClient(*server.address) as client:
             t0 = time.perf_counter()
-            client.predict_many(suite)  # cold: all misses, sharded fan-out
+            client.predict_many(suite)  # cold: all misses
             cold_s = time.perf_counter() - t0
             warm_samples = []
             for _ in range(WARM_ROUNDS):
@@ -101,7 +101,6 @@ def measure() -> dict:
         "speedup_near_vs_naive": naive_s / near_s,
         "cache": stats["cache"],
         "latency_ms": stats["latency_ms"],
-        "shards": len(stats["shards"]),
     }
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")

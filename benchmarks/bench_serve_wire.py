@@ -49,7 +49,7 @@ THREADS = 4  # concurrent replay clients
 ZIPF_S = 1.1  # skew exponent (rank-weighted 1/r^s)
 SEED = 20210517  # the paper's conference date; any constant works
 
-_SERVE = ServeConfig(port=0, shards=0, warm_bands=0)
+_SERVE = ServeConfig(port=0, warm_bands=0)
 
 _OUTCOMES = ("hit", "near_hit", "miss", "bypassed")
 

@@ -1,10 +1,10 @@
 """Serving demo: the same Session code, answered by a remote server.
 
 Starts a :class:`~repro.serve.server.SageServer` on an ephemeral port
-(warm shard workers, near-hit cache on) and drives it through the
-``Session`` facade with a ``tcp://`` backend — cold pass, warm repeat, a
-density-band near-hit, a search-restricted request that bypasses the
-cache — then prints the server's stats RPC.  Nothing but the backend URL
+(misses searched in the server process, near-hit cache on) and drives
+it through the ``Session`` facade with a ``tcp://`` backend — cold pass,
+warm repeat, a density-band near-hit, a search-restricted request that
+bypasses the cache — then prints the server's stats RPC.  Nothing but the backend URL
 distinguishes this code from an in-process ``Session()``.
 
 Run with ``PYTHONPATH=src python examples/serve_demo.py``.
@@ -33,7 +33,7 @@ SMOKE = bool(os.environ.get("REPRO_EXAMPLE_SMOKE"))
 def main() -> None:
     entries = MATRIX_SUITE[:3] if SMOKE else MATRIX_SUITE
     suite = [entry.matrix_workload(Kernel.SPMM) for entry in entries]
-    config = ServeConfig(port=0, shards=1 if SMOKE else 2, near_hit=True)
+    config = ServeConfig(port=0, near_hit=True)
     with SageServer(serve=config) as server:
         host, port = server.address
         print(f"server up on {host}:{port}\n")

@@ -33,7 +33,7 @@ Commands
 ``stats``
     Pretty-print a running server's ``stats`` RPC — request, cache and
     coalescing counters, latency percentiles, and the merged metrics
-    registry (front process plus every shard worker).
+    registry (the server process's spans and counters plus its ledger).
 ``paths``
     Print the registered conversion graph and the cost-aware route the
     planner chooses for a given operand size.
@@ -176,7 +176,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve_config = ServeConfig(
         host=args.host,
         port=args.port,
-        shards=args.shards,
         cache_size=args.cache_size,
         near_hit=not args.exact,
         ranking_top=args.top,
@@ -192,13 +191,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = server.start()
     print(
         f"repro serve listening on {host}:{port} "
-        f"({args.shards} shard(s), {mode} cache, "
-        f"{args.fidelity} fidelity, {warm}; Ctrl-C or a "
+        f"({mode} cache, {args.fidelity} fidelity, {warm}; Ctrl-C or a "
         f'{{"op": "shutdown"}} request stops it)',
         flush=True,  # supervisors watching a pipe need the banner now
     )
     # SIGTERM (``kill``, process supervisors) takes the Ctrl-C path, so
-    # close() reaps the shard workers instead of orphaning them.
+    # close() stops the server and the process exits 0.
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
@@ -528,8 +526,7 @@ def _render_stats(stats: dict) -> str:
     cache = stats.get("cache", {})
     lines = [
         f"uptime {stats.get('uptime_s', 0.0):.1f}s, "
-        f"fidelity {stats.get('fidelity', '?')}"
-        + (", DEGRADED (no live shards)" if stats.get("degraded") else ""),
+        f"fidelity {stats.get('fidelity', '?')}",
         "requests: "
         + ", ".join(f"{k}={req.get(k, 0)}"
                     for k in ("submitted", "served", "errors", "bypassed",
@@ -565,19 +562,9 @@ def _render_stats(stats: dict) -> str:
                 )
                 + f" over {pct['count']} request(s)"
             )
-    for shard in stats.get("shards", []):
-        state = "alive" if shard.get("alive") else "DEAD"
-        lines.append(
-            f"shard {shard.get('shard')}: pid {shard.get('pid')} {state}, "
-            f"queue depth {shard.get('queue_depth')}"
-        )
-    metrics = stats.get("metrics", {})
-    snapshot = metrics.get("registry", {})
+    snapshot = stats.get("metrics", {}).get("registry", {})
     if snapshot:
-        lines.append(
-            f"metrics ({metrics.get('shards_reporting', 0)}/"
-            f"{metrics.get('shards_polled', 0)} shard(s) reporting):"
-        )
+        lines.append("metrics:")
         for name in sorted(snapshot):
             entry = snapshot[name]
             kind = entry.get("type")
@@ -766,8 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7342,
                    help="TCP port (0 picks an ephemeral one)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="warm worker processes (0 = in-process)")
     p.add_argument("--cache-size", type=int, default=4096)
     p.add_argument("--exact", action="store_true",
                    help="disable density-band near-hit cache answers")

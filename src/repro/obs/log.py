@@ -9,12 +9,12 @@ a stderr handler at a chosen level.
 Two activation paths:
 
 * ``REPRO_LOG=debug|info|warning|error`` in the environment — picked up
-  lazily the first time any repro logger is fetched, so serve shard
-  processes and fork-pool workers inherit the setting with no plumbing;
+  lazily the first time any repro logger is fetched, so fork-pool
+  workers inherit the setting with no plumbing;
 * ``repro --log-level debug ...`` on the CLI, which calls
   :func:`configure` explicitly (and wins over the env default).
 
-The serve tier logs shard-worker and handler exceptions at WARNING —
+The serve tier logs predict and handler exceptions at WARNING —
 previously they were counted in the error stats but their tracebacks
 vanished into the wire error string.
 """

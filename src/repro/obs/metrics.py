@@ -8,7 +8,7 @@ serve ``SageServer`` keeps its request ledger on a registry of its own,
 which its ``stats`` RPC reads and merges in.  The
 design constraint — in the spirit of the paper's own per-phase cycle
 accounting — is that telemetry must survive the repo's fan-out shapes:
-fork-pool workers, serve shard processes, and remote servers all hold
+fork-pool workers and remote servers all hold
 *their own* registry, and the aggregate is produced by **merging
 snapshots**, so merge must be exact:
 

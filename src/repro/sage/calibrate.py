@@ -228,7 +228,7 @@ class CalibrationTable:
     """Correction factors for one accelerator config, by calibration cell.
 
     Frozen and picklable: a :class:`~repro.sage.predictor.Sage` carries
-    its table across serve-shard forks, and decisions corrected by it are
+    its table into fork-pool workers, and decisions corrected by it are
     deterministic functions of (workload, table).
     """
 

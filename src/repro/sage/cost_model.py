@@ -107,9 +107,8 @@ def _canonical(pairs: Iterable[FormatPair]) -> tuple[FormatPair, ...]:
 
 
 # Slots and a positional reduce keep the rows a ranking builds small.  A
-# ranking itself crosses process boundaries (serve shards ship every
-# computed decision to the front cache by pickle) as its menu's columns,
-# never as rows: see :class:`Ranking`.
+# ranking that crosses a process boundary by pickle travels as its menu's
+# columns, never as rows: see :class:`Ranking`.
 @dataclass(frozen=True, slots=True)
 class CostBreakdown:
     """Full cost decomposition of one (MCF, ACF) candidate."""

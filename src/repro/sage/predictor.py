@@ -239,7 +239,7 @@ class Sage:
         #: default artifact store on first calibrated prediction (see
         #: :meth:`ensure_calibration`); pass one explicitly for scratch
         #: stores or embedded servers.  Plain attribute, so it pickles
-        #: into serve shards with the predictor.
+        #: with the predictor.
         self.calibration = calibration
 
     def ensure_calibration(self) -> CalibrationTable:

@@ -1,10 +1,10 @@
-"""``repro.serve`` — SAGE as a cached, sharded prediction server.
+"""``repro.serve`` — SAGE as a cached prediction server.
 
 The serving subsystem (stdlib only) layered over the in-process predictor:
 
 * :mod:`repro.serve.fingerprint` — canonical workload identity (kernel,
   dims, nnz, dtype, accelerator-config digest) with exact and
-  density-band keys and stable shard assignment;
+  density-band keys;
 * :mod:`repro.serve.cache` — thread-safe LRU
   :class:`~repro.serve.cache.DecisionCache` with hit/miss/eviction
   counters, an optional near-hit tier and one reply memo per exact
@@ -15,9 +15,9 @@ The serving subsystem (stdlib only) layered over the in-process predictor:
 * :mod:`repro.serve.server` — the async-front-end TCP
   :class:`~repro.serve.server.SageServer`: exact hits on either wire
   answered on the event loop from the decision cache's reply memos,
-  request coalescing, a shard pool of persistent worker processes,
-  outcome-split latency, and a ``stats`` RPC that reads the server's
-  own metric registry;
+  request coalescing, misses searched on the worker thread that waits
+  for them, outcome-split latency, and a ``stats`` RPC that reads the
+  server's own metric registry;
 * :mod:`repro.serve.warmer` — speculative
   :class:`~repro.serve.warmer.BandWarmer` pre-computing adjacent
   density bands on misses;
@@ -29,7 +29,7 @@ Quickstart::
 
     from repro.serve import SageServer, ServeClient, ServeConfig
 
-    with SageServer(serve=ServeConfig(port=0, shards=2)) as server:
+    with SageServer(serve=ServeConfig(port=0)) as server:
         with ServeClient(*server.address) as client:
             decision = client.predict(workload)
 

@@ -1,6 +1,6 @@
 """Thread-safe LRU cache of SAGE decisions, keyed by workload fingerprint.
 
-The serve front end consults this before dispatching anything to a shard:
+The serve front end consults this before searching any workload:
 SAGE is a pure function of the fingerprint, so a hit skips the entire
 MCF/ACF search.  Two hit tiers exist:
 

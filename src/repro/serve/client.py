@@ -248,8 +248,8 @@ class ServeClient:
         return [SageDecision.from_wire(w) for w in reply["decisions"]]
 
     def stats(self) -> dict:
-        """The server's ``stats`` payload: request, coalescing, cache,
-        shard and latency figures plus its merged metric registry."""
+        """The server's ``stats`` payload: request, coalescing, cache
+        and latency figures plus its merged metric registry."""
         return self._rpc({"op": "stats"})["stats"]
 
     def shutdown_server(self) -> None:

@@ -16,11 +16,6 @@ Two key granularities are exposed:
   DRAM-footprint ordering to within a factor of two, so serving a banded
   neighbour's decision is the "near-hit" mode of
   :class:`~repro.serve.cache.DecisionCache`.
-
-Fingerprints also pin each workload to a shard: :meth:`shard` hashes the
-band key with a keyed BLAKE2 digest (stable across processes and runs,
-unlike the salted builtin ``hash``), so repeats of a workload always land
-on the same warm worker.
 """
 
 from __future__ import annotations
@@ -115,19 +110,6 @@ class WorkloadFingerprint:
             self.kind, self.kernel, self.dim_bands, self.bands,
             self.dtype_bits, self.config,
         )
-
-    def shard(self, shards: int) -> int:
-        """Stable shard assignment in ``[0, shards)`` from the band key.
-
-        Banded (not exact) so near-identical workloads warm the same
-        shard's planner caches.
-        """
-        if shards <= 1:
-            return 0
-        digest = hashlib.blake2s(
-            repr(self.band_key()).encode(), digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "big") % shards
 
 
 def fingerprint_of(

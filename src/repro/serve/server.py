@@ -2,7 +2,7 @@
 
 Turns the in-process :class:`~repro.sage.predictor.Sage` and the
 :class:`~repro.serve.cache.DecisionCache` into a long-lived service.
-Stdlib only — ``asyncio`` + ``multiprocessing`` + ``threading``.
+Stdlib only — ``asyncio`` + ``threading``.
 
 Request path
 ------------
@@ -20,23 +20,16 @@ Request path
    that consults the :class:`DecisionCache`: hits (exact or
    density-band near-hits) are answered at once, and an exact hit fills
    its entry's memo, so the loop answers the next repeat.
-4. Misses dispatch at once from the worker thread that waits on them.
-   A miss whose fingerprint is already being computed **coalesces**:
-   it attaches to the pending computation instead of dispatching
-   again.  Each miss (and near-hit) also feeds the **speculative
-   warmer** (:class:`~repro.serve.warmer.BandWarmer`,
+4. A miss is searched on the worker thread that waits on it, in the
+   server process.  A miss whose fingerprint is already being computed
+   **coalesces**: it attaches to the pending computation instead of
+   searching again.  Each miss (and near-hit) also feeds the
+   **speculative warmer** (:class:`~repro.serve.warmer.BandWarmer`,
    ``warm_bands > 0``), which pre-computes adjacent density bands in
    the background so the next cold request in the band becomes a hit.
-5. **Shards** are persistent worker processes addressed by the
-   fingerprint's stable band-key hash, so repeats of a workload always
-   hit the same worker.  A shard only ever sees front-cache misses that
-   survived coalescing, so it predicts directly; the front
-   :class:`DecisionCache` is the one decision cache a request consults.
-   With ``shards=0`` (or a dead shard) the worker thread computes the
-   miss itself (no extra processes; useful on platforms without
-   ``fork``).
-6. Results flow back through per-shard collector threads, populate the
-   front cache, and release every waiter that coalesced onto them.
+5. The finished search populates the front :class:`DecisionCache` (the
+   one decision cache a request consults) and releases every waiter
+   that coalesced onto it.
 
 Wire protocol — binary frames (:mod:`repro.serve.wire`) or legacy
 JSON-lines (one JSON object per line, response per request)::
@@ -67,11 +60,8 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
-import multiprocessing
-import os
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,10 +83,6 @@ from repro.workloads.spec import workload_from_dict
 __all__ = ["OUTCOMES", "SageServer", "ServeConfig"]
 
 _LOG = get_logger("serve")
-
-#: Sentinel key prefix for in-band shard metric collection.  Prediction
-#: keys are fingerprint tuples, so a *string* key can never collide.
-_METRICS_KEY = "__metrics__:"
 
 #: Cache outcomes a request can resolve with (the latency label set).
 OUTCOMES = ("hit", "near_hit", "miss", "bypassed")
@@ -127,8 +113,6 @@ class ServeConfig:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`SageServer.address`).
-    shards:
-        Persistent worker processes; ``0`` computes misses in-process.
     cache_size, near_hit:
         Front :class:`DecisionCache` capacity and whether same-density-
         band near-hits may be served (exactness off ↔ throughput up).
@@ -145,9 +129,9 @@ class ServeConfig:
         simulator).  Fidelity is a server-level property so the decision
         cache stays tier-consistent.
     request_timeout_s:
-        Server-side cap on how long one request waits for a shard's (or
-        another request's) computation.  A search run on the request's
-        own worker thread (no live shard, or a bypass) is not cut short.
+        Server-side cap on how long a coalesced request waits for another
+        request's computation.  A search run on the request's own worker
+        thread (its miss, or a bypass) is not cut short.
     warm_bands:
         Speculative warming depth: on a miss or near-hit, pre-compute
         this many adjacent density bands (each direction) plus the
@@ -158,7 +142,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    shards: int = 2
     cache_size: int = 4096
     near_hit: bool = True
     ranking_top: int = 8
@@ -197,62 +180,6 @@ def _body(response: dict) -> bytes:
 def _on_wire(body: bytes, framed: bool) -> bytes:
     """Reply body bytes on the request's wire: a frame or a JSON line."""
     return wire.frame_for_body(body) if framed else body + b"\n"
-
-
-def _shard_main(in_q, out_q, sage: Sage, fidelity: str) -> None:
-    """Shard worker loop: predict forever until the ``None`` sentinel.
-
-    No decision cache lives here: the parent only dispatches front-cache
-    misses, one per in-flight fingerprint, so a shard-local cache would
-    never answer.
-    """
-    # The forked child inherits the parent's metric values; zero them so
-    # the in-band snapshots this shard ships cover only its own work and
-    # merging them into the parent never double-counts.
-    obs_metrics.reset_registry()
-    while True:
-        msg = in_q.get()
-        if msg is None:
-            out_q.put(None)
-            return
-        key, workload = msg
-        if isinstance(key, str) and key.startswith(_METRICS_KEY):
-            # In-band metrics poll: answer with this shard's registry
-            # snapshot through the ordinary result queue.
-            out_q.put((key, obs_metrics.registry().snapshot(), None))
-            continue
-        try:
-            with span("serve.shard_predict", workload=workload.name):
-                decision = sage.predict(workload, fidelity=fidelity)
-            out_q.put((key, decision, None))
-        except Exception as exc:  # noqa: BLE001 - shipped to the client
-            _LOG.warning(
-                "shard %d prediction failed for %r",
-                os.getpid(),
-                workload.name,
-                exc_info=True,
-            )
-            out_q.put((key, None, f"{type(exc).__name__}: {exc}"))
-
-
-class _Shard:
-    """One worker process plus its request/response queues."""
-
-    def __init__(self, ctx, sage: Sage, fidelity: str) -> None:
-        self.in_q = ctx.Queue()
-        self.out_q = ctx.Queue()
-        self.proc = ctx.Process(
-            target=_shard_main,
-            args=(self.in_q, self.out_q, sage, fidelity),
-            daemon=True,
-        )
-        self.proc.start()
-
-    def queue_depth(self) -> int | None:
-        try:
-            return self.in_q.qsize()
-        except NotImplementedError:  # pragma: no cover - macOS
-            return None
 
 
 class _AsyncFrontEnd:
@@ -419,11 +346,11 @@ class _AsyncFrontEnd:
 
 
 class SageServer:
-    """The serving frontend: async listener, caches, shard pool.
+    """The serving frontend: async listener, cache, worker pool.
 
     Typical embedded use (tests, benchmarks, notebooks)::
 
-        with SageServer(serve=ServeConfig(port=0, shards=2)) as server:
+        with SageServer(serve=ServeConfig(port=0)) as server:
             host, port = server.address
             ...
 
@@ -444,9 +371,8 @@ class SageServer:
             )
         self._sage = sage or Sage()
         if self.serve.fidelity == "calibrated":
-            # Fail fast at construction (not per-request inside a shard)
-            # when no table exists for this config; loading here also
-            # means forked shards inherit the parsed table for free.
+            # Fail fast at construction (not per-request on a miss) when
+            # no table exists for this config.
             self._sage.ensure_calibration()
         #: This server's ledger: every serve event is counted here once,
         #: and the ``stats`` RPC reads it back (embedded servers sharing
@@ -473,57 +399,21 @@ class SageServer:
         )
         self._lock = threading.Lock()
         self._inflight: dict[tuple, list[_PendingRequest]] = {}
-        self._shards: list[_Shard] = []
-        self._collectors: list[threading.Thread] = []
         self._frontend: _AsyncFrontEnd | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._warmer: BandWarmer | None = None
         self._closed = threading.Event()
         self._shutdown_flushed = threading.Event()
         self._started = False
-        self._degraded: str | None = None
         self._t_start = 0.0
-        #: In-band shard metric polls awaiting replies: sentinel key ->
-        #: [event, snapshot-or-None] box filled by the collector thread.
-        self._metric_boxes: dict[str, list] = {}
 
     # ------------------------------------------------------------ lifecycle
     def start(self) -> tuple[str, int]:
-        """Spin up shards and listener; return ``(host, port)``."""
+        """Spin up the worker pool and listener; return ``(host, port)``."""
         if self._started:
             raise RuntimeError("server already started")
         self._started = True
         self._t_start = time.monotonic()
-        if self.serve.shards > 0:
-            try:
-                ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                ctx = multiprocessing.get_context()
-            try:
-                for _ in range(self.serve.shards):
-                    self._shards.append(
-                        _Shard(ctx, self._sage, self.serve.fidelity)
-                    )
-            except (OSError, PermissionError) as exc:  # pragma: no cover
-                # Platforms that cannot spawn processes at all degrade to
-                # in-process compute; anything else (e.g. a genuinely
-                # broken predictor) propagates.  The degradation is loud:
-                # recorded here and surfaced by the stats RPC.
-                for shard in self._shards:
-                    shard.proc.terminate()
-                self._shards = []
-                self._degraded = (
-                    f"shard pool unavailable ({exc}); computing in-process"
-                )
-        for index, shard in enumerate(self._shards):
-            collector = threading.Thread(
-                target=self._collect_loop,
-                args=(shard,),
-                name=f"serve-collector-{index}",
-                daemon=True,
-            )
-            collector.start()
-            self._collectors.append(collector)
         if self.serve.warm_bands > 0:
             self._warmer = BandWarmer(
                 lambda wl: self._sage.predict(wl, fidelity=self.serve.fidelity),
@@ -565,7 +455,7 @@ class SageServer:
         self.close()
 
     def close(self) -> None:
-        """Graceful shutdown: stop intake, fail in-flight work, reap shards."""
+        """Graceful shutdown: stop intake, fail in-flight work."""
         if self._closed.is_set():
             return
         self._closed.set()
@@ -582,15 +472,6 @@ class SageServer:
                 req.done.set()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
-        for shard in self._shards:
-            shard.in_q.put(None)
-        for collector in self._collectors:
-            collector.join(timeout=5)
-        for shard in self._shards:
-            shard.proc.join(timeout=5)
-            if shard.proc.is_alive():  # pragma: no cover - hung worker
-                shard.proc.terminate()
-                shard.proc.join(timeout=5)
 
     def __enter__(self) -> "SageServer":
         self.start()
@@ -774,7 +655,7 @@ class SageServer:
         if not req.done.wait(timeout=self.serve.request_timeout_s):
             # Un-wedge the fingerprint: without this, every future request
             # for the same workload would coalesce onto a computation that
-            # will never resolve (e.g. a killed shard worker).
+            # has already outlived the timeout.
             key = req.fp.exact_key()
             with self._lock:
                 waiters = self._inflight.get(key)
@@ -838,9 +719,8 @@ class SageServer:
             return req
         if bypass is not None:
             # Restricted search (or an off-tier fidelity): compute on this
-            # worker thread, skipping cache, coalescing and shards.  The
-            # worker would block in _reply_one anyway, so this costs no
-            # extra latency and keeps the cache tier-consistent.
+            # worker thread, skipping cache and coalescing, which keeps
+            # the cache tier-consistent.
             req.outcome = "bypassed"
             self._requests.inc(event="bypassed")
             try:
@@ -887,20 +767,11 @@ class SageServer:
         if waiters is not None:
             self._requests.inc(event="coalesced")
             return req
-        shard = (
-            self._shards[fp.shard(len(self._shards))] if self._shards else None
-        )
-        if shard is not None and shard.proc.is_alive():
-            shard.in_q.put((key, parsed))
-        else:
-            # No shards configured, or this one died (OOM, kill): compute
-            # on this worker thread, which would block in _reply_one
-            # anyway, so the fingerprint's partition is not blackholed.
-            self._compute_inline(key, parsed)
+        self._compute_inline(key, parsed)
         return req
 
     def _compute_inline(self, key: tuple, workload) -> None:
-        """Shardless fallback: run the search in this (worker) thread."""
+        """Search one miss on this worker thread and resolve its waiters."""
         try:
             with span("serve.inline_predict", workload=workload.name):
                 decision = self._sage.predict(
@@ -913,24 +784,6 @@ class SageServer:
             self._resolve(key, None, f"{type(exc).__name__}: {exc}")
         else:
             self._resolve(key, decision, None)
-
-    def _collect_loop(self, shard: _Shard) -> None:
-        """Drain one shard's results until its exit sentinel."""
-        while True:
-            msg = shard.out_q.get()
-            if msg is None:
-                return
-            key, decision, error = msg
-            if isinstance(key, str) and key.startswith(_METRICS_KEY):
-                # In-band metrics reply: deliver to the waiting stats()
-                # call instead of the request-resolution path.
-                with self._lock:
-                    box = self._metric_boxes.get(key)
-                if box is not None:
-                    box[1] = decision  # the shard's registry snapshot
-                    box[0].set()
-                continue
-            self._resolve(key, decision, error)
 
     def _resolve(
         self, key: tuple, decision: SageDecision | None, error: str | None
@@ -955,46 +808,13 @@ class SageServer:
             self._stage_seconds.observe(elapsed, stage="compute")
 
     # --------------------------------------------------------------- stats
-    def collect_metrics(self, timeout_s: float = 1.0) -> dict:
-        """Merged metrics (process-global, this server's ledger, live
-        shards) with poll coverage.
-
-        Each alive shard is polled in-band (a sentinel string key through
-        its ordinary request queue — fingerprint keys are tuples, so the
-        sentinel cannot collide) and given a shared *timeout_s* deadline;
-        shards busy past the deadline simply miss this poll.  Snapshots
-        merge exactly, so worker-side counters (SAGE candidate counts,
-        span histograms) land in one registry view under ``"registry"``;
-        ``"shards_polled"`` / ``"shards_reporting"`` say how complete
-        this poll was.
-        """
+    def collect_metrics(self) -> dict:
+        """Merged metrics: the process registry (SAGE counters, spans)
+        plus this server's ledger, under ``"registry"``."""
         merged = obs_metrics.MetricRegistry()
         merged.merge_snapshot(registry().snapshot())
         merged.merge_snapshot(self._metrics.snapshot())
-        boxes: list[list] = []
-        for shard in self._shards:
-            if not shard.proc.is_alive():
-                continue
-            token = f"{_METRICS_KEY}{uuid.uuid4().hex}"
-            box = [threading.Event(), None, token]
-            with self._lock:
-                self._metric_boxes[token] = box
-            shard.in_q.put((token, None))
-            boxes.append(box)
-        deadline = time.monotonic() + timeout_s
-        reporting = 0
-        for box in boxes:
-            remaining = max(0.0, deadline - time.monotonic())
-            if box[0].wait(timeout=remaining) and box[1] is not None:
-                merged.merge_snapshot(box[1])
-                reporting += 1
-            with self._lock:
-                self._metric_boxes.pop(box[2], None)
-        return {
-            "registry": merged.snapshot(),
-            "shards_polled": len(boxes),
-            "shards_reporting": reporting,
-        }
+        return {"registry": merged.snapshot()}
 
     def stats(self) -> dict:
         """The ``stats`` RPC payload, a read of this server's registry.
@@ -1003,16 +823,15 @@ class SageServer:
         percentiles (overall and per cache outcome) come from the
         server's own :class:`~repro.obs.metrics.MetricRegistry`, so they
         read 0 (and ``None``) under ``REPRO_OBS=off``.  Percentiles are
-        log2-bucket estimates over the server's lifetime.  Shard and
-        warming state ride along, and ``metrics`` holds the merged
-        registry view (:meth:`collect_metrics`).
+        log2-bucket estimates over the server's lifetime.  Warming state
+        rides along, and ``metrics`` holds the merged registry view
+        (:meth:`collect_metrics`).
         """
         count = self._requests.value
         return {
             "uptime_s": time.monotonic() - self._t_start,
             "schema_versions": list(SUPPORTED_WIRE_SCHEMAS),
             "fidelity": self.serve.fidelity,
-            "degraded": self._degraded,
             "requests": {
                 key: int(count(event=event))
                 for key, event in _REQUEST_EVENTS.items()
@@ -1024,15 +843,6 @@ class SageServer:
             # Misses that attached to an in-flight computation; the
             # section keeps its historical name for stats readers.
             "batches": {"coalesced": int(count(event="coalesced"))},
-            "shards": [
-                {
-                    "shard": index,
-                    "pid": shard.proc.pid,
-                    "alive": shard.proc.is_alive(),
-                    "queue_depth": shard.queue_depth(),
-                }
-                for index, shard in enumerate(self._shards)
-            ],
             "latency_ms": _quantiles_ms(self._stage_seconds, stage="total"),
             "latency_by_outcome_ms": {
                 outcome: _quantiles_ms(self._latency, outcome=outcome)

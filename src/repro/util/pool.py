@@ -18,8 +18,7 @@ Degradation triggers (all run the jobs sequentially in this process):
 
 * a single job or ``processes <= 1`` — no pool worth spawning;
 * unpicklable inputs (lambda providers, open handles);
-* a daemonic caller (e.g. a serve shard worker) — daemons may not have
-  children;
+* a daemonic caller — daemons may not have children;
 * platforms that cannot spawn (or keep) a pool: ``OSError`` /
   ``PermissionError`` / ``BrokenProcessPool``.
 
@@ -142,7 +141,7 @@ def fork_map(
     if len(items) <= 1 or processes <= 1:
         return sequential()
     if multiprocessing.current_process().daemon:
-        # Daemonic processes (serve shards) may not have children.
+        # Daemonic processes may not have children.
         return sequential()
 
     # One pickle per job, made here: the payload the worker unpickles

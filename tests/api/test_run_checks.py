@@ -224,6 +224,17 @@ def _oracle_product(result, seed: int) -> np.ndarray:
     return a @ b
 
 
+def _matches(out: np.ndarray, expected: np.ndarray) -> bool:
+    """*out* equals *expected* to the last few ulps of its largest entry.
+
+    Both products sum the same terms in different orders, which moves
+    them apart by ~1e-16 relative; the default ``allclose`` tolerance
+    (1e-5) would let a wrong streamed entry through.
+    """
+    atol = 1e-12 * float(np.abs(expected).max(initial=0.0))
+    return np.allclose(out, expected, rtol=1e-12, atol=atol)
+
+
 class TestDenseOracle:
     SEED = 3
 
@@ -234,7 +245,7 @@ class TestDenseOracle:
                 entry.matrix_workload(kernel), RunOptions(seed=self.SEED)
             )
             assert result.verified is True
-            assert np.allclose(
+            assert _matches(
                 result.output, _oracle_product(result, self.SEED)
             ), entry.name
 
@@ -244,6 +255,6 @@ class TestDenseOracle:
         for op in ops:
             result = SESSION.run(op.workload, RunOptions(seed=op.seed))
             assert result.verified is True and result.sim_scale == 1.0
-            assert np.allclose(
+            assert _matches(
                 result.output, _oracle_product(result, op.seed)
             ), op.workload.name

@@ -232,7 +232,7 @@ class TestLocalRemoteParity:
         # near-hit tier deliberately answers from a same-band neighbour
         # (accuracy-for-latency) and is covered by tests/serve/.
         with SageServer(
-            serve=ServeConfig(port=0, shards=1, near_hit=False)
+            serve=ServeConfig(port=0, near_hit=False)
         ) as srv:
             yield srv
 
@@ -293,7 +293,7 @@ class TestCalibratedParity:
 
         with SageServer(
             sage=Sage(calibration=table),
-            serve=ServeConfig(port=0, shards=1, near_hit=False),
+            serve=ServeConfig(port=0, near_hit=False),
         ) as srv:
             yield srv
 

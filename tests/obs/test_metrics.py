@@ -1,7 +1,7 @@
 """Property tests for the exact-merge metric registry.
 
 The merge laws are the load-bearing guarantee of ``repro.obs.metrics``:
-fork-pool workers, serve shards and remote servers each hold their own
+fork-pool workers, serve ledgers and remote servers each hold their own
 registry, and the aggregate is produced purely by merging snapshots.
 Integer-valued samples are used wherever exact equality is asserted —
 integer float addition is exact well past any count these tests reach,

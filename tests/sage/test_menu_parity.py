@@ -257,7 +257,7 @@ def test_combos_keep_flat_product_order():
 
 
 def test_ranking_survives_pickle_with_shared_pairs():
-    """Serve shards and xp pool workers ship decisions by pickle."""
+    """xp pool workers ship results by pickle."""
     decision = SAGE.predict_matrix(MATRIX_SUITE[0].matrix_workload(Kernel.SPMM))
     shipped = pickle.loads(pickle.dumps(decision))
     assert [c.to_wire() for c in shipped.ranking] == [

@@ -1,4 +1,4 @@
-"""Workload fingerprints: stability, sensitivity, banding, sharding."""
+"""Workload fingerprints: stability, sensitivity, banding, validation."""
 
 from __future__ import annotations
 
@@ -102,25 +102,7 @@ class TestBanding:
         assert a.band_key() != b.band_key()
 
 
-class TestSharding:
-    def test_shard_stable_and_in_range(self):
-        fp = fingerprint_of(_wl())
-        for shards in (1, 2, 3, 8):
-            assert 0 <= fp.shard(shards) < shards
-            assert fp.shard(shards) == fingerprint_of(_wl()).shard(shards)
-
-    def test_same_band_same_shard(self):
-        a, b = fingerprint_of(_wl(nnz_a=10_000)), fingerprint_of(_wl(nnz_a=11_000))
-        assert a.shard(8) == b.shard(8)
-
-    def test_shards_actually_spread(self):
-        # Multiplicative spread: band keys coarsen dims to powers of
-        # two, so additive nudges all land in one or two bands.
-        seen = {
-            fingerprint_of(_wl(m=512 * (i + 1))).shard(4) for i in range(32)
-        }
-        assert len(seen) > 1
-
+class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             WorkloadFingerprint(

@@ -25,9 +25,7 @@ def _wl(m: int) -> MatrixWorkload:
 
 @pytest.fixture(scope="module")
 def server():
-    with SageServer(
-        serve=ServeConfig(port=0, shards=1)
-    ) as srv:
+    with SageServer(serve=ServeConfig(port=0)) as srv:
         yield srv
 
 
@@ -39,26 +37,31 @@ def client(server):
 
 class TestMetricsRpc:
     def test_stats_exposes_merged_registry(self, client):
-        client.predict(_wl(96))   # miss -> shard compute
+        client.predict(_wl(96))   # miss -> in-process search
         client.predict(_wl(96))   # front-cache hit
-        stats = client.stats()
-        metrics = stats["metrics"]
-        assert metrics["shards_polled"] == 1
-        assert metrics["shards_reporting"] == 1
+        metrics = client.stats()["metrics"]
+        assert set(metrics) == {"registry"}
         snapshot = metrics["registry"]
         requests = snapshot["repro_serve_requests_total"]["values"]
         assert requests["event=submitted"] >= 2
         assert requests["event=served"] >= 2
 
-    def test_worker_side_counters_are_merged_in(self, client):
-        client.predict(_wl(160))  # unseen workload: must reach the shard
-        snapshot = client.stats()["metrics"]["registry"]
-        spans = snapshot["repro_span_seconds"]["values"]
-        # The serve.shard_predict span is only ever entered inside the
-        # shard process; its presence proves the cross-process merge.
-        shard_series = [k for k in spans if "span=serve.shard_predict" in k]
-        assert shard_series
-        assert snapshot["repro_sage_predictions_total"]["values"]
+    def test_in_process_miss_lands_in_the_registry(self, client):
+        def read() -> tuple[int, float]:
+            snapshot = client.stats()["metrics"]["registry"]
+            spans = snapshot["repro_span_seconds"]["values"]
+            searches = sum(
+                state["count"] for key, state in spans.items()
+                if "span=serve.inline_predict" in key
+            )
+            candidates = snapshot.get("repro_sage_candidates_total", {})
+            return searches, sum(candidates.get("values", {}).values())
+
+        searches, candidates = read()
+        client.predict(_wl(160))  # unseen workload: searched in-process
+        after_searches, after_candidates = read()
+        assert after_searches == searches + 1
+        assert after_candidates > candidates
 
     def test_stage_latency_histograms_recorded(self, client):
         client.predict(_wl(224))
@@ -128,7 +131,7 @@ class TestStatsLedger:
     """``stats()`` is a read of the server's own metric registry."""
 
     def test_stats_equal_the_registry_series(self):
-        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+        with SageServer(serve=ServeConfig(port=0)) as srv:
             with ServeClient(*srv.address) as client:
                 _mixed_traffic(client)
             stats = srv.stats()
@@ -171,7 +174,7 @@ class TestStatsLedger:
              "schema_version": 2, "options": pinned},
         ]
         bodies = [json.dumps(m).encode() for m in messages] + [b"not json"]
-        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+        with SageServer(serve=ServeConfig(port=0)) as srv:
             replies = []
             for body in bodies:
                 # The front end's two halves: the loop, then the pool.
@@ -202,7 +205,7 @@ class TestStatsLedger:
         replies: dict = {}
         with SageServer(
             sage=sage,
-            serve=ServeConfig(port=0, shards=0, request_timeout_s=0.05),
+            serve=ServeConfig(port=0, request_timeout_s=0.05),
         ) as srv:
             # The owner computes inline, held by the gate; an identical
             # request attaches to it and waits past the request timeout.
@@ -227,7 +230,7 @@ class TestStatsLedger:
 
     def test_embedded_servers_keep_separate_ledgers(self, client):
         client.predict(_wl(544))
-        with SageServer(serve=ServeConfig(port=0, shards=0)) as fresh:
+        with SageServer(serve=ServeConfig(port=0)) as fresh:
             stats = fresh.stats()
         assert stats["requests"]["submitted"] == 0
         assert stats["cache"]["misses"] == 0
@@ -241,7 +244,7 @@ class TestStatsLedger:
             expected = session.predict(wl).to_wire()
         set_enabled(False)
         try:
-            with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+            with SageServer(serve=ServeConfig(port=0)) as srv:
                 with ServeClient(*srv.address) as client:
                     _mixed_traffic(client)
                     served = client.predict(wl, top=0).to_wire()

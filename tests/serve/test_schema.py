@@ -24,7 +24,7 @@ def _wl(m: int = 200, nnz_a: int = 1_600) -> MatrixWorkload:
 @pytest.fixture(scope="module")
 def server():
     with SageServer(
-        serve=ServeConfig(port=0, shards=0)
+        serve=ServeConfig(port=0)
     ) as srv:
         yield srv
 
@@ -166,7 +166,7 @@ class TestOptionsOverTheWire:
         # instead of being silently downgraded to analytical.
         wl = MatrixWorkload("tier2", Kernel.SPMM, m=96, k=96, n=64,
                             nnz_a=900, nnz_b=96 * 64)
-        config = ServeConfig(port=0, shards=0, fidelity="cycle")
+        config = ServeConfig(port=0, fidelity="cycle")
         with SageServer(serve=config) as srv:
             with ServeClient(*srv.address) as client:
                 first = client.predict(wl, options=PredictOptions())

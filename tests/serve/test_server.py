@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import socket
 import struct
 import threading
@@ -27,9 +29,7 @@ def _wl(m: int = 256, nnz_a: int = 2_000) -> MatrixWorkload:
 
 @pytest.fixture(scope="module")
 def server():
-    with SageServer(
-        serve=ServeConfig(port=0, shards=1)
-    ) as srv:
+    with SageServer(serve=ServeConfig(port=0)) as srv:
         yield srv
 
 
@@ -48,9 +48,7 @@ _TABLE3 = [
 def exact_server():
     # No near hits: every answer is this workload's own decision, so it
     # must equal the local Session's whatever the other tests asked.
-    with SageServer(
-        serve=ServeConfig(port=0, shards=1, near_hit=False)
-    ) as srv:
+    with SageServer(serve=ServeConfig(port=0, near_hit=False)) as srv:
         yield srv
 
 
@@ -67,6 +65,32 @@ class _GatedSage(Sage):
         with self._calls_lock:
             self.calls += 1
         self.gate.wait(timeout=30)
+        return super().predict(*args, **kwargs)
+
+
+class _WhereSage(Sage):
+    """A predictor that records the process and thread of each search."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen: list[tuple[int, str]] = []
+
+    def predict(self, *args, **kwargs):
+        self.seen.append((os.getpid(), threading.current_thread().name))
+        return super().predict(*args, **kwargs)
+
+
+class _FailOnceSage(Sage):
+    """A predictor whose first search raises; later ones succeed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def predict(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("search exploded")
         return super().predict(*args, **kwargs)
 
 
@@ -146,10 +170,9 @@ class TestRoundTrip:
         stats = client.stats()
         assert stats["requests"]["served"] >= 1
         assert 0.0 <= stats["cache"]["hit_rate"] <= 1.0
-        assert len(stats["shards"]) == 1
-        assert stats["shards"][0]["alive"]
         assert stats["latency_ms"]["p50"] is not None
         assert set(stats["batches"]) == {"coalesced"}
+        assert not {"shards", "degraded"} & set(stats)
 
     def test_malformed_workload_reports_in_band(self, client):
         with pytest.raises(ServeError, match="kind"):
@@ -222,13 +245,13 @@ class TestWireParity:
     def test_a_near_hit_is_never_memoized(self):
         neighbour, wl = _wl(m=208, nnz_a=2_100), _wl(m=208, nnz_a=2_500)
         request = {"op": "predict", "workload": wl.to_dict()}
-        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+        with SageServer(serve=ServeConfig(port=0)) as srv:
             with ServeClient(*srv.address) as c:
                 for _ in range(3):  # miss, then hits: the memo fills
                     c.predict(neighbour)
                 near = [c._rpc(dict(request)) for _ in range(2)]
                 fast_path = c.stats()["requests"]["fast_path"]
-                # The exact computation lands, as a shard's result would.
+                # The exact computation lands, as a miss's search would.
                 srv._cache.put(fingerprint_of(wl), Sage().predict(wl))
                 exact = [c._rpc(dict(request)) for _ in range(3)]
                 after = c.stats()["requests"]["fast_path"]
@@ -254,19 +277,23 @@ class TestWireParity:
         assert rows == [8, 8, 3, 3]
 
     @pytest.mark.parametrize(
-        "wl", _TABLE3, ids=[f"{wl.name}-{wl.kernel.value}" for wl in _TABLE3]
+        "index", range(len(_TABLE3)),
+        ids=[f"{wl.name}-{wl.kernel.value}" for wl in _TABLE3],
     )
-    def test_table3_binary_cold_warm_and_json_agree_with_session(
-        self, exact_server, wl
+    def test_table3_cold_and_warm_on_both_wires_agree_with_session(
+        self, exact_server, index
     ):
+        # Alternate which wire sees each workload cold, so both wires
+        # carry misses (searched in the server process) and memo hits.
+        wl = _TABLE3[index]
+        wires = ("binary", "json") if index % 2 == 0 else ("json", "binary")
         with Session() as session:
             local = session.predict(wl).to_wire()
-        with ServeClient(*exact_server.address) as binary:
-            cold = binary.predict(wl, top=0).to_wire()
-            warm = binary.predict(wl, top=0).to_wire()
-        with ServeClient(*exact_server.address, wire_mode="json") as legacy:
-            replayed = legacy.predict(wl, top=0).to_wire()
-        assert cold == warm == replayed == local
+        served = []
+        for wire_mode in wires:
+            with ServeClient(*exact_server.address, wire_mode=wire_mode) as c:
+                served += [c.predict(wl, top=0).to_wire() for _ in range(2)]
+        assert served == [local] * 4
 
     @pytest.mark.parametrize("flags", [0x01, 0x02, 0x80])
     def test_flagged_frame_is_rejected_then_closed(self, server, flags):
@@ -298,7 +325,7 @@ class TestConcurrency:
         errors: list = []
         barrier = threading.Barrier(6)
         with SageServer(
-            sage=sage, serve=ServeConfig(port=0, shards=0)
+            sage=sage, serve=ServeConfig(port=0)
         ) as srv:
 
             def ask() -> None:
@@ -329,6 +356,31 @@ class TestConcurrency:
         assert stats["batches"]["coalesced"] == 5
         assert stats["cache"]["misses"] == 6
 
+    def test_distinct_misses_search_side_by_side(self):
+        # Two different workloads miss together: each search runs on its
+        # own worker thread, so both enter the predictor before either
+        # is let through the gate.
+        sage = _GatedSage()
+        suite = [_wl(m=416), _wl(m=448)]
+        results: list = []
+        with SageServer(sage=sage, serve=ServeConfig(port=0)) as srv:
+
+            def ask(wl) -> None:
+                with ServeClient(*srv.address) as c:
+                    results.append(c.predict(wl))
+
+            threads = [threading.Thread(target=ask, args=(wl,))
+                       for wl in suite]
+            for t in threads:
+                t.start()
+            both_searching = _wait_until(lambda: sage.calls == 2)
+            sage.gate.set()
+            for t in threads:
+                t.join(timeout=60)
+        assert both_searching
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 2
+
     def test_many_distinct_requests_across_clients(self, server):
         errors: list = []
 
@@ -351,14 +403,53 @@ class TestConcurrency:
 
 class TestModes:
     def test_in_process_mode_no_shards(self):
-        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+        # Every miss is searched in the server process: no child process
+        # is started and stats() carries no shard section.
+        with SageServer(serve=ServeConfig(port=0)) as srv:
             with ServeClient(*srv.address) as c:
-                decision = c.predict(_wl())
+                decision = c.predict(_wl(m=432))
                 assert decision.best is not None
-                assert c.stats()["shards"] == []
+                stats = c.stats()
+            assert multiprocessing.active_children() == []
+        assert stats["cache"]["misses"] >= 1
+        assert not {"shards", "degraded"} & set(stats)
+
+    def test_a_miss_is_searched_on_a_serve_worker_thread(self):
+        sage = _WhereSage()
+        with SageServer(sage=sage, serve=ServeConfig(port=0)) as srv:
+            with ServeClient(*srv.address) as c:
+                c.predict(_wl(m=464))
+                c.predict(_wl(m=464))  # a hit: no second search
+        assert len(sage.seen) == 1
+        pid, thread = sage.seen[0]
+        assert pid == os.getpid()
+        assert thread.startswith("serve-worker")
+
+    def test_a_failed_miss_reports_in_band_and_is_not_cached(self):
+        sage = _FailOnceSage()
+        wl = _wl(m=480)
+        with SageServer(sage=sage, serve=ServeConfig(port=0)) as srv:
+            with ServeClient(*srv.address) as c:
+                with pytest.raises(ServeError, match="search exploded"):
+                    c.predict(wl)
+                assert fingerprint_of(wl).exact_key() not in srv._inflight
+                decision = c.predict(wl)  # searched again, not a cached error
+                assert decision.best is not None
+                errors = c.stats()["requests"]["errors"]
+        assert sage.calls == 2
+        assert errors == 1
+
+    def test_serve_config_has_no_shards_field(self):
+        names = [f.name for f in dataclasses.fields(ServeConfig)]
+        assert names == [
+            "host", "port", "cache_size", "near_hit", "ranking_top",
+            "fidelity", "request_timeout_s", "warm_bands",
+        ]
+        with pytest.raises(TypeError):
+            ServeConfig(port=0, shards=1)
 
     def test_near_hit_mode_serves_banded_neighbour(self):
-        config = ServeConfig(port=0, shards=0, near_hit=True)
+        config = ServeConfig(port=0, near_hit=True)
         with SageServer(serve=config) as srv:
             with ServeClient(*srv.address) as c:
                 c.predict(_wl(nnz_a=2_100))
@@ -366,7 +457,7 @@ class TestModes:
                 assert c.stats()["cache"]["near_hits"] >= 1
 
     def test_exact_mode_recomputes_banded_neighbour(self):
-        config = ServeConfig(port=0, shards=0, near_hit=False)
+        config = ServeConfig(port=0, near_hit=False)
         with SageServer(serve=config) as srv:
             with ServeClient(*srv.address) as c:
                 c.predict(_wl(nnz_a=2_100))
@@ -378,7 +469,7 @@ class TestModes:
     def test_cycle_fidelity_server(self):
         # A cycle-tier server answers with simulator-validated decisions;
         # the small workload stays under the simulation proxy cap.
-        config = ServeConfig(port=0, shards=1, fidelity="cycle")
+        config = ServeConfig(port=0, fidelity="cycle")
         wl = MatrixWorkload("cyc", Kernel.SPMM, m=96, k=96, n=64,
                             nnz_a=900, nnz_b=96 * 64)
         with SageServer(serve=config) as srv:
@@ -389,14 +480,14 @@ class TestModes:
 
     def test_calibrated_fidelity_server(self, tmp_path):
         # A calibrated-tier server answers corrected decisions from its
-        # preloaded factor table (shards inherit it across the fork).
+        # preloaded factor table.
         from repro.sage.calibrate import GRIDS, build_table
         from repro.xp.artifacts import ArtifactStore
 
         table = build_table(
             GRIDS["tiny"], store=ArtifactStore(tmp_path)
         ).table
-        config = ServeConfig(port=0, shards=1, fidelity="calibrated")
+        config = ServeConfig(port=0, fidelity="calibrated")
         wl = MatrixWorkload("calib", Kernel.SPMM, m=96, k=96, n=64,
                             nnz_a=900, nnz_b=96 * 64)
         with SageServer(sage=Sage(calibration=table), serve=config) as srv:
@@ -413,7 +504,7 @@ class TestModes:
         )
         with pytest.raises(PredictionError, match="repro calibrate"):
             SageServer(
-                serve=ServeConfig(port=0, shards=0, fidelity="calibrated")
+                serve=ServeConfig(port=0, fidelity="calibrated")
             )
 
     def test_unknown_fidelity_rejected_at_construction(self):
@@ -421,7 +512,7 @@ class TestModes:
             SageServer(serve=ServeConfig(port=0, fidelity="oracular"))
 
     def test_shutdown_rpc_stops_server(self):
-        srv = SageServer(serve=ServeConfig(port=0, shards=0))
+        srv = SageServer(serve=ServeConfig(port=0))
         address = srv.start()
         with ServeClient(*address) as c:
             c.shutdown_server()
@@ -430,23 +521,15 @@ class TestModes:
             ServeClient(*address, timeout=2).ping()
 
     def test_close_is_idempotent(self):
-        srv = SageServer(serve=ServeConfig(port=0, shards=0))
+        srv = SageServer(serve=ServeConfig(port=0))
         srv.start()
         srv.close()
         srv.close()
 
-    def test_dead_shard_falls_back_to_inline_compute(self):
-        with SageServer(serve=ServeConfig(port=0, shards=1)) as srv:
-            srv._shards[0].proc.terminate()
-            srv._shards[0].proc.join(timeout=5)
-            with ServeClient(*srv.address) as c:
-                decision = c.predict(_wl(m=444, nnz_a=1_234))
-                assert decision.best is not None
-
     def test_client_poisons_connection_on_transport_failure(self):
         import socket as socket_mod
 
-        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+        with SageServer(serve=ServeConfig(port=0)) as srv:
             # retries=0 opts out of the default transparent retry, which
             # restores the PR-2-era poison-on-first-failure contract.
             c = ServeClient(*srv.address, retries=0)
@@ -461,7 +544,7 @@ class TestModes:
     def test_client_retries_transparently_after_transport_failure(self):
         import socket as socket_mod
 
-        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+        with SageServer(serve=ServeConfig(port=0)) as srv:
             c = ServeClient(*srv.address)  # default: retries=1
             assert c.ping()
             # Kill the transport under the client; the next idempotent op
@@ -474,12 +557,12 @@ class TestModes:
             c.close()
 
     def test_timeout_unwedges_inflight_fingerprint(self):
-        # A result that never arrives (e.g. a killed shard) must not leave
-        # its fingerprint permanently coalescing onto a dead computation.
+        # A result that never arrives must not leave its fingerprint
+        # permanently coalescing onto a dead computation.
         from repro.serve.server import _PendingRequest
 
         srv = SageServer(
-            serve=ServeConfig(port=0, shards=0, request_timeout_s=0.05)
+            serve=ServeConfig(port=0, request_timeout_s=0.05)
         )
         wl = _wl()
         fp = fingerprint_of(wl)
@@ -490,7 +573,7 @@ class TestModes:
         assert fp.exact_key() not in srv._inflight
 
     def test_submit_after_close_fails_fast(self):
-        srv = SageServer(serve=ServeConfig(port=0, shards=0))
+        srv = SageServer(serve=ServeConfig(port=0))
         srv.start()
         srv.close()
         req = srv._submit(_wl().to_dict())
@@ -504,7 +587,7 @@ class TestModes:
         sage = _GatedSage()
         srv = SageServer(
             sage=sage,
-            serve=ServeConfig(port=0, shards=0, request_timeout_s=60.0),
+            serve=ServeConfig(port=0, request_timeout_s=60.0),
         )
         srv.start()
         message = {"op": "predict", "workload": _wl(m=392).to_dict()}

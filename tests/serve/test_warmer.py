@@ -174,7 +174,7 @@ class TestServerIntegration:
     def test_server_with_warming_turns_band_traffic_into_near_hits(self):
         from repro.serve import SageServer, ServeClient, ServeConfig
 
-        config = ServeConfig(port=0, shards=0, warm_bands=1)
+        config = ServeConfig(port=0, warm_bands=1)
         with SageServer(serve=config) as srv:
             with ServeClient(*srv.address) as client:
                 client.predict(_wl(nnz_a=1_500))  # miss; warming kicks off
@@ -190,7 +190,7 @@ class TestServerIntegration:
     def test_warming_disabled_by_default(self):
         from repro.serve import SageServer, ServeConfig
 
-        with SageServer(serve=ServeConfig(port=0, shards=0)) as srv:
+        with SageServer(serve=ServeConfig(port=0)) as srv:
             assert srv._warmer is None
             assert srv.stats()["warming"] is None
 

@@ -8,7 +8,6 @@ import re
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -31,7 +30,7 @@ class TestParser:
              "--rank", "8"],
             ["sage", "--backend", "tcp://127.0.0.1:7342"],
             ["run", "--m", "64", "--k", "64", "--n", "32"],
-            ["serve", "--port", "0", "--shards", "1"],
+            ["serve", "--port", "0"],
             ["sweep", "--m", "500", "--k", "500"],
             ["walkthrough"],
             ["suite", "journals"],
@@ -54,6 +53,10 @@ class TestParser:
     def test_serve_has_no_batch_window_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--batch-window-ms", "1"])
+
+    def test_serve_has_no_shards_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--shards", "1"])
 
     def test_version_flag_prints_and_exits(self, capsys):
         import repro
@@ -228,27 +231,28 @@ class TestJsonOutput:
             assert set(row["relative_energy"]) == set(doc["formats"])
 
 
-def _pid_alive(pid: int) -> bool:
+def _group_alive(pgid: int) -> bool:
     try:
-        os.kill(pid, 0)
+        os.killpg(pgid, 0)
     except ProcessLookupError:
         return False
     return True
 
 
 class TestServeSignals:
-    def test_sigterm_closes_the_server_and_reaps_its_shard(self, capsys):
+    def test_sigterm_closes_the_server(self, capsys):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
+        # Its own session, so the server's process group holds the server
+        # and whatever it starts, and nothing of this test process.
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--shards", "1", "--warm-bands", "0"],
+             "--warm-bands", "0"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            env=env,
+            env=env, start_new_session=True,
         )
-        shard_pid = None
         try:
             address = None
             for line in proc.stdout:
@@ -258,19 +262,16 @@ class TestServeSignals:
             assert address, "repro serve exited before its banner"
             spec = f"tcp://{address[1]}:{address[2]}"
             assert main(["stats", spec, "--json"]) == 0
-            shard_pid = json.loads(capsys.readouterr().out)["shards"][0]["pid"]
-            assert _pid_alive(shard_pid)
+            stats = json.loads(capsys.readouterr().out)
+            assert stats["fidelity"] == "analytical"
 
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
-            deadline = time.monotonic() + 5
-            while _pid_alive(shard_pid) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not _pid_alive(shard_pid)
+            assert not _group_alive(proc.pid)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
             proc.stdout.close()
-            if shard_pid is not None and _pid_alive(shard_pid):
-                os.kill(shard_pid, signal.SIGKILL)  # leaked: clean up
+            if _group_alive(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)  # leaked: clean up
